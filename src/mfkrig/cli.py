@@ -37,8 +37,8 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 
-def read_data_csv(path: str) -> Dataset:
-    """CSV with a header row, D input columns, and one trailing output column."""
+def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Header and finite numeric rows of a CSV file; every row as wide as the header."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -47,8 +47,6 @@ def read_data_csv(path: str) -> Dataset:
             except StopIteration:
                 raise ParseError(f"{path}: empty file, expected a header row") from None
             width = len(header)
-            if width < 2:
-                raise ParseError(f"{path}: need at least 2 columns, got {width}")
             rows = []
             for i, row in enumerate(reader, start=2):
                 if len(row) != width:
@@ -56,14 +54,24 @@ def read_data_csv(path: str) -> Dataset:
                         f"{path}: row {i} has {len(row)} columns, expected {width}"
                     )
                 try:
-                    rows.append([float(v) for v in row])
+                    values = [float(v) for v in row]
                 except ValueError as exc:
                     raise ParseError(f"{path}: row {i}: {exc}") from None
+                if not all(np.isfinite(values)):
+                    raise ParseError(f"{path}: row {i}: non-finite value")
+                rows.append(values)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not rows:
+    return header, np.asarray(rows, dtype=float).reshape(len(rows), width)
+
+
+def read_data_csv(path: str) -> Dataset:
+    """CSV with a header row, D input columns, and one trailing output column."""
+    header, data = _read_csv(path)
+    if len(header) < 2:
+        raise ParseError(f"{path}: need at least 2 columns, got {len(header)}")
+    if not len(data):
         raise InvalidConfig(f"{path}: no data rows")
-    data = np.asarray(rows)
     return Dataset(x=data[:, :-1], z=data[:, -1])
 
 
@@ -101,33 +109,38 @@ def model_to_dict(model: MfModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> MfModel:
-    version = doc.get("format_version")
+    """Rebuild a model from its JSON document; a missing or ill-typed key is a ParseError."""
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise ParseError(f"unsupported model format version: {version!r}")
-    lf = doc["lf"]
-    lf_data = Dataset(x=np.asarray(lf["x"]), z=np.asarray(lf["z"]))
-    lf_model = make_trained_gp(
-        lf_data,
-        constant_basis(),
-        beta=np.asarray(lf["beta"]),
-        kernel=KernelParams(
-            theta=LengthScales(np.asarray(lf["theta"])),
-            sigma2=lf["sigma2"],
-            eta=lf["eta"],
-        ),
-    )
-    hf = doc["hf"]
-    hf_data = Dataset(x=np.asarray(hf["x"]), z=np.asarray(hf["z"]))
-    params = HfParams(
-        beta_rho=np.asarray(hf["beta_rho"]),
-        beta_h=np.asarray(hf["beta_h"]),
-        sigma2_h=hf["sigma2_h"],
-        theta_h=LengthScales(np.asarray(hf["theta_h"])),
-        eta_h=hf["eta_h"],
-    )
-    data = MfData(lf=lf_data, hf=hf_data)
-    em_log = doc.get("fit_info", {}).get("em_log", [])
-    return make_mf_model(data, lf_model, params, constant_basis(), constant_basis(), em_log)
+    try:
+        lf = doc["lf"]
+        lf_data = Dataset(x=np.asarray(lf["x"], float), z=np.asarray(lf["z"], float))
+        lf_kernel = KernelParams(
+            theta=LengthScales(np.asarray(lf["theta"], float)),
+            sigma2=float(lf["sigma2"]),
+            eta=float(lf["eta"]),
+        )
+        lf_beta = np.asarray(lf["beta"], float)
+        hf = doc["hf"]
+        hf_data = Dataset(x=np.asarray(hf["x"], float), z=np.asarray(hf["z"], float))
+        params = HfParams(
+            beta_rho=np.asarray(hf["beta_rho"], float),
+            beta_h=np.asarray(hf["beta_h"], float),
+            sigma2_h=float(hf["sigma2_h"]),
+            theta_h=LengthScales(np.asarray(hf["theta_h"], float)),
+            eta_h=float(hf["eta_h"]),
+        )
+        em_log = [float(v) for v in doc.get("fit_info", {}).get("em_log", [])]
+        lf_model = make_trained_gp(lf_data, constant_basis(), beta=lf_beta, kernel=lf_kernel)
+        return make_mf_model(
+            MfData(lf=lf_data, hf=hf_data),
+            lf_model, params, constant_basis(), constant_basis(), em_log,
+        )
+    except KeyError as exc:
+        raise ParseError(f"model document is missing key {exc}") from None
+    except (TypeError, ValueError, IndexError, AttributeError, DimensionMismatch) as exc:
+        raise ParseError(f"model document has an ill-typed value: {exc}") from None
 
 
 def save_model(model: MfModel, path: str) -> None:
@@ -239,28 +252,11 @@ def predict_cmd(model_path: str, inputs_csv: str, level: str, mode: str, out_pat
 
     def body():
         model = load_model(model_path)
-        try:
-            with open(inputs_csv, newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None:
-                    raise ParseError(f"{inputs_csv}: empty file")
-                rows = []
-                for i, row in enumerate(reader, start=2):
-                    if len(row) != len(header):
-                        raise ParseError(
-                            f"{inputs_csv}: row {i} has {len(row)} columns, "
-                            f"expected {len(header)}"
-                        )
-                    rows.append([float(v) for v in row])
-        except OSError as exc:
-            raise ParseError(f"{inputs_csv}: {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(f"{inputs_csv}: {exc}") from exc
-        x = np.asarray(rows)
-        if x.ndim != 2 or x.shape[1] != model.data.hf.d:
-            raise DimensionMismatch(
-                f"model expects {model.data.hf.d} input columns, got {x.shape[1]}"
+        header, x = _read_csv(inputs_csv)
+        if x.shape[1] != model.data.hf.d:
+            raise ParseError(
+                f"{inputs_csv}: model expects {model.data.hf.d} input columns, "
+                f"got {x.shape[1]}"
             )
         pred = predict_mf(model, x, level=level, mode=mode, cov="diagonal")
         with open(out_path, "w", newline="") as fh:

@@ -7,7 +7,7 @@ form and optimizes (theta, eta) numerically in log-space with multi-start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,21 +129,46 @@ def _check_basis(basis: BasisSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _profile(data: Dataset, f_mat: np.ndarray, theta: LengthScales, eta: float):
-    """Factorize R(theta) + eta I and compute the profiled beta-hat, sigma2-hat."""
+    """Build R(theta) once, factorize R + eta I, invert it from the factor, and
+    compute the profiled beta-hat, sigma2-hat through that inverse."""
     r = kernels.corr_matrix(data.x, data.x, theta)
-    rt = r + eta * np.eye(data.n)
-    fact = numerics.chol_factor(rt)
-    ri_f = numerics.solve_spd(fact, f_mat)
-    ri_z = numerics.solve_spd(fact, data.z)
-    gram = f_mat.T @ ri_f
+    fact = numerics.chol_factor(r + eta * np.eye(data.n))
+    rt_inv = numerics.inv_spd(fact)
+    ri_f = rt_inv @ f_mat
     try:
-        beta = np.linalg.solve(gram, f_mat.T @ ri_z)
+        beta = np.linalg.solve(f_mat.T @ ri_f, ri_f.T @ data.z)
     except np.linalg.LinAlgError:
         raise RankDeficientBasis("normal equations singular for this basis") from None
     resid = data.z - f_mat @ beta
-    ri_resid = ri_z - ri_f @ beta
+    ri_resid = rt_inv @ resid
     sigma2 = float(resid @ ri_resid) / data.n
-    return fact, beta, max(sigma2, 0.0), resid, ri_resid
+    return r, fact, rt_inv, beta, max(sigma2, 0.0), ri_resid
+
+
+def profiled_nll_value(n: int, sigma2: float, fact: SpdFactorization) -> float:
+    """Negative Gaussian log-likelihood with the variance profiled out."""
+    return (
+        0.5 * n * math.log(sigma2)
+        + 0.5 * numerics.logdet_spd(fact)
+        + 0.5 * n * (1.0 + math.log(2.0 * math.pi))
+    )
+
+
+def contracted_grad(
+    x: np.ndarray, theta: LengthScales, r: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """Gradient in (theta, eta) of an objective whose derivative along any
+    perturbation dR~ of R~ = R + eta I is tr(A dR~) / 2.
+
+    Every length-scale component comes from one contraction with the stacked
+    partials of R (Rasmussen & Williams 2006, sec. 5.4.1); dR~/deta = I.
+    """
+    dr = kernels.corr_matrix_grad(x, theta, r)
+    n, d = dr.shape[1:]
+    grad = np.empty(d + 1)
+    grad[:d] = a.reshape(-1) @ dr.reshape(n * n, d)
+    grad[d] = np.trace(a)
+    return 0.5 * grad
 
 
 def profiled_estimates(
@@ -151,7 +176,7 @@ def profiled_estimates(
 ) -> tuple[np.ndarray, float]:
     """Closed-form GLS estimate of beta and the profiled variance estimate."""
     f_mat = _check_basis(basis, data.x)
-    _, beta, sigma2, _, _ = _profile(data, f_mat, theta, eta)
+    _, _, _, beta, sigma2, _ = _profile(data, f_mat, theta, eta)
     return beta, sigma2
 
 
@@ -163,23 +188,12 @@ def profiled_nll_and_grad(
     A degenerate profiled variance yields (+inf, zeros) so the optimizer retreats.
     """
     f_mat = _check_basis(basis, data.x)
-    fact, _, sigma2, _, ri_resid = _profile(data, f_mat, theta, eta)
-    n, d = data.n, theta.ndim
+    r, fact, rt_inv, _, sigma2, ri_resid = _profile(data, f_mat, theta, eta)
     if sigma2 < _SIGMA2_FLOOR:
-        return np.inf, np.zeros(d + 1)
-    value = (
-        0.5 * n * math.log(sigma2)
-        + 0.5 * numerics.logdet_spd(fact)
-        + 0.5 * n * (1.0 + math.log(2.0 * math.pi))
-    )
+        return np.inf, np.zeros(theta.ndim + 1)
     kappa = ri_resid / math.sqrt(sigma2)
-    rt_inv = numerics.inv_spd(fact)
-    grad = np.empty(d + 1)
-    for j in range(d):
-        dr = kernels.corr_matrix_grad(data.x, theta, j)
-        grad[j] = 0.5 * (np.sum(rt_inv * dr) - kappa @ dr @ kappa)
-    grad[d] = 0.5 * (np.trace(rt_inv) - kappa @ kappa)
-    return value, grad
+    a = rt_inv - np.outer(kappa, kappa)
+    return profiled_nll_value(data.n, sigma2, fact), contracted_grad(data.x, theta, r, a)
 
 
 def fit_gp(
@@ -197,7 +211,7 @@ def fit_gp(
     basis = basis if basis is not None else constant_basis()
     if data.n < basis.p + 1:
         raise ValueError("need at least p + 1 training points")
-    f_mat = _check_basis(basis, data.x)
+    _check_basis(basis, data.x)
     d = data.d
 
     if fixed_eta is None:
@@ -228,33 +242,32 @@ def fit_gp(
     else:
         theta, eta = LengthScales(omega), fixed_eta
 
-    fact, beta, sigma2, _, ri_resid = _profile(data, f_mat, theta, eta)
-    hyper = GpHyper(beta=beta, kernel=KernelParams(theta=theta, sigma2=sigma2, eta=eta))
+    beta, sigma2 = profiled_estimates(data, basis, theta, eta)
+    model = make_trained_gp(
+        data, basis, beta, KernelParams(theta=theta, sigma2=sigma2, eta=eta)
+    )
     fit_log = {
         "nll": best_val,
         "n_starts": len(start_log),
         "start_values": [s.value for s in start_log],
     }
-    return TrainedGp(
-        data=data,
-        basis=basis,
-        hyper=hyper,
-        factorization=fact,
-        residual_solve=ri_resid,
-        fit_log=fit_log,
-    )
+    return replace(model, fit_log=fit_log)
 
 
 def make_trained_gp(
     data: Dataset, basis: BasisSpec, beta: np.ndarray, kernel: KernelParams
 ) -> TrainedGp:
-    """Assemble a TrainedGp from given hyperparameters (deserialization path)."""
-    f_mat = basis.design_matrix(data.x)
-    fact, _, _, _, _ = _profile(data, f_mat, kernel.theta, kernel.eta)
-    ri_resid = numerics.solve_spd(fact, data.z - f_mat @ np.asarray(beta, dtype=float))
-    hyper = GpHyper(beta=np.asarray(beta, dtype=float), kernel=kernel)
+    """Assemble a TrainedGp from given hyperparameters (fit and deserialization path)."""
+    beta = np.asarray(beta, dtype=float)
+    r = kernels.corr_matrix(data.x, data.x, kernel.theta)
+    fact = numerics.chol_factor(r + kernel.eta * np.eye(data.n))
+    ri_resid = numerics.solve_spd(fact, data.z - basis.design_matrix(data.x) @ beta)
     return TrainedGp(
-        data=data, basis=basis, hyper=hyper, factorization=fact, residual_solve=ri_resid
+        data=data,
+        basis=basis,
+        hyper=GpHyper(beta=beta, kernel=kernel),
+        factorization=fact,
+        residual_solve=ri_resid,
     )
 
 

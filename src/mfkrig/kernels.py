@@ -80,14 +80,18 @@ def corr_matrix(x: np.ndarray, x2: np.ndarray, theta: LengthScales) -> np.ndarra
     return np.exp(-0.5 * cdist(xs, xs2, metric="sqeuclidean"))
 
 
-def corr_matrix_grad(x: np.ndarray, theta: LengthScales, d: int) -> np.ndarray:
-    """Derivative of corr_matrix(x, x, theta) with respect to theta_d.
+def corr_matrix_grad(x: np.ndarray, theta: LengthScales, r: np.ndarray) -> np.ndarray:
+    """All length-scale partials of r = corr_matrix(x, x, theta), stacked as (N, N, D).
 
-    Entry (i, j) is R_ij * (x_i^(d) - x_j^(d))^2 / theta_d^3; the diagonal is zero.
+    Slice [:, :, d] has entries R_ij * (x_i^(d) - x_j^(d))^2 / theta_d^3; the
+    diagonal is zero. The caller passes the R it already built.
     """
-    if not 0 <= d < theta.ndim:
-        raise IndexError(f"dimension index {d} out of range for D={theta.ndim}")
     xs = _as_2d(x, theta.ndim)
-    r = corr_matrix(xs, xs, theta)
-    diff = xs[:, d][:, None] - xs[:, d][None, :]
-    return r * (diff**2) / theta.theta[d] ** 3
+    n = xs.shape[0]
+    r = np.asarray(r, dtype=float)
+    if r.shape != (n, n):
+        raise DimensionMismatch(f"expected a {n}x{n} correlation matrix, got shape {r.shape}")
+    # (x_i - x_j)^2 / theta^3 is the squared difference of x / theta^1.5.
+    xs = xs / theta.theta**1.5
+    diff = xs[:, None, :] - xs[None, :, :]
+    return r[:, :, None] * (diff * diff)

@@ -33,10 +33,12 @@ from .gp import (
     PredictiveDistribution,
     TrainedGp,
     constant_basis,
+    contracted_grad,
     default_bounds,
     fit_gp,
     posterior_cross_cov,
     predict_gp,
+    profiled_nll_value,
 )
 from .kernels import LengthScales
 from .optimize import BoxBounds
@@ -188,34 +190,31 @@ def e_step(
 
 def _m_step_at(state: EStepState, data: MfData, theta_h: LengthScales, eta_h: float):
     """Closed-form (beta_rho_h, sigma2_h) at fixed (theta_h, eta_h), plus the
-    intermediates the gradient needs."""
-    x_h, z_h = data.hf.x, data.hf.z
-    n_h = data.hf.n
+    intermediates the gradient needs. R is built and factorized once, and its
+    inverse serves every right-hand side."""
+    z_h = data.hf.z
     q = state.g_matrix.shape[1]
     p_h = state.f_matrix.shape[1]
 
-    r_h = kernels.corr_matrix(x_h, x_h, theta_h)
-    rt = r_h + eta_h * np.eye(n_h)
-    fact = numerics.chol_factor(rt)
+    r_h = kernels.corr_matrix(data.hf.x, data.hf.x, theta_h)
+    fact = numerics.chol_factor(r_h + eta_h * np.eye(data.hf.n))
     rt_inv = numerics.inv_spd(fact)
 
-    t_block = state.g_matrix.T @ ((rt_inv * state.sigma_y_given_z) @ state.g_matrix)
     t_mat = np.zeros((q + p_h, q + p_h))
-    t_mat[:q, :q] = t_block
+    t_mat[:q, :q] = state.g_matrix.T @ ((rt_inv * state.sigma_y_given_z) @ state.g_matrix)
 
     h = state.h_matrix
-    ri_h = numerics.solve_spd(fact, h)
-    gram = h.T @ ri_h + t_mat
+    ri_h = rt_inv @ h
     try:
-        beta = np.linalg.solve(gram, h.T @ numerics.solve_spd(fact, z_h))
+        beta = np.linalg.solve(h.T @ ri_h + t_mat, ri_h.T @ z_h)
     except np.linalg.LinAlgError:
         raise SingularNormalEquations(
             "normal equations for the scaling/discrepancy coefficients are singular"
         ) from None
     resid = z_h - h @ beta
-    ri_resid = numerics.solve_spd(fact, resid)
-    sigma2 = (float(resid @ ri_resid) + float(beta @ t_mat @ beta)) / n_h
-    return beta, max(sigma2, 0.0), fact, rt_inv, ri_resid, t_mat
+    ri_resid = rt_inv @ resid
+    sigma2 = (float(resid @ ri_resid) + float(beta @ t_mat @ beta)) / data.hf.n
+    return beta, max(sigma2, 0.0), r_h, fact, rt_inv, ri_resid
 
 
 def m_step_closed_forms(
@@ -228,35 +227,22 @@ def m_step_closed_forms(
 def q_tilde_and_grad(
     state: EStepState, data: MfData, theta_h: LengthScales, eta_h: float
 ) -> tuple[float, np.ndarray]:
-    """Negated profiled EM objective over (theta_H, eta_H) and its gradient."""
-    n_h = data.hf.n
-    d = theta_h.ndim
-    beta, sigma2, fact, rt_inv, ri_resid, _ = _m_step_at(state, data, theta_h, eta_h)
-    if sigma2 < _SIGMA2_FLOOR:
-        return np.inf, np.zeros(d + 1)
-    value = (
-        0.5 * n_h * math.log(sigma2)
-        + 0.5 * numerics.logdet_spd(fact)
-        + 0.5 * n_h * (1.0 + math.log(2.0 * math.pi))
-    )
-    q = state.g_matrix.shape[1]
-    kappa = ri_resid / math.sqrt(sigma2)
-    rho_new = state.g_matrix @ beta[:q]
-    sigma_cond = state.sigma_y_given_z
+    """Negated profiled EM objective over (theta_H, eta_H) and its gradient.
 
-    grad = np.empty(d + 1)
-    for j in range(d + 1):
-        if j < d:
-            dr = kernels.corr_matrix_grad(data.hf.x, theta_h, j)
-            ri_dr = rt_inv @ dr
-            trace_term = 0.5 * (np.sum(rt_inv * dr) - kappa @ dr @ kappa)
-        else:
-            ri_dr = rt_inv
-            trace_term = 0.5 * (np.trace(rt_inv) - kappa @ kappa)
-        m = ri_dr @ rt_inv
-        hadamard_term = float(rho_new @ ((m * sigma_cond) @ rho_new)) / (2.0 * sigma2)
-        grad[j] = trace_term - hadamard_term
-    return value, grad
+    The gradient is one contraction with A = R~^-1 - kappa kappa^T - W / sigma2,
+    where W = R~^-1 (rho rho^T o Sigma_{Y|Z}) R~^-1 carries the Hadamard term.
+    """
+    beta, sigma2, r_h, fact, rt_inv, ri_resid = _m_step_at(state, data, theta_h, eta_h)
+    if sigma2 < _SIGMA2_FLOOR:
+        return np.inf, np.zeros(theta_h.ndim + 1)
+    kappa = ri_resid / math.sqrt(sigma2)
+    rho_new = state.g_matrix @ beta[: state.g_matrix.shape[1]]
+    w = rt_inv @ (np.outer(rho_new, rho_new) * state.sigma_y_given_z) @ rt_inv
+    a = rt_inv - np.outer(kappa, kappa) - w / sigma2
+    return (
+        profiled_nll_value(data.hf.n, sigma2, fact),
+        contracted_grad(data.hf.x, theta_h, r_h, a),
+    )
 
 
 def hf_observed_loglik(

@@ -1,7 +1,7 @@
 """SPD linear algebra: Cholesky factorization with jitter escalation, solves, log-determinants.
 
-All likelihood and prediction code consumes :class:`SpdFactorization` objects
-instead of explicit inverses.
+Likelihood and prediction code consumes :class:`SpdFactorization` objects; the
+likelihood gradients also take the explicit inverse from the cached factor.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, lapack
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
@@ -92,8 +92,19 @@ def solve_spd(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
 
 
 def inv_spd(f: SpdFactorization) -> np.ndarray:
-    """Explicit inverse of (M + jitter_used * I); needed for Hadamard-form terms."""
-    return cho_solve((f.lower_factor, True), np.eye(f.n))
+    """Explicit symmetric inverse of (M + jitter_used * I) from the cached factor.
+
+    LAPACK dpotri gets the factor as its Fortran-ordered upper transpose (no
+    copy), fills the upper triangle and leaves the zero lower triangle in place,
+    so adding the transpose mirrors it; the diagonal, which that doubles, is then
+    restored.
+    """
+    upper, info = lapack.dpotri(f.lower_factor.T, lower=0)
+    if info != 0:
+        raise NotPositiveDefinite(f"dpotri failed to invert the factor (info={info})")
+    inv = upper + upper.T
+    np.fill_diagonal(inv, upper.diagonal())
+    return inv
 
 
 def logdet_spd(f: SpdFactorization) -> float:

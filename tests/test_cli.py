@@ -16,8 +16,15 @@ from mfkrig.cli import (
     save_model,
 )
 from mfkrig.exceptions import InvalidConfig, ParseError
-from mfkrig.gp import Dataset, MultiStartConfig, constant_basis, fit_gp, predict_gp
-from mfkrig.kernels import LengthScales
+from mfkrig.gp import (
+    Dataset,
+    MultiStartConfig,
+    constant_basis,
+    fit_gp,
+    make_trained_gp,
+    predict_gp,
+)
+from mfkrig.kernels import KernelParams, LengthScales
 from mfkrig.mfgp import HfParams, MfData, make_mf_model, predict_mf
 
 
@@ -85,6 +92,37 @@ class TestReadDataCsv:
         with pytest.raises(ParseError):
             read_data_csv(str(workdir / "nope.csv"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite(self, workdir, bad):
+        with open(workdir / "bad.csv", "w") as fh:
+            fh.write(f"x0,y\n0.1,1.0\n0.2,{bad}\n")
+        with pytest.raises(ParseError, match="bad.csv: row 3: non-finite"):
+            read_data_csv(str(workdir / "bad.csv"))
+
+
+def _saved_model(workdir, name="m.json"):
+    """A small 1D model assembled from fixed hyperparameters (no fitting) and saved."""
+    x_lf = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
+    x_hf = x_lf[::2]
+    lf_data = Dataset(x_lf, np.sin(4 * x_lf[:, 0]))
+    lf_model = make_trained_gp(
+        lf_data, constant_basis(), np.array([0.0]),
+        KernelParams(theta=LengthScales(np.array([0.3])), sigma2=1.0, eta=1e-3),
+    )
+    params = HfParams(
+        beta_rho=np.array([1.0]),
+        beta_h=np.array([0.1]),
+        sigma2_h=0.5,
+        theta_h=LengthScales(np.array([0.4])),
+        eta_h=0.01,
+    )
+    model = make_mf_model(
+        MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf[:, 0]) + 0.1)),
+        lf_model, params, constant_basis(), constant_basis(),
+    )
+    save_model(model, str(workdir / name))
+    return model
+
 
 class TestFitPredictCli:
     def test_round_trip_bit_for_bit(self, workdir):
@@ -142,6 +180,39 @@ class TestFitPredictCli:
         )
         assert res.exit_code == EXIT_CONFIG_ERROR
         assert "dimension mismatch" in res.output
+
+    def test_non_finite_hf_exit_2(self, workdir):
+        _training_csvs(workdir)
+        with open(workdir / "hf.csv", "a") as fh:
+            fh.write("0.5,nan\n")
+        res = CliRunner().invoke(
+            main, ["fit", "--lf", "lf.csv", "--hf", "hf.csv", "--out", "m.json"]
+        )
+        assert res.exit_code == EXIT_CONFIG_ERROR
+        assert "hf.csv: row 14: non-finite value" in res.output
+        assert not os.path.exists(workdir / "m.json")
+
+    def test_non_finite_predict_inputs_exit_2(self, workdir):
+        _saved_model(workdir)
+        with open(workdir / "in.csv", "w") as fh:
+            fh.write("x0\n0.25\ninf\n")
+        res = CliRunner().invoke(
+            main,
+            ["predict", "--model", "m.json", "--inputs", "in.csv", "--out", "p.csv"],
+        )
+        assert res.exit_code == EXIT_CONFIG_ERROR
+        assert "in.csv: row 3: non-finite value" in res.output
+        assert not os.path.exists(workdir / "p.csv")
+
+    def test_predict_inputs_wrong_width_exit_2(self, workdir):
+        _saved_model(workdir)
+        _write_csv(workdir / "in.csv", np.zeros((2, 2)))
+        res = CliRunner().invoke(
+            main,
+            ["predict", "--model", "m.json", "--inputs", "in.csv", "--out", "p.csv"],
+        )
+        assert res.exit_code == EXIT_CONFIG_ERROR
+        assert "expects 1 input columns, got 2" in res.output
 
     def test_header_only_hf_exit_2(self, workdir):
         _training_csvs(workdir)
@@ -243,6 +314,48 @@ class TestFitPredictCli:
             ["predict", "--model", "m.json", "--inputs", "in.csv", "--out", "p.csv"],
         )
         assert res.exit_code == EXIT_CONFIG_ERROR
+
+
+class TestModelJson:
+    def _predict(self, workdir, doc):
+        (workdir / "m.json").write_text(json.dumps(doc))
+        _write_csv(workdir / "in.csv", np.zeros((2, 1)))
+        return CliRunner().invoke(
+            main,
+            ["predict", "--model", "m.json", "--inputs", "in.csv", "--out", "p.csv"],
+        )
+
+    def test_missing_key_exit_2(self, workdir):
+        res = self._predict(workdir, {"format_version": 1, "lf": {"x": [[0.0]]}})
+        assert res.exit_code == EXIT_CONFIG_ERROR
+        assert "missing key 'z'" in res.output
+
+    @pytest.mark.parametrize(
+        "part, key, value",
+        [
+            ("lf", "sigma2", "abc"),
+            ("lf", "theta", [[1.0], [2.0, 3.0]]),
+            ("lf", "beta", [0.0, 1.0]),
+            ("hf", "x", [[0.0, 1.0]]),
+            ("hf", "sigma2_h", -1.0),
+            ("hf", "beta_rho", None),
+        ],
+    )
+    def test_ill_typed_value_exit_2(self, workdir, part, key, value):
+        _saved_model(workdir, "good.json")
+        doc = json.loads((workdir / "good.json").read_text())
+        doc[part][key] = value
+        res = self._predict(workdir, doc)
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert "ill-typed value" in res.output
+
+    def test_valid_document_still_loads(self, workdir):
+        model = _saved_model(workdir)
+        x = np.array([[0.2], [0.7]])
+        loaded = load_model(str(workdir / "m.json"))
+        assert np.array_equal(
+            predict_mf(loaded, x).mean, predict_mf(model, x).mean
+        )
 
 
 class TestBenchConfig:

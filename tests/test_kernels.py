@@ -68,24 +68,30 @@ class TestCorrMatrix:
             assert f.jitter_used == 0.0
 
 
+def _grad_stack(x, theta):
+    th = LengthScales(theta)
+    return kernels.corr_matrix_grad(x, th, kernels.corr_matrix(x, x, th))
+
+
 class TestCorrMatrixGrad:
     def test_coincident_points(self):
-        x = np.zeros((3, 2))
-        g = kernels.corr_matrix_grad(x, LengthScales(np.array([1.0, 1.0])), 0)
+        g = _grad_stack(np.zeros((3, 2)), np.array([1.0, 1.0]))
+        assert g.shape == (3, 3, 2)
         assert np.allclose(g, 0.0)
 
     def test_two_points_hand_derivative(self):
         theta = 0.8
-        x = np.array([[0.0], [theta]])
-        g = kernels.corr_matrix_grad(x, LengthScales(np.array([theta])), 0)
-        assert np.isclose(g[0, 1], np.exp(-0.5) / theta)
-        assert g[0, 0] == 0.0
+        g = _grad_stack(np.array([[0.0], [theta]]), np.array([theta]))
+        assert g.shape == (2, 2, 1)
+        assert np.isclose(g[0, 1, 0], np.exp(-0.5) / theta)
+        assert g[0, 0, 0] == 0.0
 
     @pytest.mark.parametrize("d_dim", [0, 1])
     def test_finite_difference_oracle(self, rng, d_dim):
         x = rng.uniform(size=(4, 2))
         theta = np.array([0.6, 1.2])
-        g = kernels.corr_matrix_grad(x, LengthScales(theta), d_dim)
+        g = _grad_stack(x, theta)
+        assert g.shape == (4, 4, 2)
         h = 1e-5 * theta[d_dim]
         tp, tm = theta.copy(), theta.copy()
         tp[d_dim] += h
@@ -95,11 +101,14 @@ class TestCorrMatrixGrad:
             - kernels.corr_matrix(x, x, LengthScales(tm))
         ) / (2 * h)
         denom = np.maximum(np.abs(fd), 1e-10)
-        assert np.max(np.abs(g - fd) / denom) < 1e-6
+        assert np.max(np.abs(g[:, :, d_dim] - fd) / denom) < 1e-6
 
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            kernels.corr_matrix_grad(np.zeros((2, 1)), LengthScales(np.array([1.0])), 1)
+    def test_wrong_r_shape(self):
+        x = np.zeros((3, 1))
+        th = LengthScales(np.array([1.0]))
+        for r in (np.eye(2), np.ones((3, 3, 1)), np.ones(3)):
+            with pytest.raises(DimensionMismatch):
+                kernels.corr_matrix_grad(x, th, r)
 
 
 def test_length_scales_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from mfkrig import design, kernels, numerics
 from mfkrig.gp import (
@@ -248,7 +249,78 @@ class TestMStep:
         assert np.linalg.norm(grad) < 1e-8 * max(1.0, np.linalg.norm(z_hf))
 
 
+def _per_dimension_q_tilde(state, data, theta_h, eta_h):
+    """Reference value and gradient of q_tilde_and_grad by the per-dimension
+    formula: R and dR/dtheta_d rebuilt for every d, two N^3 products per d, and
+    the inverse taken by solving against the identity."""
+    x_h, z_h, n_h = data.hf.x, data.hf.z, data.hf.n
+    d = theta_h.ndim
+    g_mat, h = state.g_matrix, state.h_matrix
+    q, p = g_mat.shape[1], h.shape[1]
+    lower = np.linalg.cholesky(
+        kernels.corr_matrix(x_h, x_h, theta_h) + eta_h * np.eye(n_h)
+    )
+    rt_inv = cho_solve((lower, True), np.eye(n_h))
+    t_mat = np.zeros((p, p))
+    t_mat[:q, :q] = g_mat.T @ ((rt_inv * state.sigma_y_given_z) @ g_mat)
+    gram = h.T @ cho_solve((lower, True), h) + t_mat
+    beta = np.linalg.solve(gram, h.T @ cho_solve((lower, True), z_h))
+    resid = z_h - h @ beta
+    ri_resid = cho_solve((lower, True), resid)
+    sigma2 = (resid @ ri_resid + beta @ t_mat @ beta) / n_h
+    value = (
+        0.5 * n_h * math.log(sigma2)
+        + np.sum(np.log(np.diag(lower)))
+        + 0.5 * n_h * (1 + math.log(2 * math.pi))
+    )
+    kappa = ri_resid / math.sqrt(sigma2)
+    rho = g_mat @ beta[:q]
+    grad = np.empty(d + 1)
+    for j in range(d + 1):
+        if j < d:
+            diff = x_h[:, j][:, None] - x_h[:, j][None, :]
+            dr = kernels.corr_matrix(x_h, x_h, theta_h) * diff**2 / theta_h.theta[j] ** 3
+            ri_dr = rt_inv @ dr
+            trace_term = 0.5 * (np.sum(rt_inv * dr) - kappa @ dr @ kappa)
+        else:
+            ri_dr = rt_inv
+            trace_term = 0.5 * (np.trace(rt_inv) - kappa @ kappa)
+        m = ri_dr @ rt_inv
+        grad[j] = trace_term - rho @ ((m * state.sigma_y_given_z) @ rho) / (2 * sigma2)
+    return value, grad
+
+
 class TestQTilde:
+    def test_matches_per_dimension_reference(self):
+        # D = 4, N_H = 20, a linear scaling basis (q = 2), and a sparse noisy LF
+        # level so that the Hadamard term carries a large share of the gradient.
+        rng = np.random.default_rng(2024)
+        dim, n_lf, n_hf = 4, 15, 20
+        x_lf = rng.uniform(size=(n_lf, dim))
+        z_lf = np.sin(3 * x_lf[:, 0]) + x_lf[:, 1:].sum(axis=1) ** 2
+        z_lf = z_lf + rng.normal(scale=0.3, size=n_lf)
+        lf_model = fit_gp(Dataset(x_lf, z_lf), config=MultiStartConfig(n_starts=2, rng_seed=1))
+        x_hf = rng.uniform(size=(n_hf, dim))
+        z_hf = 1.3 * np.sin(3 * x_hf[:, 0]) + x_hf[:, 2] + rng.normal(scale=0.1, size=n_hf)
+        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
+        rho_basis = BasisSpec(functions=(lambda x: np.ones(x.shape[0]), lambda x: x[:, 0]))
+        params = HfParams(
+            beta_rho=np.array([1.1, 0.2]),
+            beta_h=np.array([0.3]),
+            sigma2_h=0.4,
+            theta_h=LengthScales(np.full(dim, 0.5)),
+            eta_h=0.1,
+        )
+        state = e_step(data, lf_model, params, constant_basis(), rho_basis)
+        assert np.max(np.abs(state.sigma_y_given_z)) > 0.1
+        for _ in range(5):
+            theta = LengthScales(rng.uniform(0.2, 1.5, dim))
+            eta = float(rng.uniform(0.01, 0.5))
+            value, grad = q_tilde_and_grad(state, data, theta, eta)
+            ref_value, ref_grad = _per_dimension_q_tilde(state, data, theta, eta)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.all(np.abs(grad - ref_grad) <= 1e-10 * np.abs(ref_grad))
+
     def test_gradient_finite_differences(self, rng):
         lf_model = _noisy_lf()
         n_h = 10

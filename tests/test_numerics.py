@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from mfkrig import numerics
 from mfkrig.exceptions import DimensionMismatch, NotPositiveDefinite, NotSymmetric
@@ -97,6 +98,36 @@ class TestLogdetSpd:
         base = numerics.logdet_spd(numerics.chol_factor(m))
         shifted = numerics.logdet_spd(numerics.chol_factor(m + c * np.eye(5)))
         assert abs(shifted - base - np.sum(np.log((lam + c) / lam))) < 1e-6
+
+
+class TestInvSpd:
+    @staticmethod
+    def _check(f):
+        inv = numerics.inv_spd(f)
+        ref = cho_solve((f.lower_factor, True), np.eye(f.n))
+        assert np.array_equal(inv, inv.T)
+        assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matches_solve_against_identity(self, rng):
+        f = numerics.chol_factor(random_spd(rng, 15))
+        assert f.jitter_used == 0.0
+        self._check(f)
+
+    def test_matches_solve_against_identity_with_jitter(self):
+        # Rank-deficient PSD matrix: the inverse is that of (M + jitter * I).
+        x = np.linspace(0.0, 1.0, 6)
+        m = np.outer(x, x) + np.outer(1.0 - x, 1.0 - x)
+        f = numerics.chol_factor(m)
+        assert f.jitter_used > 0
+        self._check(f)
+        # M + jitter * I has condition number ~1e10, hence the loose tolerance.
+        recon = numerics.inv_spd(f) @ (m + f.jitter_used * np.eye(6))
+        assert np.allclose(recon, np.eye(6), atol=1e-4)
+
+    def test_zero_pivot_raises(self):
+        f = numerics.SpdFactorization(lower_factor=np.diag([1.0, 0.0]), jitter_used=0.0)
+        with pytest.raises(NotPositiveDefinite):
+            numerics.inv_spd(f)
 
 
 def test_track_factorization_sizes(rng):
