@@ -94,17 +94,18 @@ def solve_spd(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
 def inv_spd(f: SpdFactorization) -> np.ndarray:
     """Explicit symmetric inverse of (M + jitter_used * I) from the cached factor.
 
-    LAPACK dpotri gets the factor as its Fortran-ordered upper transpose (no
-    copy), fills the upper triangle and leaves the zero lower triangle in place,
-    so adding the transpose mirrors it; the diagonal, which that doubles, is then
-    restored.
+    LAPACK dtrtri inverts the factor, passed as its Fortran-ordered upper
+    transpose L^T (no copy); the inverse is then L^-T L^-1 = U^-1 U^-T, which
+    NumPy forms as one symmetric rank-k update, so the result is exactly
+    symmetric. This is what dpotri computes, but OpenBLAS runs dpotri
+    multi-threaded at every size, and at these sizes its thread synchronization
+    costs milliseconds per call once the cores are shared (as in a process-pool
+    campaign); dtrtri stays on one thread for small factors.
     """
-    upper, info = lapack.dpotri(f.lower_factor.T, lower=0)
+    upper_inv, info = lapack.dtrtri(f.lower_factor.T, lower=0)
     if info != 0:
-        raise NotPositiveDefinite(f"dpotri failed to invert the factor (info={info})")
-    inv = upper + upper.T
-    np.fill_diagonal(inv, upper.diagonal())
-    return inv
+        raise NotPositiveDefinite(f"dtrtri failed to invert the factor (info={info})")
+    return upper_inv @ upper_inv.T
 
 
 def logdet_spd(f: SpdFactorization) -> float:
