@@ -88,6 +88,11 @@ def _gp_to_dict(model: TrainedGp) -> dict:
 
 
 def model_to_dict(model: MfModel) -> dict:
+    """JSON document of a model; the format reloads constant bases only, so refuse any other."""
+    bases = {"LF": model.lf_model.basis, "HF": model.hf_basis, "HF scaling (rho)": model.rho_basis}
+    for level, basis in bases.items():
+        if basis is not constant_basis():
+            raise InvalidConfig(f"cannot save the model: its {level} basis is not constant")
     p = model.hf_params
     return {
         "format_version": MODEL_FORMAT_VERSION,
@@ -144,8 +149,9 @@ def model_from_dict(doc: dict) -> MfModel:
 
 
 def save_model(model: MfModel, path: str) -> None:
+    doc = model_to_dict(model)
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
+        json.dump(doc, fh, indent=1)
 
 
 def load_model(path: str) -> MfModel:

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels, numerics, optimize
-from .exceptions import DimensionMismatch, RankDeficientBasis
+from .exceptions import DimensionMismatch, DomainViolation, RankDeficientBasis
 from .kernels import KernelParams, LengthScales
 from .numerics import SpdFactorization
 from .optimize import BoxBounds, MultiStartConfig
@@ -71,8 +71,12 @@ class BasisSpec:
         return np.column_stack(cols)
 
 
+_CONSTANT_BASIS = BasisSpec(functions=(lambda x: np.ones(x.shape[0]),))
+
+
 def constant_basis() -> BasisSpec:
-    return BasisSpec(functions=(lambda x: np.ones(x.shape[0]),))
+    """The constant basis; one shared instance, so `basis is constant_basis()` tests for it."""
+    return _CONSTANT_BASIS
 
 
 @dataclass(frozen=True)
@@ -271,8 +275,48 @@ def make_trained_gp(
     )
 
 
-def _cross_corr(model: TrainedGp, x_star: np.ndarray) -> np.ndarray:
-    return kernels.corr_matrix(x_star, model.data.x, model.hyper.kernel.theta)
+def query_points(x_star: np.ndarray, d: int) -> np.ndarray:
+    """Prediction inputs as a finite (n, d) array."""
+    x_star = np.asarray(x_star, dtype=float)
+    if x_star.ndim == 1:
+        x_star = x_star.reshape(-1, d)
+    if x_star.shape[1] != d:
+        raise DimensionMismatch("prediction inputs have the wrong dimension")
+    if not np.all(np.isfinite(x_star)):
+        raise DomainViolation("prediction inputs must be finite")
+    return x_star
+
+
+def kriging_step(model: TrainedGp, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kriging mean at x_star and the whitened cross-correlation U = L^-1 R(X, x_star),
+    from which every posterior covariance follows (Rasmussen & Williams 2006, Alg. 2.1)."""
+    r = kernels.corr_matrix(x_star, model.data.x, model.hyper.kernel.theta)
+    mean = model.basis.design_matrix(x_star) @ model.hyper.beta + r @ model.residual_solve
+    return mean, numerics.whiten(model.factorization, r.T)
+
+
+def whitened_cov(
+    model: TrainedGp, xa: np.ndarray, ua: np.ndarray, xb: np.ndarray, ub: np.ndarray
+) -> np.ndarray:
+    """Posterior covariance sigma2 (R(xa, xb) - U_a^T U_b) from two kriging steps."""
+    k = model.hyper.kernel
+    return k.sigma2 * (kernels.corr_matrix(xa, xb, k.theta) - ua.T @ ub)
+
+
+def latent_spread(model: TrainedGp, x_star: np.ndarray, u: np.ndarray, cov: str) -> np.ndarray:
+    """Latent posterior variances (diagonal) or covariance (full) at x_star."""
+    if cov == FULL:
+        return whitened_cov(model, x_star, u, x_star, u)
+    return model.hyper.kernel.sigma2 * (1.0 - np.einsum("ij,ij->j", u, u))
+
+
+def predictive(mean: np.ndarray, spread: np.ndarray, noise: float) -> PredictiveDistribution:
+    """Posterior from variances or a full covariance: symmetrized, clipped at 0, plus noise."""
+    if spread.ndim == 2:
+        c = 0.5 * (spread + spread.T)
+        np.fill_diagonal(c, np.clip(np.diag(c), 0.0, None) + noise)
+        return PredictiveDistribution(mean=mean, covariance=c)
+    return PredictiveDistribution(mean=mean, variance=np.clip(spread, 0.0, None) + noise)
 
 
 def predict_gp(
@@ -282,37 +326,16 @@ def predict_gp(
     cov: str = DIAGONAL,
 ) -> PredictiveDistribution:
     """Kriging posterior at new points: latent or noisy, diagonal or full."""
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.ndim == 1:
-        x_star = x_star.reshape(-1, model.data.d)
-    if x_star.shape[1] != model.data.d:
-        raise DimensionMismatch("prediction inputs have the wrong dimension")
-    k = model.hyper.kernel
-    r_cross = _cross_corr(model, x_star)
-    f_star = model.basis.design_matrix(x_star)
-    mean = f_star @ model.hyper.beta + r_cross @ model.residual_solve
-
-    solved = numerics.solve_spd(model.factorization, r_cross.T)
-    if cov == FULL:
-        r_star = kernels.corr_matrix(x_star, x_star, k.theta)
-        c = k.sigma2 * (r_star - r_cross @ solved)
-        c = 0.5 * (c + c.T)
-        diag = np.clip(np.diag(c), 0.0, None)
-        np.fill_diagonal(c, diag + (k.noise_variance if mode == NOISY else 0.0))
-        return PredictiveDistribution(mean=mean, covariance=c)
-    var = k.sigma2 * (1.0 - np.einsum("ij,ji->i", r_cross, solved))
-    var = np.clip(var, 0.0, None)
-    if mode == NOISY:
-        var = var + k.noise_variance
-    return PredictiveDistribution(mean=mean, variance=var)
+    x_star = query_points(x_star, model.data.d)
+    mean, u = kriging_step(model, x_star)
+    noise = model.hyper.kernel.noise_variance if mode == NOISY else 0.0
+    return predictive(mean, latent_spread(model, x_star, u, cov), noise)
 
 
 def posterior_cross_cov(
     model: TrainedGp, xa: np.ndarray, xb: np.ndarray
 ) -> np.ndarray:
     """Posterior covariance v_Y(xa_i, xb_j) between two point sets."""
-    k = model.hyper.kernel
-    ra = _cross_corr(model, xa)
-    rb = _cross_corr(model, xb)
-    r_ab = kernels.corr_matrix(xa, xb, k.theta)
-    return k.sigma2 * (r_ab - ra @ numerics.solve_spd(model.factorization, rb.T))
+    _, ua = kriging_step(model, xa)
+    _, ub = kriging_step(model, xb)
+    return whitened_cov(model, xa, ua, xb, ub)

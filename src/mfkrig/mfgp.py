@@ -36,9 +36,13 @@ from .gp import (
     contracted_grad,
     default_bounds,
     fit_gp,
-    posterior_cross_cov,
+    kriging_step,
+    latent_spread,
     predict_gp,
+    predictive,
     profiled_nll_value,
+    query_points,
+    whitened_cov,
 )
 from .kernels import LengthScales
 from .optimize import BoxBounds
@@ -125,8 +129,6 @@ class MfModel:
     em_log: list[float] = field(compare=False)
     # Cached co-kriging quantities at the HF training inputs.
     rho_at_hf: np.ndarray = field(compare=False, default=None)
-    m_ar_at_hf: np.ndarray = field(compare=False, default=None)
-    lf_cov_at_hf: np.ndarray = field(compare=False, default=None)
     ar_factorization: numerics.SpdFactorization = field(compare=False, default=None)
     ar_residual_solve: np.ndarray = field(compare=False, default=None)
 
@@ -140,9 +142,15 @@ def lf_posterior_moments(lf_model: TrainedGp, x: np.ndarray):
     return pred.mean, pred.covariance
 
 
-def _lf_moments_at_hf(lf_model: TrainedGp, x_hf: np.ndarray):
-    mean, cov = lf_posterior_moments(lf_model, x_hf)
-    return mean, 0.5 * (cov + cov.T)
+def ar_covariance(rho: np.ndarray, v_yl: np.ndarray, x_h: np.ndarray, params: HfParams):
+    """AR(1) covariance of the HF observations, rho rho^T o V_L + sigma2_H (R_H + eta_H I),
+    and its factorization."""
+    r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
+    cov = np.outer(rho, rho) * v_yl + params.sigma2_h * (r_h + params.eta_h * np.eye(len(rho)))
+    try:
+        return cov, numerics.chol_factor(cov)
+    except NotPositiveDefinite as exc:
+        raise FactorizationFailure(str(exc)) from exc
 
 
 def e_step(
@@ -154,20 +162,13 @@ def e_step(
 ) -> EStepState:
     """Condition the latent LF values at the HF inputs on the HF observations."""
     x_h, z_h = data.hf.x, data.hf.z
-    n_h = data.hf.n
-    m_yl, v_yl = _lf_moments_at_hf(lf_model, x_h)
+    m_yl, v_yl = lf_posterior_moments(lf_model, x_h)
     g_mat = rho_basis.design_matrix(x_h)
     f_mat = hf_basis.design_matrix(x_h)
     rho = g_mat @ params.beta_rho
 
-    r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
-    rt = r_h + params.eta_h * np.eye(n_h)
     sigma_yz = v_yl * rho[None, :]
-    sigma_zz = np.outer(rho, rho) * v_yl + params.sigma2_h * rt
-    try:
-        fact = numerics.chol_factor(sigma_zz)
-    except NotPositiveDefinite as exc:
-        raise FactorizationFailure(str(exc)) from exc
+    sigma_zz, fact = ar_covariance(rho, v_yl, x_h, params)
 
     resid = z_h - rho * m_yl - f_mat @ params.beta_h
     mu = m_yl + sigma_yz @ numerics.solve_spd(fact, resid)
@@ -258,17 +259,10 @@ def hf_observed_loglik(
     """
     x_h, z_h = data.hf.x, data.hf.z
     n_h = data.hf.n
-    m_yl, v_yl = _lf_moments_at_hf(lf_model, x_h)
+    m_yl, v_yl = lf_posterior_moments(lf_model, x_h)
     rho = rho_basis.design_matrix(x_h) @ params.beta_rho
     mean = rho * m_yl + hf_basis.design_matrix(x_h) @ params.beta_h
-    r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
-    cov = np.outer(rho, rho) * v_yl + params.sigma2_h * (
-        r_h + params.eta_h * np.eye(n_h)
-    )
-    try:
-        fact = numerics.chol_factor(cov)
-    except NotPositiveDefinite as exc:
-        raise FactorizationFailure(str(exc)) from exc
+    _, fact = ar_covariance(rho, v_yl, x_h, params)
     resid = z_h - mean
     quad = float(resid @ numerics.solve_spd(fact, resid))
     return -0.5 * (quad + numerics.logdet_spd(fact) + n_h * math.log(2.0 * math.pi))
@@ -391,21 +385,12 @@ def _build_caches(model_args: dict) -> dict:
     hf_basis: BasisSpec = model_args["hf_basis"]
     rho_basis: BasisSpec = model_args["rho_basis"]
     x_h, z_h = data.hf.x, data.hf.z
-    m_yl, v_yl = _lf_moments_at_hf(lf_model, x_h)
+    m_yl, v_yl = lf_posterior_moments(lf_model, x_h)
     rho = rho_basis.design_matrix(x_h) @ params.beta_rho
     m_ar = rho * m_yl + hf_basis.design_matrix(x_h) @ params.beta_h
-    r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
-    cov = np.outer(rho, rho) * v_yl + params.sigma2_h * (
-        r_h + params.eta_h * np.eye(data.hf.n)
-    )
-    try:
-        fact = numerics.chol_factor(cov)
-    except NotPositiveDefinite as exc:
-        raise FactorizationFailure(str(exc)) from exc
+    _, fact = ar_covariance(rho, v_yl, x_h, params)
     model_args.update(
         rho_at_hf=rho,
-        m_ar_at_hf=m_ar,
-        lf_cov_at_hf=v_yl,
         ar_factorization=fact,
         ar_residual_solve=numerics.solve_spd(fact, z_h - m_ar),
     )
@@ -462,31 +447,6 @@ def fit_mf(
     return make_mf_model(data, lf_model, params, hf_basis, rho_basis, em_log)
 
 
-def ar_moments(model: MfModel, x_star: np.ndarray):
-    """Auto-regressive prior mean at x_star, cross-covariance to the HF training
-    inputs, and the training-set covariance."""
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.ndim == 1:
-        x_star = x_star.reshape(-1, model.data.hf.d)
-    params = model.hf_params
-    rho_star = model.rho_basis.design_matrix(x_star) @ params.beta_rho
-    m_yl_star = predict_gp(model.lf_model, x_star, mode=LATENT, cov=DIAGONAL).mean
-    m_ar = rho_star * m_yl_star + model.hf_basis.design_matrix(x_star) @ params.beta_h
-
-    v_cross = posterior_cross_cov(model.lf_model, x_star, model.data.hf.x)
-    r_cross = kernels.corr_matrix(x_star, model.data.hf.x, params.theta_h)
-    k_cross = (
-        rho_star[:, None] * model.rho_at_hf[None, :] * v_cross
-        + params.sigma2_h * r_cross
-    )
-    r_h = kernels.corr_matrix(model.data.hf.x, model.data.hf.x, params.theta_h)
-    k_ar = (
-        np.outer(model.rho_at_hf, model.rho_at_hf) * model.lf_cov_at_hf
-        + params.sigma2_h * r_h
-    )
-    return m_ar, k_cross, k_ar
-
-
 def predict_mf(
     model: MfModel,
     x_star: np.ndarray,
@@ -494,37 +454,34 @@ def predict_mf(
     mode: str = LATENT,
     cov: str = DIAGONAL,
 ) -> PredictiveDistribution:
-    """Co-kriging posterior at new points for either fidelity level."""
+    """Co-kriging posterior at new points for either fidelity level.
+
+    The LF mean, variance and covariance with the HF inputs all come from one
+    LF kriging step at x_star; the HF variance from one solve with the AR factor.
+    """
     if level == LF:
         return predict_gp(model.lf_model, x_star, mode=mode, cov=cov)
     if level != HF:
         raise ValueError(f"level must be {LF!r} or {HF!r}, got {level!r}")
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.ndim == 1:
-        x_star = x_star.reshape(-1, model.data.hf.d)
-    if x_star.shape[1] != model.data.hf.d:
-        raise DimensionMismatch("prediction inputs have the wrong dimension")
+    x_star = query_points(x_star, model.data.hf.d)
+    lf, params, x_h = model.lf_model, model.hf_params, model.data.hf.x
+    m_yl, u = kriging_step(lf, x_star)
+    v_cross = whitened_cov(lf, x_star, u, x_h, kriging_step(lf, x_h)[1])
+    lf_post = predictive(m_yl, latent_spread(lf, x_star, u, cov), 0.0)
 
-    params = model.hf_params
-    m_ar, k_cross, _ = ar_moments(model, x_star)
-    mean = m_ar + k_cross @ model.ar_residual_solve
-
-    solved = numerics.solve_spd(model.ar_factorization, k_cross.T)
     rho_star = model.rho_basis.design_matrix(x_star) @ params.beta_rho
+    k_cross = (
+        rho_star[:, None] * model.rho_at_hf[None, :] * v_cross
+        + params.sigma2_h * kernels.corr_matrix(x_star, x_h, params.theta_h)
+    )
+    m_ar = rho_star * m_yl + model.hf_basis.design_matrix(x_star) @ params.beta_h
+    mean = m_ar + k_cross @ model.ar_residual_solve
+    w = numerics.whiten(model.ar_factorization, k_cross.T)
     if cov == FULL:
-        v_yl_star = predict_gp(model.lf_model, x_star, mode=LATENT, cov=FULL).covariance
-        r_star = kernels.corr_matrix(x_star, x_star, params.theta_h)
-        prior = np.outer(rho_star, rho_star) * v_yl_star + params.sigma2_h * r_star
-        c = prior - k_cross @ solved
-        c = 0.5 * (c + c.T)
-        diag = np.clip(np.diag(c), 0.0, None)
-        np.fill_diagonal(c, diag + (params.noise_variance if mode == NOISY else 0.0))
-        return PredictiveDistribution(mean=mean, covariance=c)
-
-    v_yl_diag = predict_gp(model.lf_model, x_star, mode=LATENT, cov=DIAGONAL).variance
-    prior_diag = rho_star**2 * v_yl_diag + params.sigma2_h
-    var = prior_diag - np.einsum("ij,ji->i", k_cross, solved)
-    var = np.clip(var, 0.0, None)
-    if mode == NOISY:
-        var = var + params.noise_variance
-    return PredictiveDistribution(mean=mean, variance=var)
+        prior = np.outer(rho_star, rho_star) * lf_post.covariance + params.sigma2_h * (
+            kernels.corr_matrix(x_star, x_star, params.theta_h)
+        )
+        spread = prior - w.T @ w
+    else:
+        spread = rho_star**2 * lf_post.variance + params.sigma2_h - np.einsum("ij,ij->j", w, w)
+    return predictive(mean, spread, params.noise_variance if mode == NOISY else 0.0)

@@ -1,7 +1,8 @@
 """SPD linear algebra: Cholesky factorization with jitter escalation, solves, log-determinants.
 
 Likelihood and prediction code consumes :class:`SpdFactorization` objects; the
-likelihood gradients also take the explicit inverse from the cached factor.
+likelihood gradients also take the explicit inverse from the cached factor, and
+prediction whitens cross-correlations with one triangular solve.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
+from scipy.linalg import cho_solve, lapack, solve_triangular
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
@@ -81,14 +82,24 @@ def chol_factor(m: np.ndarray, jitter_schedule=JITTER_SCHEDULE) -> SpdFactorizat
     )
 
 
-def solve_spd(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve (M + jitter_used * I) X = B using the cached factorization."""
+def _check_rows(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.n:
         raise DimensionMismatch(
             f"right-hand side has {b.shape[0]} rows, factorization is {f.n}x{f.n}"
         )
-    return cho_solve((f.lower_factor, True), b)
+    return b
+
+
+def solve_spd(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
+    """Solve (M + jitter_used * I) X = B using the cached factorization."""
+    return cho_solve((f.lower_factor, True), _check_rows(f, b))
+
+
+def whiten(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
+    """U = L^-1 B for the cached lower factor L, by one triangular solve (dtrsm), so
+    U_a^T U_b = B_a^T (M + jitter_used * I)^-1 B_b. Callers check B is finite."""
+    return solve_triangular(f.lower_factor, _check_rows(f, b), lower=True, check_finite=False)
 
 
 def inv_spd(f: SpdFactorization) -> np.ndarray:

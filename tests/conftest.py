@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from mfkrig import design
+from mfkrig.gp import BasisSpec, Dataset, MultiStartConfig
+from mfkrig.mfgp import MfData, fit_mf
+
 
 def random_spd(rng: np.random.Generator, n: int, cond: float = 100.0) -> np.ndarray:
     """SPD matrix with a controlled spectrum."""
@@ -24,3 +28,21 @@ def det_cofactor(m: np.ndarray) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def linear_rho_mf():
+    """A 1D model fitted with the linear scaling basis rho(x) = b0 + b1 x."""
+    pair = design.ANALYTIC_1D
+    x_lf = design.scale_to_domain(pair, design.lhs(40, 1, seed=40).points)
+    z_lf = design.add_noise(design.eval_testfn(pair, "lf", x_lf), 0.02**2, seed=41)
+    x_hf = design.scale_to_domain(pair, design.lhs(20, 1, seed=42).points)
+    z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 0.02**2, seed=43)
+    data = MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf))
+    lin = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: v[:, 0]))
+    return fit_mf(
+        data,
+        rho_basis=lin,
+        lf_config=MultiStartConfig(n_starts=4, rng_seed=5),
+        hf_config=MultiStartConfig(n_starts=4, rng_seed=6),
+    )

@@ -349,6 +349,13 @@ class TestModelJson:
         assert res.exit_code == EXIT_CONFIG_ERROR, res.output
         assert "ill-typed value" in res.output
 
+    def test_non_constant_basis_refuses_to_save(self, workdir, linear_rho_mf):
+        # The format has no field for a basis; saving a linear scaling basis
+        # would write a file that reloads as a different model or not at all.
+        with pytest.raises(InvalidConfig, match=r"HF scaling \(rho\) basis"):
+            save_model(linear_rho_mf, str(workdir / "lin.json"))
+        assert not (workdir / "lin.json").exists()
+
     def test_valid_document_still_loads(self, workdir):
         model = _saved_model(workdir)
         x = np.array([[0.2], [0.7]])

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from mfkrig import design, gp, numerics
-from mfkrig.exceptions import RankDeficientBasis
+from mfkrig import design, gp, kernels, numerics
+from mfkrig.exceptions import DomainViolation, RankDeficientBasis
 from mfkrig.gp import (
     BasisSpec,
     Dataset,
     MultiStartConfig,
     constant_basis,
     fit_gp,
+    posterior_cross_cov,
     predict_gp,
     profiled_estimates,
     profiled_nll_and_grad,
@@ -212,3 +213,20 @@ class TestPredictGp:
         full = predict_gp(model, x_star, cov="full")
         assert np.allclose(diag.variance, np.diag(full.covariance), atol=1e-10)
         assert np.allclose(diag.mean, full.mean)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, model, bad):
+        with pytest.raises(DomainViolation, match="finite"):
+            predict_gp(model, np.array([[0.2, 0.3], [bad, 0.5]]))
+
+    def test_cross_cov_matches_dense_oracle(self, model, rng):
+        # sigma2 (R(a, b) - r_a^T (R + eta I)^-1 r_b) by explicit dense inversion.
+        xa, xb = rng.uniform(size=(4, 2)), rng.uniform(size=(3, 2))
+        k = model.hyper.kernel
+        x = model.data.x
+        corr = lambda p, q: kernels.corr_matrix(p, q, k.theta)
+        rt_inv = np.linalg.inv(corr(x, x) + k.eta * np.eye(len(x)))
+        ref = k.sigma2 * (corr(xa, xb) - corr(xa, x) @ rt_inv @ corr(x, xb))
+        assert np.allclose(posterior_cross_cov(model, xa, xb), ref, atol=1e-10)
+        full = predict_gp(model, xa, cov="full").covariance
+        assert np.allclose(posterior_cross_cov(model, xa, xa), full, atol=1e-12)

@@ -12,8 +12,10 @@ from mfkrig.gp import (
     constant_basis,
     fit_gp,
     make_trained_gp,
+    posterior_cross_cov,
     predict_gp,
 )
+from mfkrig.exceptions import DomainViolation
 from mfkrig.kernels import KernelParams, LengthScales
 from mfkrig.metrics import q2
 from mfkrig.mfgp import (
@@ -21,7 +23,7 @@ from mfkrig.mfgp import (
     EStepState,
     HfParams,
     MfData,
-    ar_moments,
+    ar_covariance,
     e_step,
     em_fit_hf,
     fit_mf,
@@ -539,7 +541,7 @@ class TestEmFit:
         assert abs(estimates.mean() - true.beta_rho[0]) <= 3 * max(se, 1e-3)
 
 
-class TestArMoments:
+class TestArCovariance:
     def test_zero_scaling(self, fitted_mf):
         params = HfParams(
             beta_rho=np.array([0.0]),
@@ -548,65 +550,150 @@ class TestArMoments:
             theta_h=LengthScales(np.array([0.6])),
             eta_h=0.1,
         )
+        x_h = fitted_mf.data.hf.x
+        n_h = len(x_h)
+        _, v_yl = lf_posterior_moments(fitted_mf.lf_model, x_h)
+        cov, fact = ar_covariance(np.zeros(n_h), v_yl, x_h, params)
+        r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
+        assert np.allclose(cov, params.sigma2_h * (r_h + params.eta_h * np.eye(n_h)), atol=1e-12)
+        assert fact.jitter_used == 0.0
+        assert np.allclose(fact.lower_factor @ fact.lower_factor.T, cov, atol=1e-12)
+        # Far from every training input the HF posterior is the discrepancy prior.
         model = make_mf_model(
             fitted_mf.data, fitted_mf.lf_model, params,
             constant_basis(), constant_basis(),
         )
-        x = np.linspace(0.1, 1.9, 5).reshape(-1, 1)
-        m_ar, k_cross, k_ar = ar_moments(model, x)
-        assert np.allclose(m_ar, 0.7)
-        r_h = kernels.corr_matrix(
-            fitted_mf.data.hf.x, fitted_mf.data.hf.x, params.theta_h
-        )
-        assert np.allclose(k_ar, params.sigma2_h * r_h, atol=1e-12)
-        r_cross = kernels.corr_matrix(x, fitted_mf.data.hf.x, params.theta_h)
-        assert np.allclose(k_cross, params.sigma2_h * r_cross, atol=1e-12)
+        pred = predict_mf(model, np.array([[50.0]]), level="hf")
+        assert np.isclose(pred.mean[0], 0.7, atol=1e-12)
+        assert np.isclose(pred.variance[0], params.sigma2_h, atol=1e-12)
 
     def test_nested_noise_free_simplification(self):
         lf_model, x_lf, z_lf, x_hf = _nested_lf()
-        z_hf = np.cos(x_hf[:, 0])
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params(beta_rho=(1.5,), sigma2=0.3)
-        model = make_mf_model(data, lf_model, params, constant_basis(), constant_basis())
-        _, k_cross, k_ar = ar_moments(model, x_hf)
+        n_h = len(x_hf)
+        _, v_yl = lf_posterior_moments(lf_model, x_hf)
+        cov, _ = ar_covariance(np.full(n_h, 1.5), v_yl, x_hf, params)
         r_h = kernels.corr_matrix(x_hf, x_hf, params.theta_h)
-        assert np.allclose(k_ar, params.sigma2_h * r_h, atol=1e-7)
-        assert np.allclose(k_cross, params.sigma2_h * r_h, atol=1e-7)
+        assert np.allclose(cov, params.sigma2_h * (r_h + params.eta_h * np.eye(n_h)), atol=1e-7)
+        # The LF posterior covariance vanishes at nested noise-free inputs, so
+        # the HF cross-covariance reduces to sigma2_H R_H there.
+        v_cross = posterior_cross_cov(lf_model, x_hf, x_hf)
+        assert np.allclose(1.5**2 * v_cross, 0.0, atol=1e-7)
 
     def test_elementwise_oracle(self, fitted_mf, rng):
-        model = fitted_mf
-        x = rng.uniform(0, 2, size=(4, 1))
-        m_ar, k_cross, k_ar = ar_moments(model, x)
-
-        params = model.hf_params
-        x_h = model.data.hf.x
-        m_star = predict_gp(model.lf_model, x, cov="diagonal").mean
-        rho_star = np.full(4, params.beta_rho[0])
-        rho_h = model.rho_at_hf
-        from mfkrig.gp import posterior_cross_cov
-
-        v_cross = posterior_cross_cov(model.lf_model, x, x_h)
-        _, v_hh = lf_posterior_moments(model.lf_model, x_h)
+        params = fitted_mf.hf_params
+        x_h = fitted_mf.data.hf.x
         n_h = len(x_h)
-        k_ar_o = np.empty((n_h, n_h))
+        rho = rng.normal(size=n_h)
+        _, v_hh = lf_posterior_moments(fitted_mf.lf_model, x_h)
+        cov, _ = ar_covariance(rho, v_hh, x_h, params)
+        oracle = np.empty((n_h, n_h))
         for i in range(n_h):
             for j in range(n_h):
-                k_ar_o[i, j] = rho_h[i] * rho_h[j] * v_hh[i, j] + params.sigma2_h * (
+                oracle[i, j] = rho[i] * rho[j] * v_hh[i, j] + params.sigma2_h * (
                     kernels.gauss_corr(x_h[i], x_h[j], params.theta_h)
+                    + params.eta_h * (i == j)
                 )
-        k_cross_o = np.empty((4, n_h))
-        for i in range(4):
-            for j in range(n_h):
-                k_cross_o[i, j] = rho_star[i] * rho_h[j] * v_cross[
-                    i, j
-                ] + params.sigma2_h * kernels.gauss_corr(x[i], x_h[j], params.theta_h)
-        m_ar_o = rho_star * m_star + params.beta_h[0]
-        assert np.allclose(k_ar, k_ar_o, atol=1e-12)
-        assert np.allclose(k_cross, k_cross_o, atol=1e-12)
-        assert np.allclose(m_ar, m_ar_o, atol=1e-12)
+        assert np.allclose(cov, oracle, atol=1e-12)
+
+
+def _two_solve_predict_gp(model, x_star, mode, cov):
+    """predict_gp as it was before the whitened path: cho_solve against R(X, x*)."""
+    k = model.hyper.kernel
+    r_cross = kernels.corr_matrix(x_star, model.data.x, k.theta)
+    mean = model.basis.design_matrix(x_star) @ model.hyper.beta + r_cross @ model.residual_solve
+    solved = cho_solve((model.factorization.lower_factor, True), r_cross.T)
+    noise = k.noise_variance if mode == "noisy" else 0.0
+    if cov == "full":
+        c = k.sigma2 * (kernels.corr_matrix(x_star, x_star, k.theta) - r_cross @ solved)
+        c = 0.5 * (c + c.T)
+        np.fill_diagonal(c, np.clip(np.diag(c), 0.0, None) + noise)
+        return mean, c
+    var = k.sigma2 * (1.0 - np.einsum("ij,ji->i", r_cross, solved))
+    return mean, np.clip(var, 0.0, None) + noise
+
+
+def _two_solve_predict_mf(model, x_star, mode, cov):
+    """predict_mf as it was before the whitened path: separate LF predictions
+    for the mean and the variance, and cho_solve for every cross term."""
+    lf, params, x_h = model.lf_model, model.hf_params, model.data.hf.x
+    kl = lf.hyper.kernel
+    rho_star = model.rho_basis.design_matrix(x_star) @ params.beta_rho
+    m_yl, _ = _two_solve_predict_gp(lf, x_star, "latent", "diagonal")
+    m_ar = rho_star * m_yl + model.hf_basis.design_matrix(x_star) @ params.beta_h
+    ra = kernels.corr_matrix(x_star, lf.data.x, kl.theta)
+    rb = kernels.corr_matrix(x_h, lf.data.x, kl.theta)
+    v_cross = kl.sigma2 * (
+        kernels.corr_matrix(x_star, x_h, kl.theta)
+        - ra @ cho_solve((lf.factorization.lower_factor, True), rb.T)
+    )
+    k_cross = (
+        rho_star[:, None] * model.rho_at_hf[None, :] * v_cross
+        + params.sigma2_h * kernels.corr_matrix(x_star, x_h, params.theta_h)
+    )
+    mean = m_ar + k_cross @ model.ar_residual_solve
+    solved = cho_solve((model.ar_factorization.lower_factor, True), k_cross.T)
+    _, v_yl = _two_solve_predict_gp(lf, x_star, "latent", cov)
+    noise = params.noise_variance if mode == "noisy" else 0.0
+    if cov == "full":
+        r_star = kernels.corr_matrix(x_star, x_star, params.theta_h)
+        c = np.outer(rho_star, rho_star) * v_yl + params.sigma2_h * r_star - k_cross @ solved
+        c = 0.5 * (c + c.T)
+        np.fill_diagonal(c, np.clip(np.diag(c), 0.0, None) + noise)
+        return mean, c
+    var = rho_star**2 * v_yl + params.sigma2_h - np.einsum("ij,ji->i", k_cross, solved)
+    return mean, np.clip(var, 0.0, None) + noise
+
+
+def _park_model():
+    """A 4D model with a linear scaling basis, assembled from fixed hyperparameters."""
+    pair = design.PARK_4D
+    x_lf = design.lhs(30, 4, seed=50).points
+    z_lf = design.add_noise(design.eval_testfn(pair, "lf", x_lf), 0.1**2, seed=51)
+    x_hf = design.lhs(12, 4, seed=52).points
+    z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 0.1**2, seed=53)
+    lf_model = make_trained_gp(
+        Dataset(x_lf, z_lf), constant_basis(), np.array([z_lf.mean()]),
+        KernelParams(theta=LengthScales(np.array([0.5, 0.7, 0.9, 1.1])),
+                     sigma2=float(np.var(z_lf)), eta=1e-3),
+    )
+    params = HfParams(
+        beta_rho=np.array([1.1, -0.2]),
+        beta_h=np.array([0.3]),
+        sigma2_h=0.5,
+        theta_h=LengthScales(np.array([0.4, 0.6, 0.8, 1.0])),
+        eta_h=0.01,
+    )
+    lin = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: v[:, 0]))
+    return make_mf_model(MfData(lf_model.data, Dataset(x_hf, z_hf)),
+                         lf_model, params, constant_basis(), lin)
 
 
 class TestPredictMf:
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("level", ["hf", "lf"])
+    @pytest.mark.parametrize("mode", ["latent", "noisy"])
+    @pytest.mark.parametrize("cov", ["diagonal", "full"])
+    def test_matches_two_solve_reference(self, fitted_mf, dim, level, mode, cov):
+        model = fitted_mf if dim == 1 else _park_model()
+        rng = np.random.default_rng(dim)
+        x = np.vstack([rng.uniform(0, 2 if dim == 1 else 1, size=(40, dim)),
+                       model.data.hf.x[:5]])
+        pred = predict_mf(model, x, level=level, mode=mode, cov=cov)
+        if level == "hf":
+            mean, spread = _two_solve_predict_mf(model, x, mode, cov)
+        else:
+            mean, spread = _two_solve_predict_gp(model.lf_model, x, mode, cov)
+        np.testing.assert_allclose(pred.mean, mean, rtol=0, atol=1e-12 * np.abs(mean).max())
+        got = pred.covariance if cov == "full" else pred.variance
+        np.testing.assert_allclose(got, spread, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("level", ["hf", "lf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, fitted_mf, level, bad):
+        with pytest.raises(DomainViolation, match="finite"):
+            predict_mf(fitted_mf, np.array([[0.2], [bad]]), level=level)
+
     def test_interpolation_exact_covariance(self):
         lf_model, x_lf, z_lf, x_hf = _nested_lf(n_lf=20, n_hf=10)
         z_hf = design.eval_testfn(design.ANALYTIC_1D, "hf", x_hf)
@@ -674,20 +761,9 @@ class TestPredictMf:
         assert np.allclose(diag.variance, np.diag(full.covariance), atol=1e-10)
         assert np.allclose(diag.mean, full.mean)
 
-    def test_linear_rho_basis(self):
+    def test_linear_rho_basis(self, linear_rho_mf):
         pair = design.ANALYTIC_1D
-        x_lf = design.scale_to_domain(pair, design.lhs(40, 1, seed=40).points)
-        z_lf = design.add_noise(design.eval_testfn(pair, "lf", x_lf), 0.02**2, seed=41)
-        x_hf = design.scale_to_domain(pair, design.lhs(20, 1, seed=42).points)
-        z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 0.02**2, seed=43)
-        data = MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf))
-        lin = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: v[:, 0]))
-        model = fit_mf(
-            data,
-            rho_basis=lin,
-            lf_config=MultiStartConfig(n_starts=4, rng_seed=5),
-            hf_config=MultiStartConfig(n_starts=4, rng_seed=6),
-        )
+        model = linear_rho_mf
         assert model.hf_params.beta_rho.shape == (2,)
         xt = np.linspace(0, 2, 500).reshape(-1, 1)
         pred = predict_mf(model, xt, level="hf")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from mfkrig import numerics
 from mfkrig.exceptions import DimensionMismatch, NotPositiveDefinite, NotSymmetric
@@ -128,6 +128,44 @@ class TestInvSpd:
         f = numerics.SpdFactorization(lower_factor=np.diag([1.0, 0.0]), jitter_used=0.0)
         with pytest.raises(NotPositiveDefinite):
             numerics.inv_spd(f)
+
+
+class TestWhiten:
+    def test_equals_triangular_solve(self, rng):
+        f = numerics.chol_factor(random_spd(rng, 12))
+        b = rng.normal(size=(12, 30))
+        u = numerics.whiten(f, b)
+        assert np.array_equal(u, solve_triangular(f.lower_factor, b, lower=True))
+        assert np.allclose(f.lower_factor @ u, b, atol=1e-12)
+
+    def test_quadratic_form_matches_solve(self, rng):
+        # U_a^T U_b = B_a^T M^-1 B_b, the identity prediction relies on.
+        f = numerics.chol_factor(random_spd(rng, 10))
+        ba, bb = rng.normal(size=(10, 4)), rng.normal(size=(10, 3))
+        ref = ba.T @ numerics.solve_spd(f, bb)
+        got = numerics.whiten(f, ba).T @ numerics.whiten(f, bb)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_vector_right_hand_side(self, rng):
+        f = numerics.chol_factor(random_spd(rng, 6))
+        b = rng.normal(size=6)
+        assert np.array_equal(numerics.whiten(f, b), numerics.whiten(f, b[:, None])[:, 0])
+
+    def test_dimension_mismatch(self):
+        f = numerics.chol_factor(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            numerics.whiten(f, np.ones((4, 2)))
+
+    def test_factor_with_jitter(self):
+        # Rank-deficient PSD matrix: whitening is with the factor of (M + jitter * I).
+        x = np.linspace(0.0, 1.0, 6)
+        m = np.outer(x, x) + np.outer(1.0 - x, 1.0 - x)
+        f = numerics.chol_factor(m)
+        assert f.jitter_used > 0
+        b = np.eye(6)
+        u = numerics.whiten(f, b)
+        assert np.array_equal(u, solve_triangular(f.lower_factor, b, lower=True))
+        assert np.allclose(f.lower_factor @ u, b, atol=1e-12)
 
 
 def test_track_factorization_sizes(rng):
