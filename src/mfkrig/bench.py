@@ -9,6 +9,7 @@ regardless of worker scheduling.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +49,12 @@ RESULT_COLUMNS = (
 )
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """A count in a run config must be an integer (not a bool) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     benchmark: str
@@ -66,14 +73,9 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.benchmark not in ("analytic1d", "park4d"):
             raise InvalidConfig(f"unknown benchmark {self.benchmark!r}")
-        for name, value in (
-            ("n_lf", self.n_lf),
-            ("n_hf", self.n_hf),
-            ("n_test", self.n_test),
-            ("n_replications", self.n_replications),
-        ):
-            if value < 1:
-                raise InvalidConfig(f"{name} must be positive")
+        for name in ("n_lf", "n_hf", "n_test", "n_replications", "n_starts", "max_em_iterations"):
+            check_count(name, getattr(self, name))
+        check_count("seed", self.seed, 0)
         if self.noise_sd_lf < 0 or self.noise_sd_hf < 0:
             raise InvalidConfig("noise standard deviations must be non-negative")
         unknown = set(self.models) - set(MODEL_NAMES)
@@ -82,6 +84,8 @@ class BenchmarkConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "BenchmarkConfig":
+        if not isinstance(raw, dict):
+            raise InvalidConfig("config must be a JSON object")
         if "benchmark" not in raw:
             raise InvalidConfig("config must specify 'benchmark'")
         known = {f for f in BenchmarkConfig.__dataclass_fields__}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 
 import click
@@ -35,6 +36,14 @@ MODEL_FORMAT_VERSION = 1
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+
+# The keys a `fit --config` JSON object may set, with their defaults.
+FIT_CONFIG_DEFAULTS = {
+    "n_starts": 10,
+    "seed": 0,
+    "max_em_iterations": 100,
+    "loglik_rel_tolerance": 1e-8,
+}
 
 
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -163,10 +172,32 @@ def load_model(path: str) -> MfModel:
     return model_from_dict(doc)
 
 
+def fit_configs(config: dict | None) -> tuple[MultiStartConfig, EmConfig]:
+    """Optimizer and EM settings from a `fit --config` object; any bad key or value is
+    an InvalidConfig."""
+    config = {} if config is None else config
+    if not isinstance(config, dict):
+        raise InvalidConfig("fit config must be a JSON object")
+    unknown = set(config) - set(FIT_CONFIG_DEFAULTS)
+    if unknown:
+        raise InvalidConfig(f"unknown fit config keys: {sorted(unknown)}")
+    c = {**FIT_CONFIG_DEFAULTS, **config}
+    bench.check_count("n_starts", c["n_starts"])
+    bench.check_count("seed", c["seed"], 0)
+    bench.check_count("max_em_iterations", c["max_em_iterations"])
+    tol = c["loglik_rel_tolerance"]
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        raise InvalidConfig(f"loglik_rel_tolerance must be a finite number >= 0, got {tol!r}")
+    return (
+        MultiStartConfig(n_starts=c["n_starts"], rng_seed=c["seed"]),
+        EmConfig(max_em_iterations=c["max_em_iterations"], loglik_rel_tolerance=float(tol)),
+    )
+
+
 def fit_from_csv(
     lf_csv: str, hf_csv: str, config: dict | None = None
 ) -> MfModel:
-    config = config or {}
+    ms, em = fit_configs(config)
     lf_data = read_data_csv(lf_csv)
     hf_data = read_data_csv(hf_csv)
     if lf_data.d != hf_data.d:
@@ -176,14 +207,6 @@ def fit_from_csv(
         )
     if hf_data.n < 3:
         raise InvalidConfig("need at least 3 high-fidelity rows")
-    ms = MultiStartConfig(
-        n_starts=int(config.get("n_starts", 10)),
-        rng_seed=int(config.get("seed", 0)),
-    )
-    em = EmConfig(
-        max_em_iterations=int(config.get("max_em_iterations", 100)),
-        loglik_rel_tolerance=float(config.get("loglik_rel_tolerance", 1e-8)),
-    )
     return fit_mf(
         MfData(lf=lf_data, hf=hf_data), lf_config=ms, hf_config=ms, em_config=em
     )

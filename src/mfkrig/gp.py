@@ -1,7 +1,8 @@
 """Single-fidelity noisy GP regression with a linear-predictor prior mean.
 
 Fitting profiles out the mean coefficients and the kernel variance in closed
-form and optimizes (theta, eta) numerically in log-space with multi-start.
+form and optimizes (theta, eta) numerically in log-space with multi-start;
+the HF level of the co-kriging model shares that search (`log_space_search`).
 """
 
 from __future__ import annotations
@@ -109,20 +110,15 @@ class TrainedGp:
     fit_log: dict = field(default_factory=dict, compare=False)
 
 
-def default_bounds(data: Dataset) -> BoxBounds:
-    """Box for (theta_1..theta_D, eta): length scales span 1e-3..1e3 times each
+def default_bounds(data: Dataset, with_eta: bool = True) -> BoxBounds:
+    """Box for (theta_1..theta_D[, eta]): length scales span 1e-3..1e3 times each
     input range, eta spans negligible to dominating noise."""
     ranges = np.ptp(data.x, axis=0)
     ranges = np.where(ranges > 0, ranges, 1.0)
-    lower = np.concatenate([1e-3 * ranges, [1e-8]])
-    upper = np.concatenate([1e3 * ranges, [1e2]])
+    lower, upper = 1e-3 * ranges, 1e3 * ranges
+    if with_eta:
+        lower, upper = np.append(lower, 1e-8), np.append(upper, 1e2)
     return BoxBounds(lower=lower, upper=upper)
-
-
-def theta_bounds(data: Dataset) -> BoxBounds:
-    ranges = np.ptp(data.x, axis=0)
-    ranges = np.where(ranges > 0, ranges, 1.0)
-    return BoxBounds(lower=1e-3 * ranges, upper=1e3 * ranges)
 
 
 def _check_basis(basis: BasisSpec, x: np.ndarray) -> np.ndarray:
@@ -200,10 +196,34 @@ def profiled_nll_and_grad(
     return profiled_nll_value(data.n, sigma2, fact), contracted_grad(data.x, theta, r, a)
 
 
+def log_space_search(
+    objective: optimize.Objective,
+    bounds: BoxBounds,
+    config: MultiStartConfig,
+    extra_starts: Sequence[np.ndarray] = (),
+) -> tuple[np.ndarray, float, list[optimize.StartResult]]:
+    """Multi-start minimization of objective(omega) -> (value, gradient) over a
+    positive box, searched in psi = log(omega).
+
+    The random starts are uniform in psi, i.e. log-uniform over the box; the
+    raw extra starts come first. Returns the best omega, its value and the start log.
+    """
+    log_bounds = BoxBounds(np.log(bounds.lower), np.log(bounds.upper))
+
+    def in_log_space(psi: np.ndarray) -> tuple[float, np.ndarray]:
+        omega = np.exp(psi)
+        value, grad = objective(omega)
+        return value, grad * omega
+
+    psi, value, start_log = optimize.multi_start_minimize(
+        in_log_space, log_bounds, config, extra_starts=[np.log(s) for s in extra_starts]
+    )
+    return np.exp(psi), value, start_log
+
+
 def fit_gp(
     data: Dataset,
-    basis: BasisSpec | None = None,
-    bounds: BoxBounds | None = None,
+    basis: BasisSpec = constant_basis(),
     config: MultiStartConfig = MultiStartConfig(),
     fixed_eta: float | None = None,
 ) -> TrainedGp:
@@ -212,40 +232,24 @@ def fit_gp(
     `fixed_eta` pins the noise ratio (e.g. 0 for noise-free interpolation) and
     restricts the search to theta.
     """
-    basis = basis if basis is not None else constant_basis()
     if data.n < basis.p + 1:
         raise ValueError("need at least p + 1 training points")
     _check_basis(basis, data.x)
     d = data.d
 
-    if fixed_eta is None:
-        raw_bounds = bounds if bounds is not None else default_bounds(data)
-    else:
-        raw_bounds = bounds if bounds is not None else theta_bounds(data)
-
-    log_bounds = BoxBounds(np.log(raw_bounds.lower), np.log(raw_bounds.upper))
-
-    def objective(psi: np.ndarray) -> tuple[float, np.ndarray]:
-        omega = np.exp(psi)
+    def hyper(omega: np.ndarray) -> tuple[LengthScales, float]:
         if fixed_eta is None:
-            theta, eta = LengthScales(omega[:d]), float(omega[d])
-        else:
-            theta, eta = LengthScales(omega), fixed_eta
-        value, grad_raw = profiled_nll_and_grad(data, basis, theta, eta)
-        if not np.isfinite(value):
-            return np.inf, np.zeros_like(psi)
-        grad = grad_raw if fixed_eta is None else grad_raw[:d]
-        return value, grad * omega
+            return LengthScales(omega[:d]), float(omega[d])
+        return LengthScales(omega), fixed_eta
 
-    best_psi, best_val, start_log = optimize.multi_start_minimize(
-        objective, log_bounds, config
+    def objective(omega: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = profiled_nll_and_grad(data, basis, *hyper(omega))
+        return value, grad[: omega.size]
+
+    omega, best_val, start_log = log_space_search(
+        objective, default_bounds(data, with_eta=fixed_eta is None), config
     )
-    omega = np.exp(best_psi)
-    if fixed_eta is None:
-        theta, eta = LengthScales(omega[:d]), float(omega[d])
-    else:
-        theta, eta = LengthScales(omega), fixed_eta
-
+    theta, eta = hyper(omega)
     beta, sigma2 = profiled_estimates(data, basis, theta, eta)
     model = make_trained_gp(
         data, basis, beta, KernelParams(theta=theta, sigma2=sigma2, eta=eta)

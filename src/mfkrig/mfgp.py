@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, numerics, optimize
+from . import kernels, numerics
 from .exceptions import (
     DimensionMismatch,
     FactorizationFailure,
@@ -38,6 +38,7 @@ from .gp import (
     fit_gp,
     kriging_step,
     latent_spread,
+    log_space_search,
     predict_gp,
     predictive,
     profiled_nll_value,
@@ -45,7 +46,6 @@ from .gp import (
     whitened_cov,
 )
 from .kernels import LengthScales
-from .optimize import BoxBounds
 
 LF = "lf"
 HF = "hf"
@@ -101,15 +101,27 @@ class EStepState:
     """Conditional moments of the latent LF values at the HF inputs, plus the
     fixed matrices the M-step consumes."""
 
-    sigma_yz: np.ndarray
-    sigma_zz: np.ndarray
     mu_y_given_z: np.ndarray
     sigma_y_given_z: np.ndarray
     h_matrix: np.ndarray
     g_matrix: np.ndarray
     f_matrix: np.ndarray
-    lf_mean_at_hf: np.ndarray
-    lf_cov_at_hf: np.ndarray
+
+
+@dataclass(frozen=True)
+class ArMarginal:
+    """The AR(1) marginal of the HF observations at given parameters: LF posterior
+    moments at the HF inputs, both design matrices, the scaling rho, the residual
+    z_H - rho o m_L - F beta_H, the factor of the AR covariance and its solve."""
+
+    lf_mean: np.ndarray
+    lf_cov: np.ndarray
+    g_matrix: np.ndarray
+    f_matrix: np.ndarray
+    rho: np.ndarray
+    residual: np.ndarray
+    factorization: numerics.SpdFactorization
+    residual_solve: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,9 +140,9 @@ class MfModel:
     data: MfData
     em_log: list[float] = field(compare=False)
     # Cached co-kriging quantities at the HF training inputs.
-    rho_at_hf: np.ndarray = field(compare=False, default=None)
-    ar_factorization: numerics.SpdFactorization = field(compare=False, default=None)
-    ar_residual_solve: np.ndarray = field(compare=False, default=None)
+    rho_at_hf: np.ndarray = field(compare=False)
+    ar_factorization: numerics.SpdFactorization = field(compare=False)
+    ar_residual_solve: np.ndarray = field(compare=False)
 
 
 def lf_posterior_moments(lf_model: TrainedGp, x: np.ndarray):
@@ -153,6 +165,27 @@ def ar_covariance(rho: np.ndarray, v_yl: np.ndarray, x_h: np.ndarray, params: Hf
         raise FactorizationFailure(str(exc)) from exc
 
 
+def ar_marginal(
+    data: MfData,
+    lf_model: TrainedGp,
+    params: HfParams,
+    hf_basis: BasisSpec,
+    rho_basis: BasisSpec,
+) -> ArMarginal:
+    """Assemble the AR(1) marginal of the HF observations, the one path by which
+    the E-step, the observed log-likelihood and the prediction caches see it."""
+    x_h = data.hf.x
+    m_yl, v_yl = lf_posterior_moments(lf_model, x_h)
+    g_mat = rho_basis.design_matrix(x_h)
+    f_mat = hf_basis.design_matrix(x_h)
+    rho = g_mat @ params.beta_rho
+    _, fact = ar_covariance(rho, v_yl, x_h, params)
+    resid = data.hf.z - rho * m_yl - f_mat @ params.beta_h
+    return ArMarginal(
+        m_yl, v_yl, g_mat, f_mat, rho, resid, fact, numerics.solve_spd(fact, resid)
+    )
+
+
 def e_step(
     data: MfData,
     lf_model: TrainedGp,
@@ -161,31 +194,18 @@ def e_step(
     rho_basis: BasisSpec,
 ) -> EStepState:
     """Condition the latent LF values at the HF inputs on the HF observations."""
-    x_h, z_h = data.hf.x, data.hf.z
-    m_yl, v_yl = lf_posterior_moments(lf_model, x_h)
-    g_mat = rho_basis.design_matrix(x_h)
-    f_mat = hf_basis.design_matrix(x_h)
-    rho = g_mat @ params.beta_rho
-
-    sigma_yz = v_yl * rho[None, :]
-    sigma_zz, fact = ar_covariance(rho, v_yl, x_h, params)
-
-    resid = z_h - rho * m_yl - f_mat @ params.beta_h
-    mu = m_yl + sigma_yz @ numerics.solve_spd(fact, resid)
-    sigma_cond = v_yl - sigma_yz @ numerics.solve_spd(fact, sigma_yz.T)
+    ar = ar_marginal(data, lf_model, params, hf_basis, rho_basis)
+    sigma_yz = ar.lf_cov * ar.rho[None, :]
+    mu = ar.lf_mean + sigma_yz @ ar.residual_solve
+    sigma_cond = ar.lf_cov - sigma_yz @ numerics.solve_spd(ar.factorization, sigma_yz.T)
     sigma_cond = 0.5 * (sigma_cond + sigma_cond.T)
-
-    h_mat = np.hstack([g_mat * mu[:, None], f_mat])
+    h_mat = np.hstack([ar.g_matrix * mu[:, None], ar.f_matrix])
     return EStepState(
-        sigma_yz=sigma_yz,
-        sigma_zz=sigma_zz,
         mu_y_given_z=mu,
         sigma_y_given_z=sigma_cond,
         h_matrix=h_mat,
-        g_matrix=g_mat,
-        f_matrix=f_mat,
-        lf_mean_at_hf=m_yl,
-        lf_cov_at_hf=v_yl,
+        g_matrix=ar.g_matrix,
+        f_matrix=ar.f_matrix,
     )
 
 
@@ -257,15 +277,10 @@ def hf_observed_loglik(
 
     This is the quantity whose monotone increase certifies each EM iteration.
     """
-    x_h, z_h = data.hf.x, data.hf.z
-    n_h = data.hf.n
-    m_yl, v_yl = lf_posterior_moments(lf_model, x_h)
-    rho = rho_basis.design_matrix(x_h) @ params.beta_rho
-    mean = rho * m_yl + hf_basis.design_matrix(x_h) @ params.beta_h
-    _, fact = ar_covariance(rho, v_yl, x_h, params)
-    resid = z_h - mean
-    quad = float(resid @ numerics.solve_spd(fact, resid))
-    return -0.5 * (quad + numerics.logdet_spd(fact) + n_h * math.log(2.0 * math.pi))
+    ar = ar_marginal(data, lf_model, params, hf_basis, rho_basis)
+    quad = float(ar.residual @ ar.residual_solve)
+    logdet = numerics.logdet_spd(ar.factorization)
+    return -0.5 * (quad + logdet + data.hf.n * math.log(2.0 * math.pi))
 
 
 def _initial_params(
@@ -297,9 +312,8 @@ def _initial_params(
 def em_fit_hf(
     data: MfData,
     lf_model: TrainedGp,
-    hf_basis: BasisSpec | None = None,
-    rho_basis: BasisSpec | None = None,
-    bounds: BoxBounds | None = None,
+    hf_basis: BasisSpec = constant_basis(),
+    rho_basis: BasisSpec = constant_basis(),
     config: MultiStartConfig = MultiStartConfig(),
     em_config: EmConfig = EmConfig(),
 ) -> tuple[HfParams, list[float]]:
@@ -307,17 +321,14 @@ def em_fit_hf(
 
     Each iteration conditions the latent LF values on the HF data, then
     maximizes the resulting objective: closed forms for the linear coefficients
-    and variance, multi-start quasi-Newton for (theta_H, eta_H). The current
-    point is always among the starts, which guarantees a non-decreasing
-    observed-data log-likelihood.
+    and variance, multi-start quasi-Newton for (theta_H, eta_H) in the same
+    log-space search as the LF fit. The current point is always among the
+    starts, which guarantees a non-decreasing observed-data log-likelihood.
     """
-    hf_basis = hf_basis if hf_basis is not None else constant_basis()
-    rho_basis = rho_basis if rho_basis is not None else constant_basis()
     q, p_h = rho_basis.p, hf_basis.p
     if data.hf.n < q + p_h + 1:
         raise ValueError("need at least q + p_H + 1 high-fidelity points")
-    raw_bounds = bounds if bounds is not None else default_bounds(data.hf)
-    log_bounds = BoxBounds(np.log(raw_bounds.lower), np.log(raw_bounds.upper))
+    bounds = default_bounds(data.hf)
     d = data.hf.d
 
     params = _initial_params(data, lf_model, hf_basis, rho_basis)
@@ -327,14 +338,8 @@ def em_fit_hf(
     for t in range(em_config.max_em_iterations):
         state = e_step(data, lf_model, params, hf_basis, rho_basis)
 
-        def objective(psi: np.ndarray) -> tuple[float, np.ndarray]:
-            omega = np.exp(psi)
-            value, grad_raw = q_tilde_and_grad(
-                state, data, LengthScales(omega[:d]), float(omega[d])
-            )
-            if not np.isfinite(value):
-                return np.inf, np.zeros_like(psi)
-            return value, grad_raw * omega
+        def objective(omega: np.ndarray) -> tuple[float, np.ndarray]:
+            return q_tilde_and_grad(state, data, LengthScales(omega[:d]), float(omega[d]))
 
         n_starts = config.n_starts if t == 0 else em_config.inner_n_starts
         iter_seed = int(np.random.SeedSequence((config.rng_seed, t)).generate_state(1)[0])
@@ -344,17 +349,8 @@ def em_fit_hf(
             gradient_tolerance=config.gradient_tolerance,
             rng_seed=iter_seed,
         )
-        current = np.log(
-            np.clip(
-                np.concatenate([params.theta_h.theta, [max(params.eta_h, raw_bounds.lower[-1])]]),
-                raw_bounds.lower,
-                raw_bounds.upper,
-            )
-        )
-        best_psi, _, _ = optimize.multi_start_minimize(
-            objective, log_bounds, iter_config, extra_starts=[current]
-        )
-        omega = np.exp(best_psi)
+        current = np.append(params.theta_h.theta, params.eta_h)
+        omega, _, _ = log_space_search(objective, bounds, iter_config, extra_starts=[current])
         theta_new, eta_new = LengthScales(omega[:d]), float(omega[d])
         beta, sigma2 = m_step_closed_forms(state, data, theta_new, eta_new)
         params = HfParams(
@@ -378,25 +374,6 @@ def em_fit_hf(
     return params, em_log
 
 
-def _build_caches(model_args: dict) -> dict:
-    data: MfData = model_args["data"]
-    lf_model: TrainedGp = model_args["lf_model"]
-    params: HfParams = model_args["hf_params"]
-    hf_basis: BasisSpec = model_args["hf_basis"]
-    rho_basis: BasisSpec = model_args["rho_basis"]
-    x_h, z_h = data.hf.x, data.hf.z
-    m_yl, v_yl = lf_posterior_moments(lf_model, x_h)
-    rho = rho_basis.design_matrix(x_h) @ params.beta_rho
-    m_ar = rho * m_yl + hf_basis.design_matrix(x_h) @ params.beta_h
-    _, fact = ar_covariance(rho, v_yl, x_h, params)
-    model_args.update(
-        rho_at_hf=rho,
-        ar_factorization=fact,
-        ar_residual_solve=numerics.solve_spd(fact, z_h - m_ar),
-    )
-    return model_args
-
-
 def make_mf_model(
     data: MfData,
     lf_model: TrainedGp,
@@ -406,43 +383,32 @@ def make_mf_model(
     em_log: list[float] | None = None,
 ) -> MfModel:
     """Assemble an MfModel (with prediction caches) from given parameters."""
-    args = dict(
+    ar = ar_marginal(data, lf_model, hf_params, hf_basis, rho_basis)
+    return MfModel(
         lf_model=lf_model,
         hf_params=hf_params,
         hf_basis=hf_basis,
         rho_basis=rho_basis,
         data=data,
         em_log=em_log if em_log is not None else [],
+        rho_at_hf=ar.rho,
+        ar_factorization=ar.factorization,
+        ar_residual_solve=ar.residual_solve,
     )
-    return MfModel(**_build_caches(args))
 
 
 def fit_mf(
     data: MfData,
-    lf_basis: BasisSpec | None = None,
-    hf_basis: BasisSpec | None = None,
-    rho_basis: BasisSpec | None = None,
-    lf_bounds: BoxBounds | None = None,
-    hf_bounds: BoxBounds | None = None,
+    hf_basis: BasisSpec = constant_basis(),
+    rho_basis: BasisSpec = constant_basis(),
     lf_config: MultiStartConfig = MultiStartConfig(),
     hf_config: MultiStartConfig = MultiStartConfig(),
     em_config: EmConfig = EmConfig(),
-    lf_fixed_eta: float | None = None,
 ) -> MfModel:
     """Fit the full model: LF by profiled MLE on LF data alone, then HF by EM."""
-    lf_model = fit_gp(
-        data.lf, basis=lf_basis, bounds=lf_bounds, config=lf_config, fixed_eta=lf_fixed_eta
-    )
-    hf_basis = hf_basis if hf_basis is not None else constant_basis()
-    rho_basis = rho_basis if rho_basis is not None else constant_basis()
+    lf_model = fit_gp(data.lf, config=lf_config)
     params, em_log = em_fit_hf(
-        data,
-        lf_model,
-        hf_basis=hf_basis,
-        rho_basis=rho_basis,
-        bounds=hf_bounds,
-        config=hf_config,
-        em_config=em_config,
+        data, lf_model, hf_basis, rho_basis, config=hf_config, em_config=em_config
     )
     return make_mf_model(data, lf_model, params, hf_basis, rho_basis, em_log)
 

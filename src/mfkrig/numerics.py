@@ -51,7 +51,7 @@ def track_factorization_sizes():
         _size_recorders.remove(sizes)
 
 
-def chol_factor(m: np.ndarray, jitter_schedule=JITTER_SCHEDULE) -> SpdFactorization:
+def chol_factor(m: np.ndarray) -> SpdFactorization:
     """Cholesky-factorize a symmetric matrix, escalating diagonal jitter on failure.
 
     Raises NotSymmetric if the symmetric mismatch exceeds the relative
@@ -68,7 +68,7 @@ def chol_factor(m: np.ndarray, jitter_schedule=JITTER_SCHEDULE) -> SpdFactorizat
         sizes.append(m.shape[0])
 
     mean_diag = float(np.mean(np.diag(m))) if m.shape[0] else 0.0
-    for level in (0.0, *jitter_schedule):
+    for level in (0.0, *JITTER_SCHEDULE):
         jitter = level * mean_diag
         try:
             lower = np.linalg.cholesky(

@@ -84,7 +84,8 @@ def minimize_box(
 
     Returns (argmin, value, converged). The returned value never exceeds the
     value at the start point. Raises ObjectiveNonFinite when the objective is
-    not finite at the start itself.
+    not finite at the start itself, which L-BFGS-B evaluates first, so every
+    start costs exactly one evaluation there.
     """
     start = bounds.clip(np.asarray(start, dtype=float))
 
@@ -94,6 +95,8 @@ def minimize_box(
         value, grad = objective(x)
         grad = np.asarray(grad, dtype=float)
         if not np.isfinite(value):
+            if best["x"] is None:
+                raise ObjectiveNonFinite("objective is not finite at the start point")
             return _BIG, np.zeros_like(grad)
         if value < best["f"]:
             best["f"] = float(value)
@@ -101,10 +104,6 @@ def minimize_box(
         if not np.all(np.isfinite(grad)):
             grad = np.zeros_like(grad)
         return float(value), grad
-
-    f0, _ = objective(start)
-    if not np.isfinite(f0):
-        raise ObjectiveNonFinite("objective is not finite at the start point")
 
     res = _scipy_minimize(
         wrapped,
@@ -126,29 +125,21 @@ def minimize_box(
     return x, f, converged
 
 
-def sample_starts(bounds: BoxBounds, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Start points inside the box: log-uniform when all bounds are positive,
-    uniform otherwise."""
-    if np.all(bounds.lower > 0):
-        lo, hi = np.log(bounds.lower), np.log(bounds.upper)
-        return np.exp(rng.uniform(lo, hi, size=(n, bounds.ndim)))
-    return rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.ndim))
-
-
 def multi_start_minimize(
     objective: Objective,
     bounds: BoxBounds,
     config: MultiStartConfig,
     extra_starts: Sequence[np.ndarray] = (),
 ) -> tuple[np.ndarray, float, list[StartResult]]:
-    """Run minimize_box from seeded random starts plus any caller-provided ones.
+    """Run minimize_box from seeded starts, uniform over the box, plus any
+    caller-provided ones.
 
     Deterministic for a fixed seed; the best value wins, ties broken by the
     lowest start index (extra starts come first).
     """
     rng = np.random.default_rng(config.rng_seed)
     starts = [np.asarray(s, dtype=float) for s in extra_starts]
-    starts.extend(sample_starts(bounds, config.n_starts, rng))
+    starts.extend(rng.uniform(bounds.lower, bounds.upper, size=(config.n_starts, bounds.ndim)))
 
     log: list[StartResult] = []
     best_idx = -1

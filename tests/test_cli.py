@@ -316,6 +316,35 @@ class TestFitPredictCli:
         assert res.exit_code == EXIT_CONFIG_ERROR
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"n_starts": "abc"},
+            {"n_starts": 0},
+            {"n_starts": 2.5},
+            {"n_starts": True},
+            {"seed": -1},
+            {"max_em_iterations": -1},
+            {"loglik_rel_tolerance": "tight"},
+            {"loglik_rel_tolerance": -1e-8},
+            {"n_strats": 3},
+            [1, 2],
+        ],
+    )
+    def test_bad_config_exit_2(self, workdir, config):
+        _training_csvs(workdir)
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        res = CliRunner().invoke(
+            main,
+            ["fit", "--lf", "lf.csv", "--hf", "hf.csv",
+             "--config", "cfg.json", "--out", "model.json"],
+        )
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert res.output.startswith("error:")
+        assert not (workdir / "model.json").exists()
+
+
 class TestModelJson:
     def _predict(self, workdir, doc):
         (workdir / "m.json").write_text(json.dumps(doc))
@@ -460,6 +489,22 @@ class TestBenchCli:
         (workdir / "bench.json").write_text(
             json.dumps({"benchmark": "analytic1d", "frobnicate": True})
         )
+        res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
+        assert res.exit_code == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"n_starts": 0}, {"max_em_iterations": -1}, {"n_starts": "abc"}, {"seed": -3},
+         {"n_hf": 2.5}],
+    )
+    def test_bad_run_settings_exit_2(self, workdir, overrides):
+        self._config(workdir, **overrides)
+        res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert not (workdir / "results.csv").exists()
+
+    def test_non_object_config_exit_2(self, workdir):
+        (workdir / "bench.json").write_text("[1, 2]")
         res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
         assert res.exit_code == EXIT_CONFIG_ERROR
 

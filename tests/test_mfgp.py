@@ -24,6 +24,7 @@ from mfkrig.mfgp import (
     HfParams,
     MfData,
     ar_covariance,
+    ar_marginal,
     e_step,
     em_fit_hf,
     fit_mf,
@@ -104,7 +105,6 @@ class TestEStep:
         params = _some_params(beta_rho=(0.0,))
         state = e_step(data, lf_model, params, constant_basis(), constant_basis())
         mean, cov = lf_posterior_moments(lf_model, x_hf)
-        assert np.allclose(state.sigma_yz, 0.0)
         assert np.allclose(state.mu_y_given_z, mean, atol=1e-10)
         assert np.allclose(state.sigma_y_given_z, cov, atol=1e-10)
 
@@ -168,10 +168,11 @@ class TestEStep:
         lf_model = _noisy_lf()
         x_hf = rng.uniform(0, 2, size=(9, 1))
         data = MfData(lf_model.data, Dataset(x_hf, rng.normal(size=9)))
-        state = e_step(
-            data, lf_model, _some_params(), constant_basis(), constant_basis()
-        )
-        assert np.linalg.eigvalsh(state.sigma_zz).min() > 0
+        params = _some_params()
+        state = e_step(data, lf_model, params, constant_basis(), constant_basis())
+        _, v = lf_posterior_moments(lf_model, x_hf)
+        sigma_zz, _ = ar_covariance(np.full(9, params.beta_rho[0]), v, x_hf, params)
+        assert np.linalg.eigvalsh(sigma_zz).min() > 0
         assert np.linalg.eigvalsh(state.sigma_y_given_z).min() >= -1e-8
 
 
@@ -184,15 +185,11 @@ def _synthetic_state(rng, n_h, mu=None, sigma_cond=None):
     sigma_cond = sigma_cond if sigma_cond is not None else np.zeros((n_h, n_h))
     h = np.hstack([g * mu[:, None], f])
     state = EStepState(
-        sigma_yz=np.zeros((n_h, n_h)),
-        sigma_zz=np.eye(n_h),
         mu_y_given_z=mu,
         sigma_y_given_z=sigma_cond,
         h_matrix=h,
         g_matrix=g,
         f_matrix=f,
-        lf_mean_at_hf=mu,
-        lf_cov_at_hf=sigma_cond,
     )
     return state, x_hf
 
@@ -539,6 +536,55 @@ class TestEmFit:
         estimates = np.array(estimates)
         se = estimates.std(ddof=1) / np.sqrt(n_rep)
         assert abs(estimates.mean() - true.beta_rho[0]) <= 3 * max(se, 1e-3)
+
+
+class TestArMarginal:
+    def test_dense_oracle(self, fitted_mf):
+        lf_model, data = fitted_mf.lf_model, fitted_mf.data
+        x_h, z_h = data.hf.x, data.hf.z
+        n_h = len(x_h)
+        lin = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: v[:, 0]))
+        params = HfParams(
+            beta_rho=np.array([0.9, 0.2]),
+            beta_h=np.array([-0.3]),
+            sigma2_h=0.4,
+            theta_h=LengthScales(np.array([0.5])),
+            eta_h=0.05,
+        )
+        ar = ar_marginal(data, lf_model, params, constant_basis(), lin)
+
+        m, v = lf_posterior_moments(lf_model, x_h)
+        rho = 0.9 + 0.2 * x_h[:, 0]
+        cov = np.outer(rho, rho) * v + params.sigma2_h * (
+            kernels.corr_matrix(x_h, x_h, params.theta_h) + params.eta_h * np.eye(n_h)
+        )
+        resid = z_h - rho * m + 0.3
+        assert np.array_equal(ar.lf_mean, m) and np.array_equal(ar.lf_cov, v)
+        assert np.array_equal(ar.g_matrix, np.column_stack([np.ones(n_h), x_h[:, 0]]))
+        assert np.array_equal(ar.f_matrix, np.ones((n_h, 1)))
+        assert np.allclose(ar.rho, rho, rtol=1e-14)
+        assert np.allclose(ar.residual, resid, rtol=1e-12, atol=1e-12)
+        low = ar.factorization.lower_factor
+        assert np.allclose(low @ low.T, cov, atol=1e-12)
+        assert np.allclose(ar.residual_solve, np.linalg.solve(cov, resid), rtol=1e-8, atol=1e-8)
+
+    def test_loglik_and_model_caches_share_it(self, fitted_mf):
+        lf_model, data, params = fitted_mf.lf_model, fitted_mf.data, fitted_mf.hf_params
+        basis = constant_basis()
+        ar = ar_marginal(data, lf_model, params, basis, basis)
+        n_h = data.hf.n
+        loglik = hf_observed_loglik(data, lf_model, params, basis, basis)
+        expected = -0.5 * (
+            float(ar.residual @ ar.residual_solve)
+            + numerics.logdet_spd(ar.factorization)
+            + n_h * math.log(2 * math.pi)
+        )
+        assert loglik == expected
+        assert np.array_equal(fitted_mf.rho_at_hf, ar.rho)
+        assert np.array_equal(fitted_mf.ar_residual_solve, ar.residual_solve)
+        assert np.array_equal(
+            fitted_mf.ar_factorization.lower_factor, ar.factorization.lower_factor
+        )
 
 
 class TestArCovariance:

@@ -60,6 +60,31 @@ class TestMinimizeBox:
         with pytest.raises(ObjectiveNonFinite):
             minimize_box(bad, bounds, np.array([0.5]))
 
+    def test_start_evaluated_once(self):
+        calls = []
+        target = quadratic(np.array([0.3, -0.2]))
+
+        def f(x):
+            calls.append(np.array(x))
+            return target(x)
+
+        bounds = BoxBounds(np.full(2, -1.0), np.full(2, 1.0))
+        minimize_box(f, bounds, np.array([0.9, 1.7]))
+        start = np.array([0.9, 1.0])  # clipped into the box
+        assert np.array_equal(calls[0], start)
+        assert sum(np.array_equal(c, start) for c in calls) == 1
+
+    def test_nonfinite_away_from_start_is_a_retreat(self):
+        def half_plane(x):
+            if x[0] < 0.0:
+                return np.inf, np.zeros_like(x)
+            return float(x[0] ** 2 - x[0]), np.array([2.0 * x[0] - 1.0])
+
+        bounds = BoxBounds(np.array([-5.0]), np.array([5.0]))
+        start = np.array([4.0])
+        x, f, _ = minimize_box(half_plane, bounds, start)
+        assert x[0] >= 0.0 and f <= half_plane(start)[0]
+
     def test_feasibility(self):
         bounds = BoxBounds(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
         x, _, _ = minimize_box(quadratic(np.array([3.0, -3.0])), bounds, np.zeros(2))
@@ -120,13 +145,34 @@ class TestMultiStart:
             multi_start_minimize(bad, bounds, MultiStartConfig(n_starts=3, rng_seed=0))
 
     def test_log_uniform_sampling_for_positive_bounds(self):
-        from mfkrig.optimize import sample_starts
+        from mfkrig.gp import log_space_search
+
+        def linear(omega):
+            return float(np.sum(omega)), np.ones_like(omega)
 
         bounds = BoxBounds(np.array([1e-6]), np.array([1e2]))
-        starts = sample_starts(bounds, 500, np.random.default_rng(0))
+        config = MultiStartConfig(n_starts=300, max_iterations=1, rng_seed=0)
+        _, _, log = log_space_search(linear, bounds, config, extra_starts=[np.array([3.0])])
+        # The raw extra start comes first, as its log; then the random starts.
+        assert len(log) == 301
+        assert np.array_equal(log[0].start, np.log([3.0]))
+        starts = np.exp([entry.start[0] for entry in log[1:]])
+        assert np.all((starts >= 1e-6) & (starts <= 1e2))
         # Log-uniform: roughly half below the geometric midpoint 1e-2.
         frac = np.mean(starts < 1e-2)
         assert 0.35 < frac < 0.65
+
+    def test_log_space_search_applies_the_chain_rule(self):
+        from mfkrig.gp import log_space_search
+
+        def bowl(omega):
+            # Minimum at omega = 5; raw-space gradient of (log omega - log 5)^2.
+            u = np.log(omega) - np.log(5.0)
+            return float(np.sum(u**2)), 2.0 * u / omega
+
+        bounds = BoxBounds(np.array([1e-3]), np.array([1e3]))
+        omega, value, _ = log_space_search(bowl, bounds, MultiStartConfig(n_starts=3))
+        assert np.allclose(omega, 5.0, rtol=1e-6) and value < 1e-12
 
 
 def test_box_bounds_validation():
