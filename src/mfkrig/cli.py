@@ -205,8 +205,6 @@ def fit_from_csv(
             f"dimension mismatch: LF has {lf_data.d} input columns, "
             f"HF has {hf_data.d}"
         )
-    if hf_data.n < 3:
-        raise InvalidConfig("need at least 3 high-fidelity rows")
     return fit_mf(
         MfData(lf=lf_data, hf=hf_data), lf_config=ms, hf_config=ms, em_config=em
     )

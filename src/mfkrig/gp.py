@@ -2,7 +2,8 @@
 
 Fitting profiles out the mean coefficients and the kernel variance in closed
 form and optimizes (theta, eta) numerically in log-space with multi-start;
-the HF level of the co-kriging model shares that search (`log_space_search`).
+the HF level of the co-kriging model shares that profiled step
+(`profiled_gls`, `profiled_objective`) and that search (`log_space_search`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels, numerics, optimize
-from .exceptions import DimensionMismatch, DomainViolation, RankDeficientBasis
+from .exceptions import (
+    DimensionMismatch,
+    DomainViolation,
+    InvalidConfig,
+    RankDeficientBasis,
+    SingularNormalEquations,
+)
 from .kernels import KernelParams, LengthScales
 from .numerics import SpdFactorization
 from .optimize import BoxBounds, MultiStartConfig
@@ -128,30 +135,61 @@ def _check_basis(basis: BasisSpec, x: np.ndarray) -> np.ndarray:
     return f
 
 
-def _profile(data: Dataset, f_mat: np.ndarray, theta: LengthScales, eta: float):
-    """Build R(theta) once, factorize R + eta I, invert it from the factor, and
-    compute the profiled beta-hat, sigma2-hat through that inverse."""
-    r = kernels.corr_matrix(data.x, data.x, theta)
-    fact = numerics.chol_factor(r + eta * np.eye(data.n))
+def profiled_gls(
+    x: np.ndarray, z: np.ndarray, h: np.ndarray, theta: LengthScales, eta: float,
+    latent: tuple[np.ndarray, np.ndarray] | None = None,
+):
+    """The profiled generalized-least-squares step of both levels at fixed (theta, eta).
+
+    Builds R(theta) once, factorizes R~ = R + eta I, inverts it from the factor,
+    solves (H^T R~^-1 H + T) beta = H^T R~^-1 z and, with r = z - H beta, returns
+    beta, sigma2 = (r^T R~^-1 r + beta^T T beta) / n, R, the factor, R~^-1 and R~^-1 r.
+    T = 0 for a single-fidelity fit. The HF M-step passes `latent = (G, Sigma_{Y|Z})`:
+    its scaling rho = G beta_rho multiplies uncertain latent LF values, so T's
+    leading block is G^T (R~^-1 o Sigma) G (Le Gratiet & Garnier 2014).
+    """
+    n = len(z)
+    r = kernels.corr_matrix(x, x, theta)
+    fact = numerics.chol_factor(r + eta * np.eye(n))
     rt_inv = numerics.inv_spd(fact)
-    ri_f = rt_inv @ f_mat
+    ri_h = rt_inv @ h
+    t_mat = np.zeros((h.shape[1], h.shape[1]))
+    if latent is not None:
+        g, sigma = latent
+        t_mat[: g.shape[1], : g.shape[1]] = g.T @ ((rt_inv * sigma) @ g)
     try:
-        beta = np.linalg.solve(f_mat.T @ ri_f, ri_f.T @ data.z)
+        beta = np.linalg.solve(h.T @ ri_h + t_mat, ri_h.T @ z)
     except np.linalg.LinAlgError:
-        raise RankDeficientBasis("normal equations singular for this basis") from None
-    resid = data.z - f_mat @ beta
+        raise SingularNormalEquations("normal equations of the GLS step are singular") from None
+    resid = z - h @ beta
     ri_resid = rt_inv @ resid
-    sigma2 = float(resid @ ri_resid) / data.n
-    return r, fact, rt_inv, beta, max(sigma2, 0.0), ri_resid
+    sigma2 = (float(resid @ ri_resid) + float(beta @ t_mat @ beta)) / n
+    return beta, max(sigma2, 0.0), r, fact, rt_inv, ri_resid
 
 
-def profiled_nll_value(n: int, sigma2: float, fact: SpdFactorization) -> float:
-    """Negative Gaussian log-likelihood with the variance profiled out."""
-    return (
-        0.5 * n * math.log(sigma2)
-        + 0.5 * numerics.logdet_spd(fact)
-        + 0.5 * n * (1.0 + math.log(2.0 * math.pi))
-    )
+def profiled_objective(
+    x: np.ndarray, z: np.ndarray, h: np.ndarray, theta: LengthScales, eta: float,
+    latent: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, np.ndarray]:
+    """Negative profiled log-likelihood of the `profiled_gls` step and its raw-space
+    gradient in (theta, eta), one contraction with A = R~^-1 - kappa kappa^T - W / sigma2.
+
+    With `latent` it is the negated EM objective of the HF M-step, and
+    W = R~^-1 (rho rho^T o Sigma) R~^-1 carries its Hadamard term; without it W = 0.
+    A degenerate profiled variance yields (+inf, zeros) so the optimizer retreats.
+    """
+    beta, sigma2, r, fact, rt_inv, ri_resid = profiled_gls(x, z, h, theta, eta, latent)
+    if sigma2 < _SIGMA2_FLOOR:
+        return np.inf, np.zeros(theta.ndim + 1)
+    kappa = ri_resid / math.sqrt(sigma2)
+    a = rt_inv - np.outer(kappa, kappa)
+    if latent is not None:
+        g, sigma = latent
+        rho = g @ beta[: g.shape[1]]
+        a = a - rt_inv @ (np.outer(rho, rho) * sigma) @ rt_inv / sigma2
+    n = len(z)
+    value = 0.5 * n * math.log(sigma2) + 0.5 * numerics.logdet_spd(fact)
+    return value + 0.5 * n * (1.0 + math.log(2.0 * math.pi)), contracted_grad(x, theta, r, a)
 
 
 def contracted_grad(
@@ -175,25 +213,14 @@ def profiled_estimates(
     data: Dataset, basis: BasisSpec, theta: LengthScales, eta: float
 ) -> tuple[np.ndarray, float]:
     """Closed-form GLS estimate of beta and the profiled variance estimate."""
-    f_mat = _check_basis(basis, data.x)
-    _, _, _, beta, sigma2, _ = _profile(data, f_mat, theta, eta)
-    return beta, sigma2
+    return profiled_gls(data.x, data.z, _check_basis(basis, data.x), theta, eta)[:2]
 
 
 def profiled_nll_and_grad(
     data: Dataset, basis: BasisSpec, theta: LengthScales, eta: float
 ) -> tuple[float, np.ndarray]:
-    """Negative profiled log-likelihood in (theta, eta) and its raw-space gradient.
-
-    A degenerate profiled variance yields (+inf, zeros) so the optimizer retreats.
-    """
-    f_mat = _check_basis(basis, data.x)
-    r, fact, rt_inv, _, sigma2, ri_resid = _profile(data, f_mat, theta, eta)
-    if sigma2 < _SIGMA2_FLOOR:
-        return np.inf, np.zeros(theta.ndim + 1)
-    kappa = ri_resid / math.sqrt(sigma2)
-    a = rt_inv - np.outer(kappa, kappa)
-    return profiled_nll_value(data.n, sigma2, fact), contracted_grad(data.x, theta, r, a)
+    """Negative profiled log-likelihood in (theta, eta) and its raw-space gradient."""
+    return profiled_objective(data.x, data.z, basis.design_matrix(data.x), theta, eta)
 
 
 def log_space_search(
@@ -233,7 +260,7 @@ def fit_gp(
     restricts the search to theta.
     """
     if data.n < basis.p + 1:
-        raise ValueError("need at least p + 1 training points")
+        raise InvalidConfig(f"need at least {basis.p + 1} training points, got {data.n}")
     _check_basis(basis, data.x)
     d = data.d
 

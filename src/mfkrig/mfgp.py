@@ -10,7 +10,7 @@ leaving only (theta_H, eta_H) for numerical search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,11 +18,12 @@ from . import kernels, numerics
 from .exceptions import (
     DimensionMismatch,
     FactorizationFailure,
+    InvalidConfig,
     NonMonotoneEM,
     NotPositiveDefinite,
-    SingularNormalEquations,
 )
 from .gp import (
+    _SIGMA2_FLOOR,
     DIAGONAL,
     FULL,
     LATENT,
@@ -33,7 +34,6 @@ from .gp import (
     PredictiveDistribution,
     TrainedGp,
     constant_basis,
-    contracted_grad,
     default_bounds,
     fit_gp,
     kriging_step,
@@ -41,7 +41,8 @@ from .gp import (
     log_space_search,
     predict_gp,
     predictive,
-    profiled_nll_value,
+    profiled_gls,
+    profiled_objective,
     query_points,
     whitened_cov,
 )
@@ -50,7 +51,8 @@ from .kernels import LengthScales
 LF = "lf"
 HF = "hf"
 
-_SIGMA2_FLOOR = 1e-300
+# Multi-start count of every EM M-step after the first, which uses the caller's.
+INNER_N_STARTS = 5
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,11 @@ class EStepState:
     sigma_y_given_z: np.ndarray
     h_matrix: np.ndarray
     g_matrix: np.ndarray
-    f_matrix: np.ndarray
+
+    @property
+    def latent(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, Sigma_{Y|Z}): the latent-value term of the M-step's profiled GLS."""
+        return self.g_matrix, self.sigma_y_given_z
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,6 @@ class ArMarginal:
 class EmConfig:
     max_em_iterations: int = 100
     loglik_rel_tolerance: float = 1e-8
-    inner_n_starts: int = 5
 
 
 @dataclass(frozen=True)
@@ -186,15 +191,8 @@ def ar_marginal(
     )
 
 
-def e_step(
-    data: MfData,
-    lf_model: TrainedGp,
-    params: HfParams,
-    hf_basis: BasisSpec,
-    rho_basis: BasisSpec,
-) -> EStepState:
+def e_step(ar: ArMarginal) -> EStepState:
     """Condition the latent LF values at the HF inputs on the HF observations."""
-    ar = ar_marginal(data, lf_model, params, hf_basis, rho_basis)
     sigma_yz = ar.lf_cov * ar.rho[None, :]
     mu = ar.lf_mean + sigma_yz @ ar.residual_solve
     sigma_cond = ar.lf_cov - sigma_yz @ numerics.solve_spd(ar.factorization, sigma_yz.T)
@@ -205,82 +203,34 @@ def e_step(
         sigma_y_given_z=sigma_cond,
         h_matrix=h_mat,
         g_matrix=ar.g_matrix,
-        f_matrix=ar.f_matrix,
     )
-
-
-def _m_step_at(state: EStepState, data: MfData, theta_h: LengthScales, eta_h: float):
-    """Closed-form (beta_rho_h, sigma2_h) at fixed (theta_h, eta_h), plus the
-    intermediates the gradient needs. R is built and factorized once, and its
-    inverse serves every right-hand side."""
-    z_h = data.hf.z
-    q = state.g_matrix.shape[1]
-    p_h = state.f_matrix.shape[1]
-
-    r_h = kernels.corr_matrix(data.hf.x, data.hf.x, theta_h)
-    fact = numerics.chol_factor(r_h + eta_h * np.eye(data.hf.n))
-    rt_inv = numerics.inv_spd(fact)
-
-    t_mat = np.zeros((q + p_h, q + p_h))
-    t_mat[:q, :q] = state.g_matrix.T @ ((rt_inv * state.sigma_y_given_z) @ state.g_matrix)
-
-    h = state.h_matrix
-    ri_h = rt_inv @ h
-    try:
-        beta = np.linalg.solve(h.T @ ri_h + t_mat, ri_h.T @ z_h)
-    except np.linalg.LinAlgError:
-        raise SingularNormalEquations(
-            "normal equations for the scaling/discrepancy coefficients are singular"
-        ) from None
-    resid = z_h - h @ beta
-    ri_resid = rt_inv @ resid
-    sigma2 = (float(resid @ ri_resid) + float(beta @ t_mat @ beta)) / data.hf.n
-    return beta, max(sigma2, 0.0), r_h, fact, rt_inv, ri_resid
 
 
 def m_step_closed_forms(
     state: EStepState, data: MfData, theta_h: LengthScales, eta_h: float
 ) -> tuple[np.ndarray, float]:
-    beta, sigma2, *_ = _m_step_at(state, data, theta_h, eta_h)
-    return beta, sigma2
+    """Closed-form (beta_rho_h, sigma2_h) at fixed (theta_h, eta_h)."""
+    return profiled_gls(data.hf.x, data.hf.z, state.h_matrix, theta_h, eta_h, state.latent)[:2]
 
 
 def q_tilde_and_grad(
     state: EStepState, data: MfData, theta_h: LengthScales, eta_h: float
 ) -> tuple[float, np.ndarray]:
-    """Negated profiled EM objective over (theta_H, eta_H) and its gradient.
-
-    The gradient is one contraction with A = R~^-1 - kappa kappa^T - W / sigma2,
-    where W = R~^-1 (rho rho^T o Sigma_{Y|Z}) R~^-1 carries the Hadamard term.
-    """
-    beta, sigma2, r_h, fact, rt_inv, ri_resid = _m_step_at(state, data, theta_h, eta_h)
-    if sigma2 < _SIGMA2_FLOOR:
-        return np.inf, np.zeros(theta_h.ndim + 1)
-    kappa = ri_resid / math.sqrt(sigma2)
-    rho_new = state.g_matrix @ beta[: state.g_matrix.shape[1]]
-    w = rt_inv @ (np.outer(rho_new, rho_new) * state.sigma_y_given_z) @ rt_inv
-    a = rt_inv - np.outer(kappa, kappa) - w / sigma2
-    return (
-        profiled_nll_value(data.hf.n, sigma2, fact),
-        contracted_grad(data.hf.x, theta_h, r_h, a),
+    """Negated profiled EM objective over (theta_H, eta_H) and its gradient: the
+    shared profiled likelihood with the latent-value term of Sigma_{Y|Z}."""
+    return profiled_objective(
+        data.hf.x, data.hf.z, state.h_matrix, theta_h, eta_h, state.latent
     )
 
 
-def hf_observed_loglik(
-    data: MfData,
-    lf_model: TrainedGp,
-    params: HfParams,
-    hf_basis: BasisSpec,
-    rho_basis: BasisSpec,
-) -> float:
+def hf_observed_loglik(ar: ArMarginal) -> float:
     """Exact marginal Gaussian log-density of the HF observations.
 
     This is the quantity whose monotone increase certifies each EM iteration.
     """
-    ar = ar_marginal(data, lf_model, params, hf_basis, rho_basis)
     quad = float(ar.residual @ ar.residual_solve)
     logdet = numerics.logdet_spd(ar.factorization)
-    return -0.5 * (quad + logdet + data.hf.n * math.log(2.0 * math.pi))
+    return -0.5 * (quad + logdet + len(ar.residual) * math.log(2.0 * math.pi))
 
 
 def _initial_params(
@@ -324,30 +274,31 @@ def em_fit_hf(
     and variance, multi-start quasi-Newton for (theta_H, eta_H) in the same
     log-space search as the LF fit. The current point is always among the
     starts, which guarantees a non-decreasing observed-data log-likelihood.
+    One AR(1) marginal per iterate serves its log-likelihood and the next E-step.
     """
     q, p_h = rho_basis.p, hf_basis.p
     if data.hf.n < q + p_h + 1:
-        raise ValueError("need at least q + p_H + 1 high-fidelity points")
+        raise InvalidConfig(
+            f"need at least {q + p_h + 1} high-fidelity points, got {data.hf.n}"
+        )
     bounds = default_bounds(data.hf)
     d = data.hf.d
 
     params = _initial_params(data, lf_model, hf_basis, rho_basis)
-    loglik = hf_observed_loglik(data, lf_model, params, hf_basis, rho_basis)
+    ar = ar_marginal(data, lf_model, params, hf_basis, rho_basis)
+    loglik = hf_observed_loglik(ar)
     em_log = [loglik]
 
     for t in range(em_config.max_em_iterations):
-        state = e_step(data, lf_model, params, hf_basis, rho_basis)
+        state = e_step(ar)
 
         def objective(omega: np.ndarray) -> tuple[float, np.ndarray]:
             return q_tilde_and_grad(state, data, LengthScales(omega[:d]), float(omega[d]))
 
-        n_starts = config.n_starts if t == 0 else em_config.inner_n_starts
-        iter_seed = int(np.random.SeedSequence((config.rng_seed, t)).generate_state(1)[0])
-        iter_config = MultiStartConfig(
-            n_starts=n_starts,
-            max_iterations=config.max_iterations,
-            gradient_tolerance=config.gradient_tolerance,
-            rng_seed=iter_seed,
+        iter_config = replace(
+            config,
+            n_starts=config.n_starts if t == 0 else INNER_N_STARTS,
+            rng_seed=int(np.random.SeedSequence((config.rng_seed, t)).generate_state(1)[0]),
         )
         current = np.append(params.theta_h.theta, params.eta_h)
         omega, _, _ = log_space_search(objective, bounds, iter_config, extra_starts=[current])
@@ -360,7 +311,8 @@ def em_fit_hf(
             theta_h=theta_new,
             eta_h=eta_new,
         )
-        new_loglik = hf_observed_loglik(data, lf_model, params, hf_basis, rho_basis)
+        ar = ar_marginal(data, lf_model, params, hf_basis, rho_basis)
+        new_loglik = hf_observed_loglik(ar)
         em_log.append(new_loglik)
         if new_loglik < loglik - 1e-6:
             raise NonMonotoneEM(

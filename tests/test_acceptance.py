@@ -21,6 +21,7 @@ from mfkrig.mfgp import (
     EmConfig,
     HfParams,
     MfData,
+    ar_marginal,
     e_step,
     em_fit_hf,
     fit_mf,
@@ -237,7 +238,7 @@ class TestGradientSuites:
                 theta_h=LengthScales(rng.uniform(0.4, 1.2, dim)),
                 eta_h=rng.uniform(0.05, 0.5),
             )
-            state = e_step(data, lf_model, params, constant_basis(), constant_basis())
+            state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
             theta = rng.uniform(0.3, 1.2, dim)
             eta = rng.uniform(0.05, 0.6)
             _, grad = q_tilde_and_grad(state, data, LengthScales(theta), eta)

@@ -214,6 +214,23 @@ class TestFitPredictCli:
         assert res.exit_code == EXIT_CONFIG_ERROR
         assert "expects 1 input columns, got 2" in res.output
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"n_lf": 1}, "need at least 2 training points, got 1"),
+            ({"n_hf": 2}, "need at least 3 high-fidelity points, got 2"),
+        ],
+    )
+    def test_too_few_rows_exit_2(self, workdir, sizes, message):
+        _training_csvs(workdir, **sizes)
+        res = CliRunner().invoke(
+            main, ["fit", "--lf", "lf.csv", "--hf", "hf.csv", "--out", "m.json"]
+        )
+        assert res.exit_code == EXIT_CONFIG_ERROR
+        assert isinstance(res.exception, SystemExit)
+        assert message in res.output
+        assert not os.path.exists(workdir / "m.json")
+
     def test_header_only_hf_exit_2(self, workdir):
         _training_csvs(workdir)
         with open(workdir / "hf.csv", "w") as fh:
@@ -507,6 +524,27 @@ class TestBenchCli:
         (workdir / "bench.json").write_text("[1, 2]")
         res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
         assert res.exit_code == EXIT_CONFIG_ERROR
+
+
+def test_campaign_rows_independent_of_worker_count(monkeypatch):
+    config = BenchmarkConfig(
+        benchmark="analytic1d",
+        n_lf=20,
+        n_hf=8,
+        n_test=200,
+        n_replications=2,
+        seed=5,
+        models=("mf", "hf_only"),
+        n_starts=2,
+        max_em_iterations=2,
+    )
+    tables = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MFKRIG_THREADS", threads)
+        rows = bench.run_benchmark(config)
+        assert [row["failed"] for row in rows] == [0] * 4
+        tables.append([{k: v for k, v in row.items() if k != "fit_seconds"} for row in rows])
+    assert tables[0] == tables[1]
 
 
 def test_worker_count_env(monkeypatch):

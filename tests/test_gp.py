@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfkrig import design, gp, kernels, numerics
-from mfkrig.exceptions import DomainViolation, RankDeficientBasis
+from mfkrig.exceptions import DomainViolation, RankDeficientBasis, SingularNormalEquations
 from mfkrig.gp import (
     BasisSpec,
     Dataset,
@@ -75,6 +75,13 @@ class TestProfiledEstimates:
         with pytest.raises(RankDeficientBasis):
             profiled_estimates(Dataset(x, rng.normal(size=6)), basis,
                                LengthScales(np.array([0.5])), eta=0.1)
+
+    def test_identical_columns_singular_normal_equations(self, rng):
+        # Far-apart inputs make R~ = 4 I exactly, so H^T R~^-1 H = [[2, 2], [2, 2]].
+        x = 100.0 * np.arange(8.0).reshape(-1, 1)
+        with pytest.raises(SingularNormalEquations):
+            gp.profiled_gls(x, rng.normal(size=8), np.ones((8, 2)),
+                            LengthScales(np.array([0.5])), 3.0)
 
 
 class TestProfiledNll:

@@ -15,7 +15,7 @@ from mfkrig.gp import (
     posterior_cross_cov,
     predict_gp,
 )
-from mfkrig.exceptions import DomainViolation
+from mfkrig.exceptions import DomainViolation, SingularNormalEquations
 from mfkrig.kernels import KernelParams, LengthScales
 from mfkrig.metrics import q2
 from mfkrig.mfgp import (
@@ -103,7 +103,7 @@ class TestEStep:
         z_hf = rng.normal(size=10)
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params(beta_rho=(0.0,))
-        state = e_step(data, lf_model, params, constant_basis(), constant_basis())
+        state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
         mean, cov = lf_posterior_moments(lf_model, x_hf)
         assert np.allclose(state.mu_y_given_z, mean, atol=1e-10)
         assert np.allclose(state.sigma_y_given_z, cov, atol=1e-10)
@@ -113,7 +113,7 @@ class TestEStep:
         z_hf = np.sin(x_hf[:, 0])
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params()
-        state = e_step(data, lf_model, params, constant_basis(), constant_basis())
+        state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
         assert np.max(np.abs(state.sigma_y_given_z)) < 1e-7
         assert np.max(np.abs(state.mu_y_given_z - z_lf[: len(x_hf)])) < 1e-5
 
@@ -125,7 +125,7 @@ class TestEStep:
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params(beta_rho=(1.4,), beta_h=(-0.5,), sigma2=0.3, eta=0.15)
         basis = constant_basis()
-        state = e_step(data, lf_model, params, basis, basis)
+        state = e_step(ar_marginal(data, lf_model, params, basis, basis))
 
         m, v = lf_posterior_moments(lf_model, x_hf)
         rho = basis.design_matrix(x_hf) @ params.beta_rho
@@ -154,11 +154,12 @@ class TestEStep:
             theta_h=LengthScales(np.array([0.5])),
             eta_h=0.1,
         )
-        state = e_step(data, lf_model, params, constant_basis(), lin)
+        ar = ar_marginal(data, lf_model, params, constant_basis(), lin)
+        state = e_step(ar)
         expected = np.hstack(
             [
                 state.g_matrix * state.mu_y_given_z[:, None],
-                state.f_matrix,
+                ar.f_matrix,
             ]
         )
         assert np.array_equal(state.h_matrix, expected)
@@ -169,7 +170,7 @@ class TestEStep:
         x_hf = rng.uniform(0, 2, size=(9, 1))
         data = MfData(lf_model.data, Dataset(x_hf, rng.normal(size=9)))
         params = _some_params()
-        state = e_step(data, lf_model, params, constant_basis(), constant_basis())
+        state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
         _, v = lf_posterior_moments(lf_model, x_hf)
         sigma_zz, _ = ar_covariance(np.full(9, params.beta_rho[0]), v, x_hf, params)
         assert np.linalg.eigvalsh(sigma_zz).min() > 0
@@ -189,7 +190,6 @@ def _synthetic_state(rng, n_h, mu=None, sigma_cond=None):
         sigma_y_given_z=sigma_cond,
         h_matrix=h,
         g_matrix=g,
-        f_matrix=f,
     )
     return state, x_hf
 
@@ -233,7 +233,7 @@ class TestMStep:
         z_hf = rng.normal(size=n_h)
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         state = e_step(
-            data, lf_model, _some_params(), constant_basis(), constant_basis()
+            ar_marginal(data, lf_model, _some_params(), constant_basis(), constant_basis())
         )
         theta, eta = LengthScales(np.array([0.7])), 0.25
         beta, _ = m_step_closed_forms(state, data, theta, eta)
@@ -246,6 +246,23 @@ class TestMStep:
         h = state.h_matrix
         grad = h.T @ w @ (z_hf - h @ beta) - t_mat @ beta
         assert np.linalg.norm(grad) < 1e-8 * max(1.0, np.linalg.norm(z_hf))
+
+    def test_identical_columns_singular_normal_equations(self, rng):
+        # Far-apart inputs make R~ = 4 I exactly; with dyadic mu summing to 0 the
+        # normal equations are [[4, 0, 0], [0, 2, 2], [0, 2, 2]], exactly singular.
+        n_h = 8
+        x_hf = 100.0 * np.arange(float(n_h)).reshape(-1, 1)
+        mu = np.array([1.0, -1.0, 1.0, -1.0, 2.0, -2.0, 0.0, 0.0])
+        state = EStepState(
+            mu_y_given_z=mu,
+            sigma_y_given_z=0.5 * np.eye(n_h),
+            h_matrix=np.column_stack([mu, np.ones(n_h), np.ones(n_h)]),
+            g_matrix=np.ones((n_h, 1)),
+        )
+        z_hf = rng.normal(size=n_h)
+        data = MfData(Dataset(x_hf, z_hf), Dataset(x_hf, z_hf))
+        with pytest.raises(SingularNormalEquations):
+            m_step_closed_forms(state, data, LengthScales(np.array([0.5])), 3.0)
 
 
 def _per_dimension_q_tilde(state, data, theta_h, eta_h):
@@ -310,7 +327,7 @@ class TestQTilde:
             theta_h=LengthScales(np.full(dim, 0.5)),
             eta_h=0.1,
         )
-        state = e_step(data, lf_model, params, constant_basis(), rho_basis)
+        state = e_step(ar_marginal(data, lf_model, params, constant_basis(), rho_basis))
         assert np.max(np.abs(state.sigma_y_given_z)) > 0.1
         for _ in range(5):
             theta = LengthScales(rng.uniform(0.2, 1.5, dim))
@@ -327,7 +344,7 @@ class TestQTilde:
         z_hf = np.sin(2 * x_hf[:, 0]) + rng.normal(scale=0.2, size=n_h)
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         state = e_step(
-            data, lf_model, _some_params(), constant_basis(), constant_basis()
+            ar_marginal(data, lf_model, _some_params(), constant_basis(), constant_basis())
         )
         for _ in range(5):
             theta = LengthScales(rng.uniform(0.3, 1.2, 1))
@@ -386,7 +403,7 @@ class TestQTilde:
             data = MfData(
                 lf_model.data, Dataset(x_hf[order], z_hf[order])
             )
-            state = e_step(data, lf_model, params, constant_basis(), constant_basis())
+            state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
             return q_tilde_and_grad(state, data, theta, eta)[0]
 
         base = value_for(np.arange(n_h))
@@ -401,7 +418,9 @@ class TestHfObservedLoglik:
         z_hf = np.array([2.0])
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params(beta_rho=(1.1,), beta_h=(0.4,), sigma2=0.6, eta=0.3)
-        val = hf_observed_loglik(data, lf_model, params, constant_basis(), constant_basis())
+        val = hf_observed_loglik(
+            ar_marginal(data, lf_model, params, constant_basis(), constant_basis())
+        )
 
         m, v = lf_posterior_moments(lf_model, x_hf)
         mean = params.beta_rho[0] * m[0] + params.beta_h[0]
@@ -418,7 +437,9 @@ class TestHfObservedLoglik:
         z_hf = rng.normal(size=n_h)
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params(beta_rho=(0.9,), beta_h=(-0.2,), sigma2=0.5, eta=0.1)
-        val = hf_observed_loglik(data, lf_model, params, constant_basis(), constant_basis())
+        val = hf_observed_loglik(
+            ar_marginal(data, lf_model, params, constant_basis(), constant_basis())
+        )
 
         m, v = lf_posterior_moments(lf_model, x_hf)
         rho = np.full(n_h, params.beta_rho[0])
@@ -573,7 +594,7 @@ class TestArMarginal:
         basis = constant_basis()
         ar = ar_marginal(data, lf_model, params, basis, basis)
         n_h = data.hf.n
-        loglik = hf_observed_loglik(data, lf_model, params, basis, basis)
+        loglik = hf_observed_loglik(ar_marginal(data, lf_model, params, basis, basis))
         expected = -0.5 * (
             float(ar.residual @ ar.residual_solve)
             + numerics.logdet_spd(ar.factorization)
