@@ -15,7 +15,7 @@ import sys
 import click
 import numpy as np
 
-from . import bench, mfgp
+from . import bench
 from .exceptions import (
     DimensionMismatch,
     InvalidConfig,

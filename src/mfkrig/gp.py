@@ -37,7 +37,7 @@ _SIGMA2_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class Dataset:
-    """Training inputs (N x D) and noisy outputs (N,)."""
+    """Training inputs (N x D) and noisy outputs (N,): non-empty and finite."""
 
     x: np.ndarray
     z: np.ndarray
@@ -49,6 +49,10 @@ class Dataset:
         z = np.asarray(self.z, dtype=float).ravel()
         if x.shape[0] != z.shape[0]:
             raise DimensionMismatch("inputs and outputs have different lengths")
+        if x.size == 0:
+            raise InvalidConfig(f"training data is empty (inputs of shape {x.shape})")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+            raise InvalidConfig("training inputs and outputs must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
 
@@ -128,20 +132,20 @@ def default_bounds(data: Dataset, with_eta: bool = True) -> BoxBounds:
     return BoxBounds(lower=lower, upper=upper)
 
 
-def _check_basis(basis: BasisSpec, x: np.ndarray) -> np.ndarray:
-    f = basis.design_matrix(x)
-    if np.linalg.matrix_rank(f) < basis.p:
-        raise RankDeficientBasis("basis design matrix is rank deficient on this data")
-    return f
+def check_rank(h: np.ndarray, what: str) -> np.ndarray:
+    """Raise RankDeficientBasis unless the design matrix h has full column rank."""
+    if np.linalg.matrix_rank(h) < h.shape[1]:
+        raise RankDeficientBasis(f"{what} design matrix is rank deficient on this data")
+    return h
 
 
 def profiled_gls(
-    x: np.ndarray, z: np.ndarray, h: np.ndarray, theta: LengthScales, eta: float,
-    latent: tuple[np.ndarray, np.ndarray] | None = None,
+    ws: kernels.KernelWorkspace, z: np.ndarray, h: np.ndarray, theta: LengthScales,
+    eta: float, latent: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """The profiled generalized-least-squares step of both levels at fixed (theta, eta).
 
-    Builds R(theta) once, factorizes R~ = R + eta I, inverts it from the factor,
+    Builds R(theta) from the fit's workspace, factorizes R~ = R + eta I, inverts it,
     solves (H^T R~^-1 H + T) beta = H^T R~^-1 z and, with r = z - H beta, returns
     beta, sigma2 = (r^T R~^-1 r + beta^T T beta) / n, R, the factor, R~^-1 and R~^-1 r.
     T = 0 for a single-fidelity fit. The HF M-step passes `latent = (G, Sigma_{Y|Z})`:
@@ -149,8 +153,10 @@ def profiled_gls(
     leading block is G^T (R~^-1 o Sigma) G (Le Gratiet & Garnier 2014).
     """
     n = len(z)
-    r = kernels.corr_matrix(x, x, theta)
-    fact = numerics.chol_factor(r + eta * np.eye(n))
+    r = ws.corr(theta)
+    r_tilde = r.copy()
+    np.fill_diagonal(r_tilde, 1.0 + eta)  # R + eta I, as R's diagonal is exactly 1
+    fact = numerics.chol_factor(r_tilde)
     rt_inv = numerics.inv_spd(fact)
     ri_h = rt_inv @ h
     t_mat = np.zeros((h.shape[1], h.shape[1]))
@@ -168,8 +174,8 @@ def profiled_gls(
 
 
 def profiled_objective(
-    x: np.ndarray, z: np.ndarray, h: np.ndarray, theta: LengthScales, eta: float,
-    latent: tuple[np.ndarray, np.ndarray] | None = None,
+    ws: kernels.KernelWorkspace, z: np.ndarray, h: np.ndarray, theta: LengthScales,
+    eta: float, latent: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Negative profiled log-likelihood of the `profiled_gls` step and its raw-space
     gradient in (theta, eta), one contraction with A = R~^-1 - kappa kappa^T - W / sigma2.
@@ -178,7 +184,7 @@ def profiled_objective(
     W = R~^-1 (rho rho^T o Sigma) R~^-1 carries its Hadamard term; without it W = 0.
     A degenerate profiled variance yields (+inf, zeros) so the optimizer retreats.
     """
-    beta, sigma2, r, fact, rt_inv, ri_resid = profiled_gls(x, z, h, theta, eta, latent)
+    beta, sigma2, r, fact, rt_inv, ri_resid = profiled_gls(ws, z, h, theta, eta, latent)
     if sigma2 < _SIGMA2_FLOOR:
         return np.inf, np.zeros(theta.ndim + 1)
     kappa = ri_resid / math.sqrt(sigma2)
@@ -189,38 +195,31 @@ def profiled_objective(
         a = a - rt_inv @ (np.outer(rho, rho) * sigma) @ rt_inv / sigma2
     n = len(z)
     value = 0.5 * n * math.log(sigma2) + 0.5 * numerics.logdet_spd(fact)
-    return value + 0.5 * n * (1.0 + math.log(2.0 * math.pi)), contracted_grad(x, theta, r, a)
+    return value + 0.5 * n * (1.0 + math.log(2.0 * math.pi)), contracted_grad(ws, theta, r, a)
 
 
 def contracted_grad(
-    x: np.ndarray, theta: LengthScales, r: np.ndarray, a: np.ndarray
+    ws: kernels.KernelWorkspace, theta: LengthScales, r: np.ndarray, a: np.ndarray
 ) -> np.ndarray:
     """Gradient in (theta, eta) of an objective whose derivative along any
     perturbation dR~ of R~ = R + eta I is tr(A dR~) / 2.
 
-    Every length-scale component comes from one contraction with the stacked
-    partials of R (Rasmussen & Williams 2006, sec. 5.4.1); dR~/deta = I.
+    The length-scale components are the contraction of A with the partials of R
+    (Rasmussen & Williams 2006, sec. 5.4.1); dR~/deta = I.
     """
-    dr = kernels.corr_matrix_grad(x, theta, r)
-    n, d = dr.shape[1:]
-    grad = np.empty(d + 1)
-    grad[:d] = a.reshape(-1) @ dr.reshape(n * n, d)
-    grad[d] = np.trace(a)
+    grad = np.empty(theta.ndim + 1)
+    grad[:-1] = kernels.corr_matrix_grad(ws, theta, r, a)
+    grad[-1] = np.trace(a)
     return 0.5 * grad
 
 
-def profiled_estimates(
-    data: Dataset, basis: BasisSpec, theta: LengthScales, eta: float
-) -> tuple[np.ndarray, float]:
-    """Closed-form GLS estimate of beta and the profiled variance estimate."""
-    return profiled_gls(data.x, data.z, _check_basis(basis, data.x), theta, eta)[:2]
-
-
 def profiled_nll_and_grad(
-    data: Dataset, basis: BasisSpec, theta: LengthScales, eta: float
+    ws: kernels.KernelWorkspace, z: np.ndarray, f: np.ndarray, theta: LengthScales,
+    eta: float,
 ) -> tuple[float, np.ndarray]:
-    """Negative profiled log-likelihood in (theta, eta) and its raw-space gradient."""
-    return profiled_objective(data.x, data.z, basis.design_matrix(data.x), theta, eta)
+    """Negative profiled log-likelihood of a single-fidelity GP with design matrix f,
+    in (theta, eta), and its raw-space gradient."""
+    return profiled_objective(ws, z, f, theta, eta)
 
 
 def log_space_search(
@@ -261,7 +260,8 @@ def fit_gp(
     """
     if data.n < basis.p + 1:
         raise InvalidConfig(f"need at least {basis.p + 1} training points, got {data.n}")
-    _check_basis(basis, data.x)
+    f = check_rank(basis.design_matrix(data.x), "basis")
+    ws = kernels.KernelWorkspace(data.x)
     d = data.d
 
     def hyper(omega: np.ndarray) -> tuple[LengthScales, float]:
@@ -270,14 +270,14 @@ def fit_gp(
         return LengthScales(omega), fixed_eta
 
     def objective(omega: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = profiled_nll_and_grad(data, basis, *hyper(omega))
+        value, grad = profiled_nll_and_grad(ws, data.z, f, *hyper(omega))
         return value, grad[: omega.size]
 
     omega, best_val, start_log = log_space_search(
         objective, default_bounds(data, with_eta=fixed_eta is None), config
     )
     theta, eta = hyper(omega)
-    beta, sigma2 = profiled_estimates(data, basis, theta, eta)
+    beta, sigma2 = profiled_gls(ws, data.z, f, theta, eta)[:2]
     model = make_trained_gp(
         data, basis, beta, KernelParams(theta=theta, sigma2=sigma2, eta=eta)
     )
@@ -292,9 +292,13 @@ def fit_gp(
 def make_trained_gp(
     data: Dataset, basis: BasisSpec, beta: np.ndarray, kernel: KernelParams
 ) -> TrainedGp:
-    """Assemble a TrainedGp from given hyperparameters (fit and deserialization path)."""
+    """Assemble a TrainedGp from given hyperparameters (fit and deserialization path).
+
+    R comes from a kernel workspace, as in the fit's objective, so the model
+    factorizes the same matrix the fit scored at these hyperparameters.
+    """
     beta = np.asarray(beta, dtype=float)
-    r = kernels.corr_matrix(data.x, data.x, kernel.theta)
+    r = kernels.KernelWorkspace(data.x).corr(kernel.theta)
     fact = numerics.chol_factor(r + kernel.eta * np.eye(data.n))
     ri_resid = numerics.solve_spd(fact, data.z - basis.design_matrix(data.x) @ beta)
     return TrainedGp(

@@ -1,8 +1,9 @@
-"""Gaussian (squared-exponential) ARD correlation function and its derivatives."""
+"""Gaussian (squared-exponential) ARD correlation: cross-correlation matrices, and a
+per-fit workspace that rebuilds R(theta) and contracts its length-scale gradient."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -57,18 +58,8 @@ def _as_2d(x: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def gauss_corr(x: np.ndarray, x2: np.ndarray, theta: LengthScales) -> float:
-    """exp(-0.5 * sum_d ((x_d - x2_d)/theta_d)^2), in (0, 1]."""
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.shape != x2.shape or x.size != theta.ndim:
-        raise DimensionMismatch("point dimensions do not match the length scales")
-    h = (x - x2) / theta.theta
-    return float(np.exp(-0.5 * np.dot(h, h)))
-
-
 def corr_matrix(x: np.ndarray, x2: np.ndarray, theta: LengthScales) -> np.ndarray:
-    """Cross-correlation matrix with entries gauss_corr(x_i, x2_j, theta)."""
+    """Cross-correlation matrix, entries exp(-0.5 sum_d ((x_i^(d) - x2_j^(d)) / theta_d)^2)."""
     d = theta.ndim
     xs = _as_2d(x, d) / theta.theta
     xs2 = _as_2d(x2, d) / theta.theta
@@ -80,18 +71,50 @@ def corr_matrix(x: np.ndarray, x2: np.ndarray, theta: LengthScales) -> np.ndarra
     return np.exp(-0.5 * cdist(xs, xs2, metric="sqeuclidean"))
 
 
-def corr_matrix_grad(x: np.ndarray, theta: LengthScales, r: np.ndarray) -> np.ndarray:
-    """All length-scale partials of r = corr_matrix(x, x, theta), stacked as (N, N, D).
+@dataclass(frozen=True)
+class KernelWorkspace:
+    """The squared coordinate differences of one input set, built once per fit.
 
-    Slice [:, :, d] has entries R_ij * (x_i^(d) - x_j^(d))^2 / theta_d^3; the
-    diagonal is zero. The caller passes the R it already built.
+    Entry (d, i*N + j) of the (D, N^2) array `d2` is (x_i^(d) - x_j^(d))^2, so
+    every R(theta) over these inputs is one vector-matrix product and one exp,
+    and every length-scale gradient is one matrix-vector product. Rows of length
+    N^2 keep both products fast when D is small.
     """
-    xs = _as_2d(x, theta.ndim)
-    n = xs.shape[0]
-    r = np.asarray(r, dtype=float)
-    if r.shape != (n, n):
-        raise DimensionMismatch(f"expected a {n}x{n} correlation matrix, got shape {r.shape}")
-    # (x_i - x_j)^2 / theta^3 is the squared difference of x / theta^1.5.
-    xs = xs / theta.theta**1.5
-    diff = xs[:, None, :] - xs[None, :, :]
-    return r[:, :, None] * (diff * diff)
+
+    x: np.ndarray
+    d2: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim == 1:
+            x = x.reshape(-1, 1)
+        diff = x.T[:, :, None] - x.T[:, None, :]
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "d2", (diff * diff).reshape(x.shape[1], -1))
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
+
+    def corr(self, theta: LengthScales) -> np.ndarray:
+        """R(theta) = corr_matrix(x, x, theta). Entries (i, j) and (j, i) are the same
+        sum of the same products, so R is exactly symmetric; its diagonal is 1."""
+        if theta.ndim != self.x.shape[1]:
+            raise DimensionMismatch("point dimensions do not match the length scales")
+        s = np.dot(-0.5 / theta.theta**2, self.d2)
+        return np.exp(s, out=s).reshape(self.n, self.n)
+
+
+def corr_matrix_grad(
+    ws: KernelWorkspace, theta: LengthScales, r: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """The contraction sum_ij A_ij dR_ij/dtheta_d for every length scale, as a D-vector.
+
+    dR_ij/dtheta_d = R_ij (x_i^(d) - x_j^(d))^2 / theta_d^3, so all D contractions
+    are one product of the workspace's squared differences with A o R; no
+    (N, N, D) stack of partials is formed. The caller passes the R it built.
+    """
+    n = ws.n
+    if r.shape != (n, n) or a.shape != (n, n):
+        raise DimensionMismatch(f"expected {n}x{n} matrices, got shapes {r.shape}, {a.shape}")
+    return np.dot(ws.d2, (a * r).reshape(-1)) / theta.theta**3

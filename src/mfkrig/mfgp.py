@@ -33,6 +33,7 @@ from .gp import (
     MultiStartConfig,
     PredictiveDistribution,
     TrainedGp,
+    check_rank,
     constant_basis,
     default_bounds,
     fit_gp,
@@ -115,15 +116,26 @@ class EStepState:
 
 
 @dataclass(frozen=True)
-class ArMarginal:
-    """The AR(1) marginal of the HF observations at given parameters: LF posterior
-    moments at the HF inputs, both design matrices, the scaling rho, the residual
-    z_H - rho o m_L - F beta_H, the factor of the AR covariance and its solve."""
+class HfWorkspace:
+    """What no HF parameter changes, built once per fit: the HF data, the kernel
+    workspace at the HF inputs X_H, the scaling and discrepancy design matrices
+    G and F, and the LF posterior mean and covariance at X_H."""
 
-    lf_mean: np.ndarray
-    lf_cov: np.ndarray
+    data: Dataset
+    ws: kernels.KernelWorkspace
     g_matrix: np.ndarray
     f_matrix: np.ndarray
+    lf_mean: np.ndarray
+    lf_cov: np.ndarray
+
+
+@dataclass(frozen=True)
+class ArMarginal:
+    """The AR(1) marginal of the HF observations at given parameters: the HF
+    workspace it was built on, the scaling rho, the residual
+    z_H - rho o m_L - F beta_H, the factor of the AR covariance and its solve."""
+
+    hf: HfWorkspace
     rho: np.ndarray
     residual: np.ndarray
     factorization: numerics.SpdFactorization
@@ -150,19 +162,29 @@ class MfModel:
     ar_residual_solve: np.ndarray = field(compare=False)
 
 
-def lf_posterior_moments(lf_model: TrainedGp, x: np.ndarray):
-    """Posterior mean and full covariance of the LF GP at the given points.
+def hf_workspace(
+    data: MfData, lf_model: TrainedGp, hf_basis: BasisSpec, rho_basis: BasisSpec
+) -> HfWorkspace:
+    """Build the HF workspace. Its LF posterior moments at X_H, from one full-covariance
+    LF prediction, are the only path by which the HF stage sees LF information."""
+    x_h = data.hf.x
+    lf_post = predict_gp(lf_model, x_h, mode=LATENT, cov=FULL)
+    return HfWorkspace(
+        data=data.hf,
+        ws=kernels.KernelWorkspace(x_h),
+        g_matrix=rho_basis.design_matrix(x_h),
+        f_matrix=hf_basis.design_matrix(x_h),
+        lf_mean=lf_post.mean,
+        lf_cov=lf_post.covariance,
+    )
 
-    This is the only path by which the HF stage sees LF information.
-    """
-    pred = predict_gp(lf_model, x, mode=LATENT, cov=FULL)
-    return pred.mean, pred.covariance
 
-
-def ar_covariance(rho: np.ndarray, v_yl: np.ndarray, x_h: np.ndarray, params: HfParams):
+def ar_covariance(
+    rho: np.ndarray, v_yl: np.ndarray, ws: kernels.KernelWorkspace, params: HfParams
+):
     """AR(1) covariance of the HF observations, rho rho^T o V_L + sigma2_H (R_H + eta_H I),
-    and its factorization."""
-    r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
+    and its factorization; R_H comes from the workspace at the HF inputs."""
+    r_h = ws.corr(params.theta_h)
     cov = np.outer(rho, rho) * v_yl + params.sigma2_h * (r_h + params.eta_h * np.eye(len(rho)))
     try:
         return cov, numerics.chol_factor(cov)
@@ -170,56 +192,47 @@ def ar_covariance(rho: np.ndarray, v_yl: np.ndarray, x_h: np.ndarray, params: Hf
         raise FactorizationFailure(str(exc)) from exc
 
 
-def ar_marginal(
-    data: MfData,
-    lf_model: TrainedGp,
-    params: HfParams,
-    hf_basis: BasisSpec,
-    rho_basis: BasisSpec,
-) -> ArMarginal:
+def ar_marginal(hf: HfWorkspace, params: HfParams) -> ArMarginal:
     """Assemble the AR(1) marginal of the HF observations, the one path by which
     the E-step, the observed log-likelihood and the prediction caches see it."""
-    x_h = data.hf.x
-    m_yl, v_yl = lf_posterior_moments(lf_model, x_h)
-    g_mat = rho_basis.design_matrix(x_h)
-    f_mat = hf_basis.design_matrix(x_h)
-    rho = g_mat @ params.beta_rho
-    _, fact = ar_covariance(rho, v_yl, x_h, params)
-    resid = data.hf.z - rho * m_yl - f_mat @ params.beta_h
-    return ArMarginal(
-        m_yl, v_yl, g_mat, f_mat, rho, resid, fact, numerics.solve_spd(fact, resid)
-    )
+    rho = hf.g_matrix @ params.beta_rho
+    _, fact = ar_covariance(rho, hf.lf_cov, hf.ws, params)
+    resid = hf.data.z - rho * hf.lf_mean - hf.f_matrix @ params.beta_h
+    return ArMarginal(hf, rho, resid, fact, numerics.solve_spd(fact, resid))
 
 
 def e_step(ar: ArMarginal) -> EStepState:
     """Condition the latent LF values at the HF inputs on the HF observations."""
-    sigma_yz = ar.lf_cov * ar.rho[None, :]
-    mu = ar.lf_mean + sigma_yz @ ar.residual_solve
-    sigma_cond = ar.lf_cov - sigma_yz @ numerics.solve_spd(ar.factorization, sigma_yz.T)
+    hf = ar.hf
+    sigma_yz = hf.lf_cov * ar.rho[None, :]
+    mu = hf.lf_mean + sigma_yz @ ar.residual_solve
+    sigma_cond = hf.lf_cov - sigma_yz @ numerics.solve_spd(ar.factorization, sigma_yz.T)
     sigma_cond = 0.5 * (sigma_cond + sigma_cond.T)
-    h_mat = np.hstack([ar.g_matrix * mu[:, None], ar.f_matrix])
+    h_mat = np.hstack([hf.g_matrix * mu[:, None], hf.f_matrix])
     return EStepState(
         mu_y_given_z=mu,
         sigma_y_given_z=sigma_cond,
         h_matrix=h_mat,
-        g_matrix=ar.g_matrix,
+        g_matrix=hf.g_matrix,
     )
 
 
 def m_step_closed_forms(
-    state: EStepState, data: MfData, theta_h: LengthScales, eta_h: float
+    state: EStepState, hf: HfWorkspace, theta_h: LengthScales, eta_h: float
 ) -> tuple[np.ndarray, float]:
     """Closed-form (beta_rho_h, sigma2_h) at fixed (theta_h, eta_h)."""
-    return profiled_gls(data.hf.x, data.hf.z, state.h_matrix, theta_h, eta_h, state.latent)[:2]
+    return profiled_gls(
+        hf.ws, hf.data.z, state.h_matrix, theta_h, eta_h, state.latent
+    )[:2]
 
 
 def q_tilde_and_grad(
-    state: EStepState, data: MfData, theta_h: LengthScales, eta_h: float
+    state: EStepState, hf: HfWorkspace, theta_h: LengthScales, eta_h: float
 ) -> tuple[float, np.ndarray]:
     """Negated profiled EM objective over (theta_H, eta_H) and its gradient: the
     shared profiled likelihood with the latent-value term of Sigma_{Y|Z}."""
     return profiled_objective(
-        data.hf.x, data.hf.z, state.h_matrix, theta_h, eta_h, state.latent
+        hf.ws, hf.data.z, state.h_matrix, theta_h, eta_h, state.latent
     )
 
 
@@ -233,18 +246,14 @@ def hf_observed_loglik(ar: ArMarginal) -> float:
     return -0.5 * (quad + logdet + len(ar.residual) * math.log(2.0 * math.pi))
 
 
-def _initial_params(
-    data: MfData, lf_model: TrainedGp, hf_basis: BasisSpec, rho_basis: BasisSpec
-) -> HfParams:
+def _initial_params(hf: HfWorkspace) -> HfParams:
     """Scale-aware neutral starting point: identity scaling, residual mean and
     variance, per-dimension input ranges, moderate noise ratio."""
-    x_h, z_h = data.hf.x, data.hf.z
-    m_yl = predict_gp(lf_model, x_h, mode=LATENT, cov=DIAGONAL).mean
-    g_mat = rho_basis.design_matrix(x_h)
-    f_mat = hf_basis.design_matrix(x_h)
-    beta_rho, *_ = np.linalg.lstsq(g_mat, np.ones(data.hf.n), rcond=None)
+    x_h, z_h = hf.data.x, hf.data.z
+    g_mat, f_mat = hf.g_matrix, hf.f_matrix
+    beta_rho, *_ = np.linalg.lstsq(g_mat, np.ones(hf.data.n), rcond=None)
     rho = g_mat @ beta_rho
-    resid = z_h - rho * m_yl
+    resid = z_h - rho * hf.lf_mean
     beta_h, *_ = np.linalg.lstsq(f_mat, resid, rcond=None)
     resid2 = resid - f_mat @ beta_h
     sigma2 = max(float(np.var(resid2)), 1e-8 * max(float(np.var(z_h)), 1.0))
@@ -274,7 +283,10 @@ def em_fit_hf(
     and variance, multi-start quasi-Newton for (theta_H, eta_H) in the same
     log-space search as the LF fit. The current point is always among the
     starts, which guarantees a non-decreasing observed-data log-likelihood.
-    One AR(1) marginal per iterate serves its log-likelihood and the next E-step.
+    One HF workspace serves the whole fit, and one AR(1) marginal per iterate
+    serves its log-likelihood and the next E-step. The scaling and discrepancy
+    design matrices G and F, and G o m_L with the LF posterior mean m_L at X_H,
+    must each have full column rank (RankDeficientBasis otherwise).
     """
     q, p_h = rho_basis.p, hf_basis.p
     if data.hf.n < q + p_h + 1:
@@ -283,9 +295,13 @@ def em_fit_hf(
         )
     bounds = default_bounds(data.hf)
     d = data.hf.d
+    hf = hf_workspace(data, lf_model, hf_basis, rho_basis)
+    check_rank(hf.g_matrix, "HF scaling (rho) basis")
+    check_rank(hf.f_matrix, "HF basis")
+    check_rank(hf.g_matrix * hf.lf_mean[:, None], "LF-mean-scaled HF scaling (rho)")
 
-    params = _initial_params(data, lf_model, hf_basis, rho_basis)
-    ar = ar_marginal(data, lf_model, params, hf_basis, rho_basis)
+    params = _initial_params(hf)
+    ar = ar_marginal(hf, params)
     loglik = hf_observed_loglik(ar)
     em_log = [loglik]
 
@@ -293,7 +309,7 @@ def em_fit_hf(
         state = e_step(ar)
 
         def objective(omega: np.ndarray) -> tuple[float, np.ndarray]:
-            return q_tilde_and_grad(state, data, LengthScales(omega[:d]), float(omega[d]))
+            return q_tilde_and_grad(state, hf, LengthScales(omega[:d]), float(omega[d]))
 
         iter_config = replace(
             config,
@@ -303,7 +319,7 @@ def em_fit_hf(
         current = np.append(params.theta_h.theta, params.eta_h)
         omega, _, _ = log_space_search(objective, bounds, iter_config, extra_starts=[current])
         theta_new, eta_new = LengthScales(omega[:d]), float(omega[d])
-        beta, sigma2 = m_step_closed_forms(state, data, theta_new, eta_new)
+        beta, sigma2 = m_step_closed_forms(state, hf, theta_new, eta_new)
         params = HfParams(
             beta_rho=beta[:q],
             beta_h=beta[q:],
@@ -311,7 +327,7 @@ def em_fit_hf(
             theta_h=theta_new,
             eta_h=eta_new,
         )
-        ar = ar_marginal(data, lf_model, params, hf_basis, rho_basis)
+        ar = ar_marginal(hf, params)
         new_loglik = hf_observed_loglik(ar)
         em_log.append(new_loglik)
         if new_loglik < loglik - 1e-6:
@@ -335,7 +351,7 @@ def make_mf_model(
     em_log: list[float] | None = None,
 ) -> MfModel:
     """Assemble an MfModel (with prediction caches) from given parameters."""
-    ar = ar_marginal(data, lf_model, hf_params, hf_basis, rho_basis)
+    ar = ar_marginal(hf_workspace(data, lf_model, hf_basis, rho_basis), hf_params)
     return MfModel(
         lf_model=lf_model,
         hf_params=hf_params,

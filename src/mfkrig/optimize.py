@@ -7,7 +7,7 @@ multi-start layer adds seeded start sampling and a deterministic reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mfkrig import design
+from mfkrig.exceptions import DimensionMismatch
 from mfkrig.gp import BasisSpec, Dataset, MultiStartConfig
+from mfkrig.kernels import LengthScales
 from mfkrig.mfgp import MfData, fit_mf
 
 
@@ -23,6 +25,16 @@ def det_cofactor(m: np.ndarray) -> float:
         minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
         total += (-1.0) ** j * m[0, j] * det_cofactor(minor)
     return total
+
+
+def gauss_corr(x, x2, theta: LengthScales) -> float:
+    """Pointwise oracle of the correlation: exp(-0.5 * sum_d ((x_d - x2_d)/theta_d)^2)."""
+    x = np.asarray(x, dtype=float).ravel()
+    x2 = np.asarray(x2, dtype=float).ravel()
+    if x.shape != x2.shape or x.size != theta.ndim:
+        raise DimensionMismatch("point dimensions do not match the length scales")
+    h = (x - x2) / theta.theta
+    return float(np.exp(-0.5 * np.dot(h, h)))
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ the test log."""
 import numpy as np
 import pytest
 
-from mfkrig import design, kernels, numerics
+from mfkrig import design, numerics
 from mfkrig.bench import BenchmarkConfig, run_benchmark
 from mfkrig.gp import (
     BasisSpec,
@@ -16,7 +16,7 @@ from mfkrig.gp import (
     predict_gp,
     profiled_nll_and_grad,
 )
-from mfkrig.kernels import LengthScales
+from mfkrig.kernels import KernelWorkspace, LengthScales
 from mfkrig.mfgp import (
     EmConfig,
     HfParams,
@@ -25,6 +25,7 @@ from mfkrig.mfgp import (
     e_step,
     em_fit_hf,
     fit_mf,
+    hf_workspace,
     q_tilde_and_grad,
 )
 
@@ -186,13 +187,13 @@ class TestGradientSuites:
             n = int(rng.integers(10, 18))
             x = rng.uniform(size=(n, dim))
             z = rng.normal(size=n)
-            data = Dataset(x, z)
+            ws, f = KernelWorkspace(x), basis.design_matrix(x)
             theta = rng.uniform(0.3, 1.5, dim)
             eta = rng.uniform(0.05, 0.8)
-            _, grad = profiled_nll_and_grad(data, basis, LengthScales(theta), eta)
+            _, grad = profiled_nll_and_grad(ws, z, f, LengthScales(theta), eta)
 
             def value(th, et):
-                return profiled_nll_and_grad(data, basis, LengthScales(th), et)[0]
+                return profiled_nll_and_grad(ws, z, f, LengthScales(th), et)[0]
 
             def perturb(args, j, h):
                 th, et = args[0].copy(), args[1]
@@ -238,13 +239,14 @@ class TestGradientSuites:
                 theta_h=LengthScales(rng.uniform(0.4, 1.2, dim)),
                 eta_h=rng.uniform(0.05, 0.5),
             )
-            state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
+            hf = hf_workspace(data, lf_model, constant_basis(), constant_basis())
+            state = e_step(ar_marginal(hf, params))
             theta = rng.uniform(0.3, 1.2, dim)
             eta = rng.uniform(0.05, 0.6)
-            _, grad = q_tilde_and_grad(state, data, LengthScales(theta), eta)
+            _, grad = q_tilde_and_grad(state, hf, LengthScales(theta), eta)
 
             def value(th, et):
-                return q_tilde_and_grad(state, data, LengthScales(th), et)[0]
+                return q_tilde_and_grad(state, hf, LengthScales(th), et)[0]
 
             def perturb(args, j, h):
                 th, et = args[0].copy(), args[1]

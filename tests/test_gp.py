@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from mfkrig import design, gp, kernels, numerics
-from mfkrig.exceptions import DomainViolation, RankDeficientBasis, SingularNormalEquations
+from mfkrig import design, gp, kernels
+from mfkrig.exceptions import (
+    DomainViolation,
+    InvalidConfig,
+    RankDeficientBasis,
+    SingularNormalEquations,
+)
 from mfkrig.gp import (
     BasisSpec,
     Dataset,
@@ -11,11 +16,22 @@ from mfkrig.gp import (
     fit_gp,
     posterior_cross_cov,
     predict_gp,
-    profiled_estimates,
-    profiled_nll_and_grad,
 )
-from mfkrig.kernels import LengthScales
+from mfkrig.kernels import KernelWorkspace, LengthScales
 from mfkrig.metrics import q2
+
+
+def profiled_estimates(data, basis, theta, eta):
+    """Closed-form GLS estimate of beta and the profiled variance, with fit_gp's rank check."""
+    f = gp.check_rank(basis.design_matrix(data.x), "basis")
+    return gp.profiled_gls(KernelWorkspace(data.x), data.z, f, theta, eta)[:2]
+
+
+def nll_and_grad(data, basis, theta, eta):
+    """The LF objective of fit_gp at (theta, eta) on a dataset."""
+    return gp.profiled_nll_and_grad(
+        KernelWorkspace(data.x), data.z, basis.design_matrix(data.x), theta, eta
+    )
 
 
 def gls_oracle(f_mat, cov, z):
@@ -80,7 +96,7 @@ class TestProfiledEstimates:
         # Far-apart inputs make R~ = 4 I exactly, so H^T R~^-1 H = [[2, 2], [2, 2]].
         x = 100.0 * np.arange(8.0).reshape(-1, 1)
         with pytest.raises(SingularNormalEquations):
-            gp.profiled_gls(x, rng.normal(size=8), np.ones((8, 2)),
+            gp.profiled_gls(KernelWorkspace(x), rng.normal(size=8), np.ones((8, 2)),
                             LengthScales(np.array([0.5])), 3.0)
 
 
@@ -95,24 +111,24 @@ class TestProfiledNll:
             data = Dataset(x, z)
             theta = LengthScales(rng.uniform(0.3, 1.5, dim))
             eta = rng.uniform(0.05, 0.8)
-            _, grad = profiled_nll_and_grad(data, basis, theta, eta)
+            _, grad = nll_and_grad(data, basis, theta, eta)
             for j in range(dim + 1):
                 h = 1e-6
                 if j < dim:
                     tp, tm = theta.theta.copy(), theta.theta.copy()
                     tp[j] += h
                     tm[j] -= h
-                    vp, _ = profiled_nll_and_grad(data, basis, LengthScales(tp), eta)
-                    vm, _ = profiled_nll_and_grad(data, basis, LengthScales(tm), eta)
+                    vp, _ = nll_and_grad(data, basis, LengthScales(tp), eta)
+                    vm, _ = nll_and_grad(data, basis, LengthScales(tm), eta)
                 else:
-                    vp, _ = profiled_nll_and_grad(data, basis, theta, eta + h)
-                    vm, _ = profiled_nll_and_grad(data, basis, theta, eta - h)
+                    vp, _ = nll_and_grad(data, basis, theta, eta + h)
+                    vm, _ = nll_and_grad(data, basis, theta, eta - h)
                 fd = (vp - vm) / (2 * h)
                 assert abs(grad[j] - fd) / max(abs(fd), 1e-8) < 1e-5
 
     def test_single_point_degenerate(self):
         data = Dataset(np.array([[0.5]]), np.array([1.0]))
-        value, _ = profiled_nll_and_grad(
+        value, _ = nll_and_grad(
             data, constant_basis(), LengthScales(np.array([1.0])), eta=0.1
         )
         assert value == np.inf
@@ -122,10 +138,28 @@ class TestProfiledNll:
         z = rng.normal(size=15)
         theta = LengthScales(np.array([0.6]))
         eta = 0.2
-        v1, g1 = profiled_nll_and_grad(Dataset(x, z), constant_basis(), theta, eta)
-        v2, g2 = profiled_nll_and_grad(Dataset(x, 2 * z), constant_basis(), theta, eta)
+        v1, g1 = nll_and_grad(Dataset(x, z), constant_basis(), theta, eta)
+        v2, g2 = nll_and_grad(Dataset(x, 2 * z), constant_basis(), theta, eta)
         assert np.isclose(v2 - v1, 15 * np.log(2.0))
         assert np.allclose(g1, g2, atol=1e-8)
+
+
+class TestDataset:
+    @pytest.mark.parametrize(
+        "x, z",
+        [
+            (np.array([[0.1], [np.nan]]), np.array([1.0, 2.0])),
+            (np.array([[0.1], [np.inf]]), np.array([1.0, 2.0])),
+            (np.array([[0.1], [0.2]]), np.array([1.0, -np.inf])),
+            (np.array([[0.1], [0.2]]), np.array([np.nan, 2.0])),
+            (np.empty((0, 1)), np.empty(0)),
+            (np.empty((3, 0)), np.zeros(3)),
+        ],
+        ids=["nan-x", "inf-x", "minus-inf-z", "nan-z", "no-rows", "no-columns"],
+    )
+    def test_rejects_non_finite_or_empty(self, x, z):
+        with pytest.raises(InvalidConfig):
+            Dataset(x, z)
 
 
 class TestFitGp:

@@ -3,28 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfkrig import kernels, numerics
+from mfkrig import gp, kernels, numerics
 from mfkrig.exceptions import DimensionMismatch
-from mfkrig.kernels import LengthScales
+from mfkrig.kernels import KernelWorkspace, LengthScales
+
+from conftest import gauss_corr, random_spd
 
 
 class TestGaussCorr:
     def test_zero_distance(self):
         th = LengthScales(np.array([1.0, 2.0]))
-        assert kernels.gauss_corr([0.3, -1.0], [0.3, -1.0], th) == 1.0
+        assert gauss_corr([0.3, -1.0], [0.3, -1.0], th) == 1.0
 
     def test_one_length_scale_apart(self):
         th = LengthScales(np.array([0.7]))
-        assert np.isclose(kernels.gauss_corr([0.0], [0.7], th), np.exp(-0.5))
+        assert np.isclose(gauss_corr([0.0], [0.7], th), np.exp(-0.5))
 
     def test_product_form(self):
         th = LengthScales(np.array([1.0, 2.0]))
-        val = kernels.gauss_corr([0.0, 0.0], [1.0, 2.0], th)
+        val = gauss_corr([0.0, 0.0], [1.0, 2.0], th)
         assert np.isclose(val, np.exp(-0.5) * np.exp(-0.5))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            kernels.gauss_corr([0.0], [0.0, 1.0], LengthScales(np.array([1.0])))
+            gauss_corr([0.0], [0.0, 1.0], LengthScales(np.array([1.0])))
 
     @given(
         x=st.lists(st.floats(-5, 5), min_size=2, max_size=2),
@@ -33,7 +35,7 @@ class TestGaussCorr:
     @settings(max_examples=50, deadline=None)
     def test_range_and_identity(self, x, x2):
         th = LengthScales(np.array([0.5, 1.5]))
-        val = kernels.gauss_corr(x, x2, th)
+        val = gauss_corr(x, x2, th)
         assert 0.0 < val <= 1.0
         if x == x2:
             assert val == 1.0
@@ -71,30 +73,64 @@ class TestCorrMatrix:
             assert f.jitter_used == 0.0
 
 
-def _grad_stack(x, theta):
+def dense_grad_stack(x, theta, r):
+    """All length-scale partials of r = corr_matrix(x, x, theta), stacked as (N, N, D):
+    slice d holds R_ij (x_i^(d) - x_j^(d))^2 / theta_d^3. This is the stack the
+    workspace contraction avoids; here it is the oracle for that contraction."""
+    xs = np.asarray(x, dtype=float) / theta.theta**1.5
+    diff = xs[:, None, :] - xs[None, :, :]
+    return r[:, :, None] * (diff * diff)
+
+
+def _contraction(x, theta, a):
+    ws = KernelWorkspace(x)
     th = LengthScales(theta)
-    return kernels.corr_matrix_grad(x, th, kernels.corr_matrix(x, x, th))
+    return kernels.corr_matrix_grad(ws, th, ws.corr(th), a)
+
+
+class TestKernelWorkspace:
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_exactly_symmetric_unit_diagonal(self, rng, dim):
+        for n in (1, 2, 7, 20, 33, 75):
+            x = rng.uniform(size=(n, dim)) * rng.uniform(0.5, 20.0, dim)
+            th = LengthScales(rng.uniform(0.2, 3.0, dim))
+            r = KernelWorkspace(x).corr(th)
+            assert np.array_equal(r, r.T)
+            assert np.all(np.diag(r) == 1.0)
+            # Both paths round exp's argument; far pairs (log R down to about -700)
+            # carry that rounding into R at a relative 1e-13 or so.
+            np.testing.assert_allclose(r, kernels.corr_matrix(x, x, th), rtol=1e-12, atol=0)
+
+    def test_one_dimensional_inputs_are_a_column(self):
+        ws = KernelWorkspace(np.array([0.0, 0.3, 1.0]))
+        assert ws.x.shape == (3, 1) and ws.n == 3
+        assert ws.d2.shape == (1, 9)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            KernelWorkspace(np.zeros((3, 2))).corr(LengthScales(np.array([1.0])))
 
 
 class TestCorrMatrixGrad:
-    def test_coincident_points(self):
-        g = _grad_stack(np.zeros((3, 2)), np.array([1.0, 1.0]))
-        assert g.shape == (3, 3, 2)
-        assert np.allclose(g, 0.0)
+    def test_coincident_points(self, rng):
+        g = _contraction(np.zeros((3, 2)), np.array([1.0, 1.0]), rng.normal(size=(3, 3)))
+        assert g.shape == (2,)
+        assert np.all(g == 0.0)
 
     def test_two_points_hand_derivative(self):
         theta = 0.8
-        g = _grad_stack(np.array([[0.0], [theta]]), np.array([theta]))
-        assert g.shape == (2, 2, 1)
-        assert np.isclose(g[0, 1, 0], np.exp(-0.5) / theta)
-        assert g[0, 0, 0] == 0.0
+        g = _contraction(np.array([[0.0], [theta]]), np.array([theta]), np.array([[0.0, 1.0],
+                                                                                  [0.0, 0.0]]))
+        assert g.shape == (1,)
+        assert np.isclose(g[0], np.exp(-0.5) / theta)
 
     @pytest.mark.parametrize("d_dim", [0, 1])
     def test_finite_difference_oracle(self, rng, d_dim):
         x = rng.uniform(size=(4, 2))
         theta = np.array([0.6, 1.2])
-        g = _grad_stack(x, theta)
-        assert g.shape == (4, 4, 2)
+        th = LengthScales(theta)
+        stack = dense_grad_stack(x, th, kernels.corr_matrix(x, x, th))
+        assert stack.shape == (4, 4, 2)
         h = 1e-5 * theta[d_dim]
         tp, tm = theta.copy(), theta.copy()
         tp[d_dim] += h
@@ -104,14 +140,72 @@ class TestCorrMatrixGrad:
             - kernels.corr_matrix(x, x, LengthScales(tm))
         ) / (2 * h)
         denom = np.maximum(np.abs(fd), 1e-10)
-        assert np.max(np.abs(g[:, :, d_dim] - fd) / denom) < 1e-6
+        assert np.max(np.abs(stack[:, :, d_dim] - fd) / denom) < 1e-6
+        # The contraction with any A is A : (slice d) of the oracle stack.
+        a = rng.normal(size=(4, 4))
+        expected = np.sum(a * stack[:, :, d_dim])
+        assert abs(_contraction(x, theta, a)[d_dim] - expected) <= 1e-13 * abs(expected)
 
     def test_wrong_r_shape(self):
-        x = np.zeros((3, 1))
+        ws = KernelWorkspace(np.zeros((3, 1)))
         th = LengthScales(np.array([1.0]))
         for r in (np.eye(2), np.ones((3, 3, 1)), np.ones(3)):
             with pytest.raises(DimensionMismatch):
-                kernels.corr_matrix_grad(x, th, r)
+                kernels.corr_matrix_grad(ws, th, r, np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            kernels.corr_matrix_grad(ws, th, np.eye(3), np.eye(2))
+
+
+def dense_profiled_objective(x, z, h, theta, eta, latent=None):
+    """The profiled objective with R from corr_matrix and its gradient from the
+    (N, N, D) oracle stack: the reference for the workspace path."""
+    n, d = len(z), theta.ndim
+    r = kernels.corr_matrix(x, x, theta)
+    fact = numerics.chol_factor(r + eta * np.eye(n))
+    rt_inv = numerics.inv_spd(fact)
+    t_mat = np.zeros((h.shape[1], h.shape[1]))
+    if latent is not None:
+        g, sigma = latent
+        t_mat[: g.shape[1], : g.shape[1]] = g.T @ ((rt_inv * sigma) @ g)
+    beta = np.linalg.solve(h.T @ rt_inv @ h + t_mat, h.T @ rt_inv @ z)
+    resid = z - h @ beta
+    ri_resid = rt_inv @ resid
+    sigma2 = (resid @ ri_resid + beta @ t_mat @ beta) / n
+    kappa = ri_resid / np.sqrt(sigma2)
+    a = rt_inv - np.outer(kappa, kappa)
+    if latent is not None:
+        rho = g @ beta[: g.shape[1]]
+        a = a - rt_inv @ (np.outer(rho, rho) * sigma) @ rt_inv / sigma2
+    value = 0.5 * n * np.log(sigma2) + 0.5 * numerics.logdet_spd(fact)
+    value += 0.5 * n * (1.0 + np.log(2.0 * np.pi))
+    grad = np.empty(d + 1)
+    grad[:d] = a.reshape(-1) @ dense_grad_stack(x, theta, r).reshape(n * n, d)
+    grad[d] = np.trace(a)
+    return value, 0.5 * grad
+
+
+class TestWorkspaceAgreement:
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("with_latent", [False, True])
+    def test_value_and_gradient_match_dense_oracle(self, dim, with_latent):
+        rng = np.random.default_rng(40 + dim)
+        for n in (12, 20, 75):
+            x = rng.uniform(size=(n, dim))
+            z = np.sin(3 * x[:, 0]) + x.sum(axis=1) + rng.normal(scale=0.3, size=n)
+            g = np.column_stack([np.ones(n), x[:, 0]])
+            latent = None
+            if with_latent:
+                mu = z + rng.normal(scale=0.2, size=n)
+                h = np.hstack([g * mu[:, None], np.ones((n, 1))])
+                latent = (g, 0.05 * random_spd(rng, n, cond=50.0))
+            else:
+                h = g
+            theta = LengthScales(rng.uniform(0.2, 1.5, dim))
+            eta = float(rng.uniform(0.01, 0.5))
+            value, grad = gp.profiled_objective(KernelWorkspace(x), z, h, theta, eta, latent)
+            ref_value, ref_grad = dense_profiled_objective(x, z, h, theta, eta, latent)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.all(np.abs(grad - ref_grad) <= 1e-10 * np.abs(ref_grad))
 
 
 def test_length_scales_validation():

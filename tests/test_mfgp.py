@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from mfkrig import design, kernels, numerics
+from mfkrig import design, kernels, mfgp, numerics
 from mfkrig.gp import (
     BasisSpec,
     Dataset,
@@ -15,13 +15,14 @@ from mfkrig.gp import (
     posterior_cross_cov,
     predict_gp,
 )
-from mfkrig.exceptions import DomainViolation, SingularNormalEquations
-from mfkrig.kernels import KernelParams, LengthScales
+from mfkrig.exceptions import DomainViolation, RankDeficientBasis, SingularNormalEquations
+from mfkrig.kernels import KernelParams, KernelWorkspace, LengthScales
 from mfkrig.metrics import q2
 from mfkrig.mfgp import (
     EmConfig,
     EStepState,
     HfParams,
+    HfWorkspace,
     MfData,
     ar_covariance,
     ar_marginal,
@@ -29,14 +30,25 @@ from mfkrig.mfgp import (
     em_fit_hf,
     fit_mf,
     hf_observed_loglik,
-    lf_posterior_moments,
+    hf_workspace,
     m_step_closed_forms,
     make_mf_model,
     predict_mf,
     q_tilde_and_grad,
 )
 
-from conftest import det_cofactor
+from conftest import det_cofactor, gauss_corr
+
+
+def _lf_moments(lf_model, x):
+    """LF posterior mean and full covariance at x."""
+    pred = predict_gp(lf_model, x, cov="full")
+    return pred.mean, pred.covariance
+
+
+def _ar_marginal(data, lf_model, params, hf_basis, rho_basis):
+    """The AR(1) marginal at params, on a freshly built HF workspace."""
+    return ar_marginal(hf_workspace(data, lf_model, hf_basis, rho_basis), params)
 
 
 def _nested_lf(n_lf=20, n_hf=8, seed=0):
@@ -75,14 +87,14 @@ def _some_params(dim=1, beta_rho=(0.8,), beta_h=(0.3,), sigma2=0.5, eta=0.2):
 class TestLfPosteriorMoments:
     def test_nested_noise_free(self):
         lf_model, x_lf, z_lf, x_hf = _nested_lf()
-        mean, cov = lf_posterior_moments(lf_model, x_hf)
+        mean, cov = _lf_moments(lf_model, x_hf)
         assert np.max(np.abs(mean - z_lf[: len(x_hf)])) < 1e-6
         assert np.max(np.abs(cov)) < 1e-8
 
     def test_prior_reversion(self):
         lf_model = _noisy_lf()
         x_far = np.array([[500.0], [501.0]])
-        mean, cov = lf_posterior_moments(lf_model, x_far)
+        mean, cov = _lf_moments(lf_model, x_far)
         k = lf_model.hyper.kernel
         assert np.allclose(mean, lf_model.hyper.beta[0], atol=1e-8)
         expected = k.sigma2 * kernels.corr_matrix(x_far, x_far, k.theta)
@@ -91,7 +103,7 @@ class TestLfPosteriorMoments:
     def test_psd_at_random_points(self, rng):
         lf_model = _noisy_lf()
         x = rng.uniform(0, 2, size=(6, 1))
-        _, cov = lf_posterior_moments(lf_model, x)
+        _, cov = _lf_moments(lf_model, x)
         assert np.allclose(cov, cov.T, atol=1e-10)
         assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
@@ -103,8 +115,8 @@ class TestEStep:
         z_hf = rng.normal(size=10)
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params(beta_rho=(0.0,))
-        state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
-        mean, cov = lf_posterior_moments(lf_model, x_hf)
+        state = e_step(_ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
+        mean, cov = _lf_moments(lf_model, x_hf)
         assert np.allclose(state.mu_y_given_z, mean, atol=1e-10)
         assert np.allclose(state.sigma_y_given_z, cov, atol=1e-10)
 
@@ -113,7 +125,7 @@ class TestEStep:
         z_hf = np.sin(x_hf[:, 0])
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params()
-        state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
+        state = e_step(_ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
         assert np.max(np.abs(state.sigma_y_given_z)) < 1e-7
         assert np.max(np.abs(state.mu_y_given_z - z_lf[: len(x_hf)])) < 1e-5
 
@@ -125,9 +137,9 @@ class TestEStep:
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params(beta_rho=(1.4,), beta_h=(-0.5,), sigma2=0.3, eta=0.15)
         basis = constant_basis()
-        state = e_step(ar_marginal(data, lf_model, params, basis, basis))
+        state = e_step(_ar_marginal(data, lf_model, params, basis, basis))
 
-        m, v = lf_posterior_moments(lf_model, x_hf)
+        m, v = _lf_moments(lf_model, x_hf)
         rho = basis.design_matrix(x_hf) @ params.beta_rho
         f_beta = basis.design_matrix(x_hf) @ params.beta_h
         r_h = kernels.corr_matrix(x_hf, x_hf, params.theta_h)
@@ -154,12 +166,12 @@ class TestEStep:
             theta_h=LengthScales(np.array([0.5])),
             eta_h=0.1,
         )
-        ar = ar_marginal(data, lf_model, params, constant_basis(), lin)
+        ar = _ar_marginal(data, lf_model, params, constant_basis(), lin)
         state = e_step(ar)
         expected = np.hstack(
             [
                 state.g_matrix * state.mu_y_given_z[:, None],
-                ar.f_matrix,
+                ar.hf.f_matrix,
             ]
         )
         assert np.array_equal(state.h_matrix, expected)
@@ -170,9 +182,9 @@ class TestEStep:
         x_hf = rng.uniform(0, 2, size=(9, 1))
         data = MfData(lf_model.data, Dataset(x_hf, rng.normal(size=9)))
         params = _some_params()
-        state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
-        _, v = lf_posterior_moments(lf_model, x_hf)
-        sigma_zz, _ = ar_covariance(np.full(9, params.beta_rho[0]), v, x_hf, params)
+        state = e_step(_ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
+        _, v = _lf_moments(lf_model, x_hf)
+        sigma_zz, _ = ar_covariance(np.full(9, params.beta_rho[0]), v, KernelWorkspace(x_hf), params)
         assert np.linalg.eigvalsh(sigma_zz).min() > 0
         assert np.linalg.eigvalsh(state.sigma_y_given_z).min() >= -1e-8
 
@@ -194,14 +206,28 @@ def _synthetic_state(rng, n_h, mu=None, sigma_cond=None):
     return state, x_hf
 
 
+def _synthetic_hf(state, x_hf, z_hf):
+    """HF workspace for a hand-assembled state: the M-step reads only the HF data
+    and the kernel workspace, so the LF moments are placeholders."""
+    n_h = len(z_hf)
+    return HfWorkspace(
+        data=Dataset(x_hf, z_hf),
+        ws=KernelWorkspace(x_hf),
+        g_matrix=state.g_matrix,
+        f_matrix=np.ones((n_h, 1)),
+        lf_mean=np.zeros(n_h),
+        lf_cov=np.zeros((n_h, n_h)),
+    )
+
+
 class TestMStep:
     def test_gls_oracle_when_t_zero(self, rng):
         n_h = 12
         state, x_hf = _synthetic_state(rng, n_h)
         z_hf = rng.normal(size=n_h)
-        data = MfData(Dataset(x_hf, z_hf), Dataset(x_hf, z_hf))
+        hf = _synthetic_hf(state, x_hf, z_hf)
         theta, eta = LengthScales(np.array([0.5])), 0.3
-        beta, sigma2 = m_step_closed_forms(state, data, theta, eta)
+        beta, sigma2 = m_step_closed_forms(state, hf, theta, eta)
 
         cov = kernels.corr_matrix(x_hf, x_hf, theta) + eta * np.eye(n_h)
         w = np.linalg.inv(cov)
@@ -217,9 +243,9 @@ class TestMStep:
         state, x_hf = _synthetic_state(rng, n_h)
         c = np.array([1.2, -0.7])
         z_hf = state.h_matrix @ c
-        data = MfData(Dataset(x_hf, z_hf), Dataset(x_hf, z_hf))
+        hf = _synthetic_hf(state, x_hf, z_hf)
         beta, sigma2 = m_step_closed_forms(
-            state, data, LengthScales(np.array([0.6])), 0.2
+            state, hf, LengthScales(np.array([0.6])), 0.2
         )
         assert np.allclose(beta, c, atol=1e-8)
         assert sigma2 < 1e-12
@@ -231,12 +257,13 @@ class TestMStep:
         n_h = 11
         x_hf = rng.uniform(0, 2, size=(n_h, 1))
         z_hf = rng.normal(size=n_h)
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
-        state = e_step(
-            ar_marginal(data, lf_model, _some_params(), constant_basis(), constant_basis())
+        hf = hf_workspace(
+            MfData(lf_model.data, Dataset(x_hf, z_hf)), lf_model,
+            constant_basis(), constant_basis(),
         )
+        state = e_step(ar_marginal(hf, _some_params()))
         theta, eta = LengthScales(np.array([0.7])), 0.25
-        beta, _ = m_step_closed_forms(state, data, theta, eta)
+        beta, _ = m_step_closed_forms(state, hf, theta, eta)
 
         cov = kernels.corr_matrix(x_hf, x_hf, theta) + eta * np.eye(n_h)
         w = np.linalg.inv(cov)
@@ -260,16 +287,16 @@ class TestMStep:
             g_matrix=np.ones((n_h, 1)),
         )
         z_hf = rng.normal(size=n_h)
-        data = MfData(Dataset(x_hf, z_hf), Dataset(x_hf, z_hf))
+        hf = _synthetic_hf(state, x_hf, z_hf)
         with pytest.raises(SingularNormalEquations):
-            m_step_closed_forms(state, data, LengthScales(np.array([0.5])), 3.0)
+            m_step_closed_forms(state, hf, LengthScales(np.array([0.5])), 3.0)
 
 
-def _per_dimension_q_tilde(state, data, theta_h, eta_h):
+def _per_dimension_q_tilde(state, hf, theta_h, eta_h):
     """Reference value and gradient of q_tilde_and_grad by the per-dimension
     formula: R and dR/dtheta_d rebuilt for every d, two N^3 products per d, and
     the inverse taken by solving against the identity."""
-    x_h, z_h, n_h = data.hf.x, data.hf.z, data.hf.n
+    x_h, z_h, n_h = hf.data.x, hf.data.z, hf.data.n
     d = theta_h.ndim
     g_mat, h = state.g_matrix, state.h_matrix
     q, p = g_mat.shape[1], h.shape[1]
@@ -327,13 +354,14 @@ class TestQTilde:
             theta_h=LengthScales(np.full(dim, 0.5)),
             eta_h=0.1,
         )
-        state = e_step(ar_marginal(data, lf_model, params, constant_basis(), rho_basis))
+        hf = hf_workspace(data, lf_model, constant_basis(), rho_basis)
+        state = e_step(ar_marginal(hf, params))
         assert np.max(np.abs(state.sigma_y_given_z)) > 0.1
         for _ in range(5):
             theta = LengthScales(rng.uniform(0.2, 1.5, dim))
             eta = float(rng.uniform(0.01, 0.5))
-            value, grad = q_tilde_and_grad(state, data, theta, eta)
-            ref_value, ref_grad = _per_dimension_q_tilde(state, data, theta, eta)
+            value, grad = q_tilde_and_grad(state, hf, theta, eta)
+            ref_value, ref_grad = _per_dimension_q_tilde(state, hf, theta, eta)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
             assert np.all(np.abs(grad - ref_grad) <= 1e-10 * np.abs(ref_grad))
 
@@ -342,26 +370,27 @@ class TestQTilde:
         n_h = 10
         x_hf = rng.uniform(0, 2, size=(n_h, 1))
         z_hf = np.sin(2 * x_hf[:, 0]) + rng.normal(scale=0.2, size=n_h)
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
-        state = e_step(
-            ar_marginal(data, lf_model, _some_params(), constant_basis(), constant_basis())
+        hf = hf_workspace(
+            MfData(lf_model.data, Dataset(x_hf, z_hf)), lf_model,
+            constant_basis(), constant_basis(),
         )
+        state = e_step(ar_marginal(hf, _some_params()))
         for _ in range(5):
             theta = LengthScales(rng.uniform(0.3, 1.2, 1))
             eta = rng.uniform(0.05, 0.6)
-            _, grad = q_tilde_and_grad(state, data, theta, eta)
+            _, grad = q_tilde_and_grad(state, hf, theta, eta)
             h = 1e-6
             for j in range(2):
                 if j == 0:
                     vp, _ = q_tilde_and_grad(
-                        state, data, LengthScales(theta.theta + h), eta
+                        state, hf, LengthScales(theta.theta + h), eta
                     )
                     vm, _ = q_tilde_and_grad(
-                        state, data, LengthScales(theta.theta - h), eta
+                        state, hf, LengthScales(theta.theta - h), eta
                     )
                 else:
-                    vp, _ = q_tilde_and_grad(state, data, theta, eta + h)
-                    vm, _ = q_tilde_and_grad(state, data, theta, eta - h)
+                    vp, _ = q_tilde_and_grad(state, hf, theta, eta + h)
+                    vm, _ = q_tilde_and_grad(state, hf, theta, eta - h)
                 fd = (vp - vm) / (2 * h)
                 assert abs(grad[j] - fd) / max(abs(fd), 1e-8) < 1e-4
 
@@ -371,11 +400,11 @@ class TestQTilde:
         n_h = 12
         state, x_hf = _synthetic_state(rng, n_h)
         z_hf = rng.normal(size=n_h)
-        data = MfData(Dataset(x_hf, z_hf), Dataset(x_hf, z_hf))
+        hf = _synthetic_hf(state, x_hf, z_hf)
         theta, eta = LengthScales(np.array([0.5])), 0.3
-        value, grad = q_tilde_and_grad(state, data, theta, eta)
+        value, grad = q_tilde_and_grad(state, hf, theta, eta)
 
-        _, sigma2 = m_step_closed_forms(state, data, theta, eta)
+        _, sigma2 = m_step_closed_forms(state, hf, theta, eta)
         cov = kernels.corr_matrix(x_hf, x_hf, theta) + eta * np.eye(n_h)
         sign, logdet = np.linalg.slogdet(cov)
         expected = (
@@ -387,8 +416,8 @@ class TestQTilde:
         # Hadamard correction vanishes, leaving the kappa/trace gradient; check
         # against finite differences of the same reduced objective.
         h = 1e-6
-        vp, _ = q_tilde_and_grad(state, data, LengthScales(theta.theta + h), eta)
-        vm, _ = q_tilde_and_grad(state, data, LengthScales(theta.theta - h), eta)
+        vp, _ = q_tilde_and_grad(state, hf, LengthScales(theta.theta + h), eta)
+        vm, _ = q_tilde_and_grad(state, hf, LengthScales(theta.theta - h), eta)
         assert abs(grad[0] - (vp - vm) / (2 * h)) < 1e-4 * max(abs(grad[0]), 1.0)
 
     def test_permutation_invariance(self, rng):
@@ -403,8 +432,8 @@ class TestQTilde:
             data = MfData(
                 lf_model.data, Dataset(x_hf[order], z_hf[order])
             )
-            state = e_step(ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
-            return q_tilde_and_grad(state, data, theta, eta)[0]
+            hf = hf_workspace(data, lf_model, constant_basis(), constant_basis())
+            return q_tilde_and_grad(e_step(ar_marginal(hf, params)), hf, theta, eta)[0]
 
         base = value_for(np.arange(n_h))
         perm = rng.permutation(n_h)
@@ -419,10 +448,10 @@ class TestHfObservedLoglik:
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params(beta_rho=(1.1,), beta_h=(0.4,), sigma2=0.6, eta=0.3)
         val = hf_observed_loglik(
-            ar_marginal(data, lf_model, params, constant_basis(), constant_basis())
+            _ar_marginal(data, lf_model, params, constant_basis(), constant_basis())
         )
 
-        m, v = lf_posterior_moments(lf_model, x_hf)
+        m, v = _lf_moments(lf_model, x_hf)
         mean = params.beta_rho[0] * m[0] + params.beta_h[0]
         var = params.beta_rho[0] ** 2 * v[0, 0] + params.sigma2_h * (1 + params.eta_h)
         expected = -0.5 * (
@@ -438,10 +467,10 @@ class TestHfObservedLoglik:
         data = MfData(lf_model.data, Dataset(x_hf, z_hf))
         params = _some_params(beta_rho=(0.9,), beta_h=(-0.2,), sigma2=0.5, eta=0.1)
         val = hf_observed_loglik(
-            ar_marginal(data, lf_model, params, constant_basis(), constant_basis())
+            _ar_marginal(data, lf_model, params, constant_basis(), constant_basis())
         )
 
-        m, v = lf_posterior_moments(lf_model, x_hf)
+        m, v = _lf_moments(lf_model, x_hf)
         rho = np.full(n_h, params.beta_rho[0])
         mean = rho * m + params.beta_h[0]
         r_h = kernels.corr_matrix(x_hf, x_hf, params.theta_h)
@@ -492,6 +521,36 @@ class TestEmFit:
         assert p1.eta_h == p2.eta_h
         assert log1 == log2
 
+    def test_lf_moments_once_per_fit(self, fitted_mf, monkeypatch):
+        calls = []
+
+        def counting_predict_gp(*args, **kwargs):
+            calls.append(kwargs.get("cov"))
+            return predict_gp(*args, **kwargs)
+
+        monkeypatch.setattr(mfgp, "predict_gp", counting_predict_gp)
+        _, em_log = em_fit_hf(
+            fitted_mf.data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=2, rng_seed=2)
+        )
+        assert len(em_log) > 2
+        assert calls == ["full"]
+
+    @pytest.mark.parametrize("which", ["hf_basis", "rho_basis"])
+    def test_duplicated_basis_column_is_rank_deficient(self, fitted_mf, which):
+        duplicated = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: np.ones(v.shape[0])))
+        with pytest.raises(RankDeficientBasis):
+            em_fit_hf(fitted_mf.data, fitted_mf.lf_model, **{which: duplicated},
+                      config=MultiStartConfig(n_starts=1))
+
+    def test_zero_lf_mean_is_rank_deficient(self, fitted_mf):
+        # All-zero LF data give m_L = 0 at X_H, so G o m_L = 0 leaves rho unidentified.
+        lf_data = Dataset(fitted_mf.data.lf.x, np.zeros(fitted_mf.data.lf.n))
+        lf = make_trained_gp(lf_data, constant_basis(), np.zeros(1), KernelParams(
+            theta=LengthScales(np.array([0.5])), sigma2=1.0, eta=0.1))
+        data = MfData(lf_data, fitted_mf.data.hf)
+        with pytest.raises(RankDeficientBasis, match="LF-mean-scaled"):
+            em_fit_hf(data, lf, config=MultiStartConfig(n_starts=1))
+
     def test_lf_separation_contract(self, fitted_mf):
         lf_alone = fit_gp(
             fitted_mf.data.lf, config=MultiStartConfig(n_starts=5, rng_seed=1)
@@ -538,7 +597,7 @@ class TestEmFit:
                 np.random.SeedSequence((777, r)).generate_state(4)
             )
             x_hf = rng_r.uniform(0, 2, size=(n_h, 1))
-            m, v = lf_posterior_moments(lf_model, x_hf)
+            m, v = _lf_moments(lf_model, x_hf)
             rho = np.full(n_h, true.beta_rho[0])
             r_h = kernels.corr_matrix(x_hf, x_hf, true.theta_h)
             cov = np.outer(rho, rho) * v + true.sigma2_h * (
@@ -572,17 +631,17 @@ class TestArMarginal:
             theta_h=LengthScales(np.array([0.5])),
             eta_h=0.05,
         )
-        ar = ar_marginal(data, lf_model, params, constant_basis(), lin)
+        ar = _ar_marginal(data, lf_model, params, constant_basis(), lin)
 
-        m, v = lf_posterior_moments(lf_model, x_h)
+        m, v = _lf_moments(lf_model, x_h)
         rho = 0.9 + 0.2 * x_h[:, 0]
         cov = np.outer(rho, rho) * v + params.sigma2_h * (
             kernels.corr_matrix(x_h, x_h, params.theta_h) + params.eta_h * np.eye(n_h)
         )
         resid = z_h - rho * m + 0.3
-        assert np.array_equal(ar.lf_mean, m) and np.array_equal(ar.lf_cov, v)
-        assert np.array_equal(ar.g_matrix, np.column_stack([np.ones(n_h), x_h[:, 0]]))
-        assert np.array_equal(ar.f_matrix, np.ones((n_h, 1)))
+        assert np.array_equal(ar.hf.lf_mean, m) and np.array_equal(ar.hf.lf_cov, v)
+        assert np.array_equal(ar.hf.g_matrix, np.column_stack([np.ones(n_h), x_h[:, 0]]))
+        assert np.array_equal(ar.hf.f_matrix, np.ones((n_h, 1)))
         assert np.allclose(ar.rho, rho, rtol=1e-14)
         assert np.allclose(ar.residual, resid, rtol=1e-12, atol=1e-12)
         low = ar.factorization.lower_factor
@@ -592,9 +651,9 @@ class TestArMarginal:
     def test_loglik_and_model_caches_share_it(self, fitted_mf):
         lf_model, data, params = fitted_mf.lf_model, fitted_mf.data, fitted_mf.hf_params
         basis = constant_basis()
-        ar = ar_marginal(data, lf_model, params, basis, basis)
+        ar = _ar_marginal(data, lf_model, params, basis, basis)
         n_h = data.hf.n
-        loglik = hf_observed_loglik(ar_marginal(data, lf_model, params, basis, basis))
+        loglik = hf_observed_loglik(_ar_marginal(data, lf_model, params, basis, basis))
         expected = -0.5 * (
             float(ar.residual @ ar.residual_solve)
             + numerics.logdet_spd(ar.factorization)
@@ -619,8 +678,8 @@ class TestArCovariance:
         )
         x_h = fitted_mf.data.hf.x
         n_h = len(x_h)
-        _, v_yl = lf_posterior_moments(fitted_mf.lf_model, x_h)
-        cov, fact = ar_covariance(np.zeros(n_h), v_yl, x_h, params)
+        _, v_yl = _lf_moments(fitted_mf.lf_model, x_h)
+        cov, fact = ar_covariance(np.zeros(n_h), v_yl, KernelWorkspace(x_h), params)
         r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
         assert np.allclose(cov, params.sigma2_h * (r_h + params.eta_h * np.eye(n_h)), atol=1e-12)
         assert fact.jitter_used == 0.0
@@ -638,8 +697,8 @@ class TestArCovariance:
         lf_model, x_lf, z_lf, x_hf = _nested_lf()
         params = _some_params(beta_rho=(1.5,), sigma2=0.3)
         n_h = len(x_hf)
-        _, v_yl = lf_posterior_moments(lf_model, x_hf)
-        cov, _ = ar_covariance(np.full(n_h, 1.5), v_yl, x_hf, params)
+        _, v_yl = _lf_moments(lf_model, x_hf)
+        cov, _ = ar_covariance(np.full(n_h, 1.5), v_yl, KernelWorkspace(x_hf), params)
         r_h = kernels.corr_matrix(x_hf, x_hf, params.theta_h)
         assert np.allclose(cov, params.sigma2_h * (r_h + params.eta_h * np.eye(n_h)), atol=1e-7)
         # The LF posterior covariance vanishes at nested noise-free inputs, so
@@ -652,13 +711,13 @@ class TestArCovariance:
         x_h = fitted_mf.data.hf.x
         n_h = len(x_h)
         rho = rng.normal(size=n_h)
-        _, v_hh = lf_posterior_moments(fitted_mf.lf_model, x_h)
-        cov, _ = ar_covariance(rho, v_hh, x_h, params)
+        _, v_hh = _lf_moments(fitted_mf.lf_model, x_h)
+        cov, _ = ar_covariance(rho, v_hh, KernelWorkspace(x_h), params)
         oracle = np.empty((n_h, n_h))
         for i in range(n_h):
             for j in range(n_h):
                 oracle[i, j] = rho[i] * rho[j] * v_hh[i, j] + params.sigma2_h * (
-                    kernels.gauss_corr(x_h[i], x_h[j], params.theta_h)
+                    gauss_corr(x_h[i], x_h[j], params.theta_h)
                     + params.eta_h * (i == j)
                 )
         assert np.allclose(cov, oracle, atol=1e-12)
