@@ -69,7 +69,7 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
                 if not all(np.isfinite(values)):
                     raise ParseError(f"{path}: row {i}: non-finite value")
                 rows.append(values)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return header, np.asarray(rows, dtype=float).reshape(len(rows), width)
 
@@ -122,28 +122,51 @@ def model_to_dict(model: MfModel) -> dict:
     }
 
 
+def _hyper(doc: dict, part: str, key: str, vector: bool = False):
+    """Hyperparameter doc[part][key] of a model document: a finite, non-boolean
+    number, or a list of them when `vector`; anything else is a ParseError naming it."""
+    value = doc[part][key]
+    items = value if vector else [value]
+    if not (isinstance(items, list) and all(_is_finite_number(v) for v in items)):
+        kind = "a list of finite numbers" if vector else "a finite number"
+        raise ParseError(
+            f"model document has an ill-typed value: {part}.{key} must be {kind}, got {value!r}"
+        )
+    return np.asarray(items, float) if vector else float(value)
+
+
+def _is_finite_number(v) -> bool:
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def model_from_dict(doc: dict) -> MfModel:
-    """Rebuild a model from its JSON document; a missing or ill-typed key is a ParseError."""
+    """Rebuild a model from its JSON document; a missing or ill-typed key is a ParseError.
+
+    Every hyperparameter is checked to be a finite number before any factorization.
+    """
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ParseError(f"unsupported model format version: {version!r}")
     try:
         lf = doc["lf"]
         lf_data = Dataset(x=np.asarray(lf["x"], float), z=np.asarray(lf["z"], float))
         lf_kernel = KernelParams(
-            theta=LengthScales(np.asarray(lf["theta"], float)),
-            sigma2=float(lf["sigma2"]),
-            eta=float(lf["eta"]),
+            theta=LengthScales(_hyper(doc, "lf", "theta", vector=True)),
+            sigma2=_hyper(doc, "lf", "sigma2"),
+            eta=_hyper(doc, "lf", "eta"),
         )
-        lf_beta = np.asarray(lf["beta"], float)
+        lf_beta = _hyper(doc, "lf", "beta", vector=True)
         hf = doc["hf"]
         hf_data = Dataset(x=np.asarray(hf["x"], float), z=np.asarray(hf["z"], float))
         params = HfParams(
-            beta_rho=np.asarray(hf["beta_rho"], float),
-            beta_h=np.asarray(hf["beta_h"], float),
-            sigma2_h=float(hf["sigma2_h"]),
-            theta_h=LengthScales(np.asarray(hf["theta_h"], float)),
-            eta_h=float(hf["eta_h"]),
+            beta_rho=_hyper(doc, "hf", "beta_rho", vector=True),
+            beta_h=_hyper(doc, "hf", "beta_h", vector=True),
+            sigma2_h=_hyper(doc, "hf", "sigma2_h"),
+            theta_h=LengthScales(_hyper(doc, "hf", "theta_h", vector=True)),
+            eta_h=_hyper(doc, "hf", "eta_h"),
         )
         em_log = [float(v) for v in doc.get("fit_info", {}).get("em_log", [])]
         lf_model = make_trained_gp(lf_data, constant_basis(), beta=lf_beta, kernel=lf_kernel)
@@ -153,7 +176,8 @@ def model_from_dict(doc: dict) -> MfModel:
         )
     except KeyError as exc:
         raise ParseError(f"model document is missing key {exc}") from None
-    except (TypeError, ValueError, IndexError, AttributeError, DimensionMismatch) as exc:
+    except (TypeError, ValueError, IndexError, AttributeError, OverflowError,
+            DimensionMismatch) as exc:
         raise ParseError(f"model document has an ill-typed value: {exc}") from None
 
 
@@ -167,7 +191,7 @@ def load_model(path: str) -> MfModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or text encoding
         raise ParseError(f"{path}: {exc}") from exc
     return model_from_dict(doc)
 

@@ -227,12 +227,14 @@ def log_space_search(
     bounds: BoxBounds,
     config: MultiStartConfig,
     extra_starts: Sequence[np.ndarray] = (),
+    n_random: int | None = None,
 ) -> tuple[np.ndarray, float, list[optimize.StartResult]]:
     """Multi-start minimization of objective(omega) -> (value, gradient) over a
     positive box, searched in psi = log(omega).
 
-    The random starts are uniform in psi, i.e. log-uniform over the box; the
-    raw extra starts come first. Returns the best omega, its value and the start log.
+    The `n_random` random starts (config.n_starts by default; 0 for none) are
+    uniform in psi, i.e. log-uniform over the box; the raw extra starts come
+    first. Returns the best omega, its value and the start log.
     """
     log_bounds = BoxBounds(np.log(bounds.lower), np.log(bounds.upper))
 
@@ -242,7 +244,7 @@ def log_space_search(
         return value, grad * omega
 
     psi, value, start_log = optimize.multi_start_minimize(
-        in_log_space, log_bounds, config, extra_starts=[np.log(s) for s in extra_starts]
+        in_log_space, log_bounds, config, [np.log(s) for s in extra_starts], n_random
     )
     return np.exp(psi), value, start_log
 

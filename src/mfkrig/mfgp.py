@@ -52,7 +52,9 @@ from .kernels import LengthScales
 LF = "lf"
 HF = "hf"
 
-# Multi-start count of every EM M-step after the first, which uses the caller's.
+# Random starts of each escape-check M-step of EM: the step that follows a warm
+# (current-point-only) step gaining less than the tolerance. Iteration 0 uses the
+# caller's n_starts.
 INNER_N_STARTS = 5
 
 
@@ -276,17 +278,23 @@ def em_fit_hf(
     config: MultiStartConfig = MultiStartConfig(),
     em_config: EmConfig = EmConfig(),
 ) -> tuple[HfParams, list[float]]:
-    """EM estimation of the HF parameters.
+    """Generalized-EM estimation of the HF parameters.
 
-    Each iteration conditions the latent LF values on the HF data, then
-    maximizes the resulting objective: closed forms for the linear coefficients
-    and variance, multi-start quasi-Newton for (theta_H, eta_H) in the same
-    log-space search as the LF fit. The current point is always among the
-    starts, which guarantees a non-decreasing observed-data log-likelihood.
-    One HF workspace serves the whole fit, and one AR(1) marginal per iterate
-    serves its log-likelihood and the next E-step. The scaling and discrepancy
-    design matrices G and F, and G o m_L with the LF posterior mean m_L at X_H,
-    must each have full column rank (RankDeficientBasis otherwise).
+    Each iteration conditions the latent LF values on the HF data, then raises
+    the resulting objective: closed forms for the linear coefficients and
+    variance, quasi-Newton for (theta_H, eta_H) in the same log-space search as
+    the LF fit. Iteration 0 searches from config.n_starts random starts plus the
+    initial point. Every later M-step starts from the current point alone (a
+    warm step), except the escape check after a warm step that gains less than
+    the tolerance: that step adds INNER_N_STARTS random starts, and EM stops
+    when it gains less than the tolerance too. So a fit that stops on tolerance
+    ends on a multi-start M-step. The current point is always a start, which
+    guarantees a non-decreasing observed-data log-likelihood (Dempster, Laird &
+    Rubin 1977). One HF workspace serves the whole fit, and one AR(1) marginal
+    per iterate serves its log-likelihood and the next E-step. The scaling and
+    discrepancy design matrices G and F, G o m_L with the LF posterior mean m_L
+    at X_H, and each E-step's H = [G o mu_{Y|Z}, F] must have full column rank
+    (RankDeficientBasis otherwise).
     """
     q, p_h = rho_basis.p, hf_basis.p
     if data.hf.n < q + p_h + 1:
@@ -304,20 +312,22 @@ def em_fit_hf(
     ar = ar_marginal(hf, params)
     loglik = hf_observed_loglik(ar)
     em_log = [loglik]
+    multi_start = True
 
     for t in range(em_config.max_em_iterations):
         state = e_step(ar)
+        check_rank(state.h_matrix, "E-step HF scaling (rho) and HF basis")
 
         def objective(omega: np.ndarray) -> tuple[float, np.ndarray]:
             return q_tilde_and_grad(state, hf, LengthScales(omega[:d]), float(omega[d]))
 
-        iter_config = replace(
-            config,
-            n_starts=config.n_starts if t == 0 else INNER_N_STARTS,
-            rng_seed=int(np.random.SeedSequence((config.rng_seed, t)).generate_state(1)[0]),
-        )
+        n_random = (config.n_starts if t == 0 else INNER_N_STARTS) if multi_start else 0
+        seed = np.random.SeedSequence((config.rng_seed, t)).generate_state(1)[0]
         current = np.append(params.theta_h.theta, params.eta_h)
-        omega, _, _ = log_space_search(objective, bounds, iter_config, extra_starts=[current])
+        omega, _, _ = log_space_search(
+            objective, bounds, replace(config, rng_seed=int(seed)),
+            extra_starts=[current], n_random=n_random,
+        )
         theta_new, eta_new = LengthScales(omega[:d]), float(omega[d])
         beta, sigma2 = m_step_closed_forms(state, hf, theta_new, eta_new)
         params = HfParams(
@@ -335,10 +345,11 @@ def em_fit_hf(
                 f"observed-data log-likelihood decreased at EM iteration {t}: "
                 f"{loglik} -> {new_loglik}"
             )
-        if new_loglik - loglik <= em_config.loglik_rel_tolerance * max(1.0, abs(loglik)):
-            loglik = new_loglik
-            break
+        stalled = new_loglik - loglik <= em_config.loglik_rel_tolerance * max(1.0, abs(loglik))
         loglik = new_loglik
+        if stalled and multi_start:
+            break
+        multi_start = stalled
     return params, em_log
 
 

@@ -130,16 +130,19 @@ def multi_start_minimize(
     bounds: BoxBounds,
     config: MultiStartConfig,
     extra_starts: Sequence[np.ndarray] = (),
+    n_random: int | None = None,
 ) -> tuple[np.ndarray, float, list[StartResult]]:
     """Run minimize_box from seeded starts, uniform over the box, plus any
     caller-provided ones.
 
-    Deterministic for a fixed seed; the best value wins, ties broken by the
-    lowest start index (extra starts come first).
+    `n_random` overrides config.n_starts as the number of random starts; 0 runs
+    the extra starts alone. Deterministic for a fixed seed; the best value wins,
+    ties broken by the lowest start index (extra starts come first).
     """
+    n_random = config.n_starts if n_random is None else n_random
     rng = np.random.default_rng(config.rng_seed)
     starts = [np.asarray(s, dtype=float) for s in extra_starts]
-    starts.extend(rng.uniform(bounds.lower, bounds.upper, size=(config.n_starts, bounds.ndim)))
+    starts.extend(rng.uniform(bounds.lower, bounds.upper, size=(n_random, bounds.ndim)))
 
     log: list[StartResult] = []
     best_idx = -1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mfkrig import design
 from mfkrig.exceptions import DimensionMismatch
@@ -58,3 +59,9 @@ def linear_rho_mf():
         lf_config=MultiStartConfig(n_starts=4, rng_seed=5),
         hf_config=MultiStartConfig(n_starts=4, rng_seed=6),
     )
+
+
+# Property-based tests replay the same examples on every run, with no time limit
+# per example, so the suite stays deterministic.
+settings.register_profile("mfkrig", derandomize=True, deadline=None, database=None)
+settings.load_profile("mfkrig")

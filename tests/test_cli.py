@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mfkrig import bench, design
+from mfkrig import bench, design, numerics
 from mfkrig.bench import BenchmarkConfig
 from mfkrig.cli import (
     EXIT_CONFIG_ERROR,
@@ -97,6 +97,11 @@ class TestReadDataCsv:
         with open(workdir / "bad.csv", "w") as fh:
             fh.write(f"x0,y\n0.1,1.0\n0.2,{bad}\n")
         with pytest.raises(ParseError, match="bad.csv: row 3: non-finite"):
+            read_data_csv(str(workdir / "bad.csv"))
+
+    def test_undecodable_bytes(self, workdir):
+        (workdir / "bad.csv").write_bytes(b"x0,y\n0.1,\xff\n")
+        with pytest.raises(ParseError, match="bad.csv"):
             read_data_csv(str(workdir / "bad.csv"))
 
 
@@ -394,6 +399,43 @@ class TestModelJson:
         res = self._predict(workdir, doc)
         assert res.exit_code == EXIT_CONFIG_ERROR, res.output
         assert "ill-typed value" in res.output
+
+    @pytest.mark.parametrize(
+        "part, key",
+        [("lf", "theta"), ("lf", "sigma2"), ("lf", "eta"), ("lf", "beta"), ("hf", "beta_rho"),
+         ("hf", "beta_h"), ("hf", "sigma2_h"), ("hf", "theta_h"), ("hf", "eta_h")],
+    )
+    @pytest.mark.parametrize("bad", [True, float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_or_boolean_hyperparameter_exit_2(self, workdir, monkeypatch,
+                                                         part, key, bad):
+        _saved_model(workdir, "good.json")
+        doc = json.loads((workdir / "good.json").read_text())
+        doc[part][key] = [bad] if isinstance(doc[part][key], list) else bad
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("a hyperparameter was factorized before it was validated")
+
+        monkeypatch.setattr(numerics, "chol_factor", no_factorization)
+        res = self._predict(workdir, doc)
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert f"{part}.{key} must be" in res.output
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_format_version_must_be_the_integer(self, workdir, version):
+        _saved_model(workdir, "good.json")
+        doc = json.loads((workdir / "good.json").read_text())
+        doc["format_version"] = version
+        res = self._predict(workdir, doc)
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert "unsupported model format version" in res.output
+
+    def test_undecodable_model_file_exit_2(self, workdir):
+        (workdir / "m.json").write_bytes(b'{"format_version": 1, "\xff": \xff}')
+        _write_csv(workdir / "in.csv", np.zeros((2, 1)))
+        res = CliRunner().invoke(
+            main, ["predict", "--model", "m.json", "--inputs", "in.csv", "--out", "p.csv"]
+        )
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
 
     def test_non_constant_basis_refuses_to_save(self, workdir, linear_rho_mf):
         # The format has no field for a basis; saving a linear scaling basis

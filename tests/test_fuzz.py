@@ -1,0 +1,196 @@
+"""Property-based tests of the command-line boundary: malformed CSV training data
+and malformed model JSON end in exit code 2 or 3 with a one-line message, never
+in a traceback. Every generated input carries at least one defect, so no example
+may succeed."""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfkrig.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_ERROR, main, model_to_dict
+from mfkrig.gp import Dataset, constant_basis, make_trained_gp
+from mfkrig.kernels import KernelParams, LengthScales
+from mfkrig.mfgp import HfParams, MfData, make_mf_model
+
+FIT_EXAMPLES = 60
+PREDICT_EXAMPLES = 80
+
+
+def _assert_clean_failure(res):
+    assert res.exit_code in (EXIT_CONFIG_ERROR, EXIT_NUMERICAL_ERROR), res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Traceback" not in res.output
+    assert res.output.startswith(("error:", "numerical failure:")), res.output
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _not_a_float(s: str) -> bool:
+    try:
+        float(s)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def numeric_table(draw, d):
+    """Header plus 4-6 rows of d inputs and one output: a valid training set."""
+    n = draw(st.integers(4, 6))
+    value = st.floats(-10.0, 10.0, allow_nan=False).map(repr)
+    rows = [[f"x{j}" for j in range(d)] + ["y"]]
+    rows += [draw(st.lists(value, min_size=d + 1, max_size=d + 1)) for _ in range(n)]
+    return rows
+
+
+@st.composite
+def defective_csv(draw, d):
+    """A training CSV of input dimension d with one injected defect."""
+    rows = draw(numeric_table(d))
+    defect = draw(st.sampled_from(
+        ["not_a_number", "non_finite", "short_row", "long_row", "one_column", "header_only",
+         "empty", "too_few_rows", "garbage_text", "garbage_bytes"]))
+    i = draw(st.integers(1, len(rows) - 1))
+    j = draw(st.integers(0, d))
+    if defect == "not_a_number":
+        rows[i][j] = draw(st.text(max_size=8).filter(_not_a_float))
+    elif defect == "non_finite":
+        rows[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e999"]))
+    elif defect == "short_row":
+        del rows[i][j]
+    elif defect == "long_row":
+        rows[i].append("0.5")
+    elif defect == "one_column":
+        rows = [row[-1:] for row in rows]
+    elif defect == "header_only":
+        rows = rows[:1]
+    elif defect == "empty":
+        return b""
+    elif defect == "too_few_rows":
+        rows = rows[:2]  # one data row: too few for either level
+    elif defect == "garbage_text":
+        # The trailing line always lands in a field of the last row or in the header.
+        return (draw(st.text(max_size=60)) + "\nnot-a-number\n").encode()
+    else:
+        return draw(st.binary(max_size=60)) + b"\n\xff\n"
+    return _csv_text(rows).encode()
+
+
+@given(d=st.integers(1, 2), lf_bad=st.booleans(), data=st.data())
+@settings(max_examples=FIT_EXAMPLES)
+def test_fit_rejects_defective_csv(d, lf_bad, data):
+    bad = data.draw(defective_csv(d))
+    good = _csv_text(data.draw(numeric_table(d))).encode()
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("lf.csv", "wb") as fh:
+            fh.write(bad if lf_bad else good)
+        with open("hf.csv", "wb") as fh:
+            fh.write(good if lf_bad else bad)
+        res = runner.invoke(main, ["fit", "--lf", "lf.csv", "--hf", "hf.csv", "--out", "m.json"])
+    _assert_clean_failure(res)
+
+
+def _model_document() -> dict:
+    """The JSON document of a small 1D model assembled from fixed hyperparameters."""
+    x_lf = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
+    x_hf = x_lf[::2]
+    lf_data = Dataset(x_lf, np.sin(4 * x_lf[:, 0]))
+    lf_model = make_trained_gp(
+        lf_data, constant_basis(), np.array([0.0]),
+        KernelParams(theta=LengthScales(np.array([0.3])), sigma2=1.0, eta=1e-3),
+    )
+    params = HfParams(beta_rho=np.array([1.0]), beta_h=np.array([0.1]), sigma2_h=0.5,
+                      theta_h=LengthScales(np.array([0.4])), eta_h=0.01)
+    model = make_mf_model(MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf[:, 0]) + 0.1)),
+                          lf_model, params, constant_basis(), constant_basis())
+    return model_to_dict(model)
+
+
+MODEL_DOCUMENT = _model_document()
+REQUIRED = [("format_version",), ("lf",), ("hf",)] + [
+    (part, key) for part in ("lf", "hf") for key in MODEL_DOCUMENT[part]
+]
+# Hyperparameter -> numbers of the right type that are out of range.
+OUT_OF_RANGE = {
+    "theta": st.floats(max_value=0.0), "sigma2": st.floats(max_value=0.0),
+    "eta": st.floats(max_value=-1e-12), "theta_h": st.floats(max_value=0.0),
+    "sigma2_h": st.floats(max_value=0.0), "eta_h": st.floats(max_value=-1e-12),
+}
+VECTORS = {"theta", "beta", "theta_h", "beta_rho", "beta_h"}
+SCALARS = {"sigma2", "eta", "sigma2_h", "eta_h"}
+
+json_scalar = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6))
+json_value = st.recursive(
+    json_scalar,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8,
+)
+# Never a finite number: bad as a hyperparameter and as a data value.
+not_a_number = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+    st.dictionaries(st.text(max_size=4), json_scalar, max_size=2),
+)
+
+
+@st.composite
+def defective_model(draw):
+    """Model JSON text with one defect, or bytes that are no model document."""
+    doc = json.loads(json.dumps(MODEL_DOCUMENT))
+    defect = draw(st.sampled_from(["missing_key", "bad_hyper", "out_of_range", "bad_data",
+                                   "bad_version", "random_json", "random_bytes"]))
+    if defect == "missing_key":
+        path = draw(st.sampled_from(REQUIRED))
+        del (doc[path[0]] if len(path) == 2 else doc)[path[-1]]
+    elif defect == "bad_hyper":
+        part, key = draw(st.sampled_from(
+            [(p, k) for p in ("lf", "hf") for k in doc[p] if k in VECTORS | SCALARS]))
+        if key in VECTORS:
+            bad = draw(st.one_of(not_a_number, st.floats(allow_nan=False, allow_infinity=False),
+                                 st.lists(not_a_number, min_size=1, max_size=2)))
+        else:
+            bad = draw(st.one_of(not_a_number, st.lists(json_scalar, max_size=2)))
+        doc[part][key] = bad
+    elif defect == "out_of_range":
+        part, key = draw(st.sampled_from([(p, k) for p in ("lf", "hf") for k in doc[p]
+                                          if k in OUT_OF_RANGE]))
+        bad = draw(OUT_OF_RANGE[key])
+        doc[part][key] = [bad] if key in VECTORS else bad
+    elif defect == "bad_data":
+        part, key = draw(st.sampled_from([(p, k) for p in ("lf", "hf") for k in ("x", "z")]))
+        values = doc[part][key]
+        values[draw(st.integers(0, len(values) - 1))] = draw(not_a_number.filter(
+            lambda v: not isinstance(v, bool)))
+    elif defect == "bad_version":
+        doc["format_version"] = draw(json_value.filter(lambda v: not (type(v) is int and v == 1)))
+    elif defect == "random_json":
+        doc = draw(json_value)
+    else:
+        return draw(st.binary(max_size=80))
+    return json.dumps(doc).encode()
+
+
+@given(model=defective_model())
+@settings(max_examples=PREDICT_EXAMPLES)
+def test_predict_rejects_defective_model_json(model):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("m.json", "wb") as fh:
+            fh.write(model)
+        with open("in.csv", "w") as fh:
+            fh.write("x0\n0.25\n0.75\n")
+        res = runner.invoke(main, ["predict", "--model", "m.json", "--inputs", "in.csv",
+                                   "--out", "p.csv"])
+    _assert_clean_failure(res)

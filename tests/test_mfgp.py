@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from mfkrig.gp import (
     Dataset,
     MultiStartConfig,
     constant_basis,
+    default_bounds,
     fit_gp,
+    log_space_search,
     make_trained_gp,
     posterior_cross_cov,
     predict_gp,
@@ -19,6 +22,7 @@ from mfkrig.exceptions import DomainViolation, RankDeficientBasis, SingularNorma
 from mfkrig.kernels import KernelParams, KernelWorkspace, LengthScales
 from mfkrig.metrics import q2
 from mfkrig.mfgp import (
+    INNER_N_STARTS,
     EmConfig,
     EStepState,
     HfParams,
@@ -616,6 +620,128 @@ class TestEmFit:
         estimates = np.array(estimates)
         se = estimates.std(ddof=1) / np.sqrt(n_rep)
         assert abs(estimates.mean() - true.beta_rho[0]) <= 3 * max(se, 1e-3)
+
+
+def _spy_searches(monkeypatch) -> list[tuple[int, int]]:
+    """Record (random starts asked for, starts run) of every EM M-step search."""
+    searches = []
+
+    def spy(*args, **kwargs):
+        result = log_space_search(*args, **kwargs)
+        searches.append((kwargs["n_random"], len(result[2])))
+        return result
+
+    monkeypatch.setattr(mfgp, "log_space_search", spy)
+    return searches
+
+
+def _assert_gem_schedule(searches, em_log, n_starts, em_config=EmConfig()):
+    """The generalized-EM schedule: iteration 0 multi-starts; a warm step that
+    stalls (gains no more than the tolerance) is followed by an escape check with
+    INNER_N_STARTS random starts; a stalled multi-start step ends the fit."""
+    tol = em_config.loglik_rel_tolerance
+    stalled = [b - a <= tol * max(1.0, abs(a)) for a, b in zip(em_log, em_log[1:])]
+    assert len(searches) == len(stalled)
+    expected = [n_starts] + [INNER_N_STARTS if s else 0 for s in stalled[:-1]]
+    assert [n for n, _ in searches] == expected
+    # Every step runs the current point plus its random starts; a warm step runs one.
+    assert all(runs == n + 1 for n, runs in searches)
+    assert not any(s and n for s, (n, _) in zip(stalled[:-1], searches[:-1]))
+    if len(stalled) < em_config.max_em_iterations:
+        assert stalled[-1] and searches[-1][0] > 0
+
+
+def _further_m_step(data, lf_model, params, seed):
+    """Observed log-likelihood after one multi-start M-step from params."""
+    hf = hf_workspace(data, lf_model, constant_basis(), constant_basis())
+    state = e_step(ar_marginal(hf, params))
+    d = data.hf.d
+
+    def objective(omega):
+        return q_tilde_and_grad(state, hf, LengthScales(omega[:d]), float(omega[d]))
+
+    omega, _, _ = log_space_search(
+        objective, default_bounds(data.hf), MultiStartConfig(n_starts=INNER_N_STARTS,
+                                                             rng_seed=seed),
+        extra_starts=[np.append(params.theta_h.theta, params.eta_h)],
+    )
+    theta, eta = LengthScales(omega[:d]), float(omega[d])
+    beta, sigma2 = m_step_closed_forms(state, hf, theta, eta)
+    new = HfParams(beta_rho=beta[:1], beta_h=beta[1:], sigma2_h=sigma2, theta_h=theta, eta_h=eta)
+    return hf_observed_loglik(ar_marginal(hf, new))
+
+
+@pytest.fixture(scope="module")
+def park_em_case():
+    """A small noisy Park instance whose EM runs escape checks that gain and go
+    back to warm steps, then stops on tolerance after a multi-start step."""
+    pair = design.PARK_4D
+    x_lf = design.lhs(30, 4, seed=1).points
+    z_lf = design.add_noise(design.eval_testfn(pair, "lf", x_lf), 1.0, seed=101)
+    x_hf = design.lhs(12, 4, seed=201).points
+    z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 1.0, seed=301)
+    data = MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf))
+    return data, fit_gp(data.lf, config=MultiStartConfig(n_starts=3, rng_seed=1))
+
+
+class TestGemSchedule:
+    def test_analytic1d_schedule(self, fitted_mf, monkeypatch):
+        searches = _spy_searches(monkeypatch)
+        _, em_log = em_fit_hf(
+            fitted_mf.data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=5, rng_seed=2)
+        )
+        _assert_gem_schedule(searches, em_log, 5)
+        assert 0 in [n for n, _ in searches]
+        assert searches[-1] == (INNER_N_STARTS, INNER_N_STARTS + 1)
+
+    def test_escape_that_gains_returns_to_warm_steps(self, park_em_case, monkeypatch):
+        data, lf = park_em_case
+        searches = _spy_searches(monkeypatch)
+        _, em_log = em_fit_hf(data, lf, config=MultiStartConfig(n_starts=3, rng_seed=1))
+        _assert_gem_schedule(searches, em_log, 3)
+        random = [n for n, _ in searches]
+        assert random.count(INNER_N_STARTS) >= 2
+        assert random[random.index(INNER_N_STARTS) + 1] == 0
+        assert np.all(np.diff(em_log) >= -1e-8)
+
+    def test_cap_may_end_on_a_warm_step(self, fitted_mf, monkeypatch):
+        searches = _spy_searches(monkeypatch)
+        em_config = EmConfig(max_em_iterations=3)
+        _, em_log = em_fit_hf(fitted_mf.data, fitted_mf.lf_model,
+                              config=MultiStartConfig(n_starts=5, rng_seed=2), em_config=em_config)
+        assert len(em_log) == 4
+        _assert_gem_schedule(searches, em_log, 5, em_config)
+        assert searches[-1] == (0, 1)
+
+    @pytest.mark.parametrize("case", ["analytic1d", "park4d"])
+    def test_stopping_point_is_certified(self, case, fitted_mf, park_em_case):
+        data, lf = (fitted_mf.data, fitted_mf.lf_model) if case == "analytic1d" else park_em_case
+        params, em_log = em_fit_hf(data, lf, config=MultiStartConfig(n_starts=3, rng_seed=1))
+        assert len(em_log) - 1 < EmConfig().max_em_iterations
+        tol = EmConfig().loglik_rel_tolerance * max(1.0, abs(em_log[-1]))
+        for seed in (0, 1, 2):
+            further = _further_m_step(data, lf, params, seed)
+            assert em_log[-1] - 1e-6 <= further <= em_log[-1] + tol
+
+    def test_determinism_of_the_schedule(self, park_em_case, monkeypatch):
+        data, lf = park_em_case
+        runs = []
+        for _ in range(2):
+            searches = _spy_searches(monkeypatch)
+            params, em_log = em_fit_hf(data, lf, config=MultiStartConfig(n_starts=3, rng_seed=1))
+            runs.append((searches, em_log, params.stacked.tolist(), params.sigma2_h,
+                         params.theta_h.theta.tolist(), params.eta_h))
+        assert runs[0] == runs[1]
+
+    def test_rank_deficient_e_step_basis(self, fitted_mf, monkeypatch):
+        # An E-step whose [G o mu, F] loses rank stops the fit before its M-step.
+        def degenerate_e_step(ar):
+            state = e_step(ar)
+            return dataclasses.replace(state, h_matrix=np.ones_like(state.h_matrix))
+
+        monkeypatch.setattr(mfgp, "e_step", degenerate_e_step)
+        with pytest.raises(RankDeficientBasis, match="E-step"):
+            em_fit_hf(fitted_mf.data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=1))
 
 
 class TestArMarginal:
