@@ -210,14 +210,39 @@ def run_replication(config: BenchmarkConfig, r: int) -> list[dict]:
 
 
 def worker_count() -> int:
+    """Campaign worker processes: MFKRIG_THREADS if set (an integer), else the core count."""
     env = os.environ.get("MFKRIG_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidConfig(f"MFKRIG_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
+def check_output_path(path: str) -> None:
+    """Raise InvalidConfig unless a file can be written at `path`, so a run can
+    refuse an unwritable output before it does any work."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise InvalidConfig(f"cannot write {path}: directory {directory} does not exist")
+    if os.path.isdir(path) or not os.access(directory, os.W_OK):
+        raise InvalidConfig(f"cannot write {path}: not a writable file path")
+
+
+def open_output(path: str):
+    """Open `path` for writing; an OSError becomes InvalidConfig."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {path}: {exc}") from exc
+
+
 def run_benchmark(config: BenchmarkConfig) -> list[dict]:
-    """Run every replication and write the results table if an output path is set."""
+    """Run every replication and write the results table if an output path is set;
+    an unwritable output path is refused before the first replication."""
+    if config.output_path:
+        check_output_path(config.output_path)
     workers = min(worker_count(), config.n_replications)
     if workers <= 1:
         results = [run_replication(config, r) for r in range(config.n_replications)]
@@ -234,7 +259,7 @@ def run_benchmark(config: BenchmarkConfig) -> list[dict]:
 
 
 def write_results(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()
         for row in rows:

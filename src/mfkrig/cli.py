@@ -183,7 +183,7 @@ def model_from_dict(doc: dict) -> MfModel:
 
 def save_model(model: MfModel, path: str) -> None:
     doc = model_to_dict(model)
-    with open(path, "w") as fh:
+    with bench.open_output(path) as fh:
         json.dump(doc, fh, indent=1)
 
 
@@ -285,6 +285,7 @@ def fit_cmd(lf_csv: str, hf_csv: str, config_path: str | None, out_path: str):
                     config = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{config_path}: {exc}") from exc
+        bench.check_output_path(out_path)
         model = fit_from_csv(lf_csv, hf_csv, config)
         save_model(model, out_path)
         click.echo(f"model written to {out_path}")
@@ -310,7 +311,7 @@ def predict_cmd(model_path: str, inputs_csv: str, level: str, mode: str, out_pat
                 f"got {x.shape[1]}"
             )
         pred = predict_mf(model, x, level=level, mode=mode, cov="diagonal")
-        with open(out_path, "w", newline="") as fh:
+        with bench.open_output(out_path) as fh:
             writer = csv.writer(fh)
             writer.writerow([*header, "mean", "sd"])
             for xi, m, s in zip(x, pred.mean, pred.sd):

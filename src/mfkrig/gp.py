@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import kernels, numerics, optimize
 from .exceptions import (
@@ -145,32 +146,37 @@ def profiled_gls(
 ):
     """The profiled generalized-least-squares step of both levels at fixed (theta, eta).
 
-    Builds R(theta) from the fit's workspace, factorizes R~ = R + eta I, inverts it,
-    solves (H^T R~^-1 H + T) beta = H^T R~^-1 z and, with r = z - H beta, returns
-    beta, sigma2 = (r^T R~^-1 r + beta^T T beta) / n, R, the factor, R~^-1 and R~^-1 r.
+    Builds R~ = R(theta) + eta I from the fit's workspace (1 + eta written in place
+    on R's diagonal), factorizes and inverts it, solves
+    (H^T R~^-1 H + T) beta = H^T R~^-1 z by LAPACK dgesv and, with r = z - H beta,
+    returns beta, sigma2 = (r^T R~^-1 r + beta^T T beta) / n, R~, the factor, R~^-1
+    and R~^-1 r. R~ differs from R only on the diagonal, which the length-scale
+    gradient never reads: the workspace's squared differences are exactly 0 there.
     T = 0 for a single-fidelity fit. The HF M-step passes `latent = (G, Sigma_{Y|Z})`:
     its scaling rho = G beta_rho multiplies uncertain latent LF values, so T's
     leading block is G^T (R~^-1 o Sigma) G (Le Gratiet & Garnier 2014).
     """
     n = len(z)
-    r = ws.corr(theta)
-    r_tilde = r.copy()
+    r_tilde = ws.corr(theta)
     np.fill_diagonal(r_tilde, 1.0 + eta)  # R + eta I, as R's diagonal is exactly 1
     fact = numerics.chol_factor(r_tilde)
     rt_inv = numerics.inv_spd(fact)
     ri_h = rt_inv @ h
-    t_mat = np.zeros((h.shape[1], h.shape[1]))
+    normal = h.T @ ri_h
     if latent is not None:
         g, sigma = latent
-        t_mat[: g.shape[1], : g.shape[1]] = g.T @ ((rt_inv * sigma) @ g)
-    try:
-        beta = np.linalg.solve(h.T @ ri_h + t_mat, ri_h.T @ z)
-    except np.linalg.LinAlgError:
-        raise SingularNormalEquations("normal equations of the GLS step are singular") from None
+        q = g.shape[1]
+        t_block = g.T @ ((rt_inv * sigma) @ g)
+        normal[:q, :q] += t_block
+    beta, info = lapack.dgesv(normal, ri_h.T @ z)[2:]
+    if info > 0:
+        raise SingularNormalEquations("normal equations of the GLS step are singular")
     resid = z - h @ beta
     ri_resid = rt_inv @ resid
-    sigma2 = (float(resid @ ri_resid) + float(beta @ t_mat @ beta)) / n
-    return beta, max(sigma2, 0.0), r, fact, rt_inv, ri_resid
+    sigma2 = float(resid @ ri_resid)
+    if latent is not None:
+        sigma2 += float(beta[:q] @ t_block @ beta[:q])
+    return beta, max(sigma2 / n, 0.0), r_tilde, fact, rt_inv, ri_resid
 
 
 def profiled_objective(
@@ -182,20 +188,27 @@ def profiled_objective(
 
     With `latent` it is the negated EM objective of the HF M-step, and
     W = R~^-1 (rho rho^T o Sigma) R~^-1 carries its Hadamard term; without it W = 0.
+    A is built in the buffer of R~^-1, which is not read afterwards. The gradient
+    contracts A with R~ in place of R, which gives the same bits: the diagonal,
+    where they differ, is multiplied by squared differences that are exactly 0.
     A degenerate profiled variance yields (+inf, zeros) so the optimizer retreats.
     """
-    beta, sigma2, r, fact, rt_inv, ri_resid = profiled_gls(ws, z, h, theta, eta, latent)
+    beta, sigma2, r_tilde, fact, rt_inv, ri_resid = profiled_gls(ws, z, h, theta, eta, latent)
     if sigma2 < _SIGMA2_FLOOR:
         return np.inf, np.zeros(theta.ndim + 1)
     kappa = ri_resid / math.sqrt(sigma2)
-    a = rt_inv - np.outer(kappa, kappa)
+    w = None
     if latent is not None:
         g, sigma = latent
         rho = g @ beta[: g.shape[1]]
-        a = a - rt_inv @ (np.outer(rho, rho) * sigma) @ rt_inv / sigma2
+        w = rt_inv @ (np.outer(rho, rho) * sigma) @ rt_inv / sigma2
+    a = rt_inv
+    a -= np.outer(kappa, kappa)
+    if w is not None:
+        a -= w
     n = len(z)
     value = 0.5 * n * math.log(sigma2) + 0.5 * numerics.logdet_spd(fact)
-    return value + 0.5 * n * (1.0 + math.log(2.0 * math.pi)), contracted_grad(ws, theta, r, a)
+    return value + 0.5 * n * (1.0 + math.log(2.0 * math.pi)), contracted_grad(ws, theta, r_tilde, a)
 
 
 def contracted_grad(
@@ -205,7 +218,8 @@ def contracted_grad(
     perturbation dR~ of R~ = R + eta I is tr(A dR~) / 2.
 
     The length-scale components are the contraction of A with the partials of R
-    (Rasmussen & Williams 2006, sec. 5.4.1); dR~/deta = I.
+    (Rasmussen & Williams 2006, sec. 5.4.1); `r` may be R or R~, whose diagonals
+    the contraction does not read. dR~/deta = I.
     """
     grad = np.empty(theta.ndim + 1)
     grad[:-1] = kernels.corr_matrix_grad(ws, theta, r, a)

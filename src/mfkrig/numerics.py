@@ -7,6 +7,7 @@ prediction whitens cross-correlations with one triangular solve.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -54,29 +55,35 @@ def track_factorization_sizes():
 def chol_factor(m: np.ndarray) -> SpdFactorization:
     """Cholesky-factorize a symmetric matrix, escalating diagonal jitter on failure.
 
-    Raises NotSymmetric if the symmetric mismatch exceeds the relative
-    tolerance, and NotPositiveDefinite if every jitter level fails.
+    Raises NotPositiveDefinite if an entry is not finite, NotSymmetric if the
+    symmetric mismatch exceeds the relative tolerance, and NotPositiveDefinite
+    if every jitter level fails. LAPACK dpotrf factors the lower triangle and
+    zeroes the upper one; a nonzero `info` means the leading minor of that order
+    is not positive definite. The jitter scale mean(diag(M)) is computed only
+    when the bare factorization fails.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
+    hi, lo = m.max(), m.min()  # NaN propagates to both
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise NotPositiveDefinite("matrix has a non-finite entry")
+    # M - M^T is exactly antisymmetric, so its max is its largest absolute entry.
+    if (m - m.T).max() > SYMMETRY_RTOL * max(hi, -lo, 1.0):
         raise NotSymmetric("matrix is not symmetric within tolerance")
 
     for sizes in _size_recorders:
         sizes.append(m.shape[0])
 
-    mean_diag = float(np.mean(np.diag(m))) if m.shape[0] else 0.0
-    for level in (0.0, *JITTER_SCHEDULE):
+    lower, info = lapack.dpotrf(m, lower=1, clean=1)
+    if info == 0:
+        return SpdFactorization(lower_factor=lower, jitter_used=0.0)
+    mean_diag = float(np.mean(np.diag(m)))
+    for level in JITTER_SCHEDULE:
         jitter = level * mean_diag
-        try:
-            lower = np.linalg.cholesky(
-                m if jitter == 0.0 else m + jitter * np.eye(m.shape[0])
-            )
-        except np.linalg.LinAlgError:
-            continue
-        return SpdFactorization(lower_factor=lower, jitter_used=jitter)
+        lower, info = lapack.dpotrf(m + jitter * np.eye(m.shape[0]), lower=1, clean=1)
+        if info == 0:
+            return SpdFactorization(lower_factor=lower, jitter_used=jitter)
     raise NotPositiveDefinite(
         "matrix is not positive definite even after jitter escalation"
     )
@@ -121,4 +128,4 @@ def inv_spd(f: SpdFactorization) -> np.ndarray:
 
 def logdet_spd(f: SpdFactorization) -> float:
     """log det of (M + jitter_used * I)."""
-    return 2.0 * float(np.sum(np.log(np.diag(f.lower_factor))))
+    return 2.0 * float(np.log(f.lower_factor.diagonal()).sum())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mfkrig import bench, design, numerics
+from mfkrig import bench, cli, design, numerics
 from mfkrig.bench import BenchmarkConfig
 from mfkrig.cli import (
     EXIT_CONFIG_ERROR,
@@ -208,6 +208,29 @@ class TestFitPredictCli:
         assert res.exit_code == EXIT_CONFIG_ERROR
         assert "in.csv: row 3: non-finite value" in res.output
         assert not os.path.exists(workdir / "p.csv")
+
+    def test_unwritable_fit_out_exit_2_before_fitting(self, workdir, monkeypatch):
+        _training_csvs(workdir)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the model was fitted before the output path was checked")
+
+        monkeypatch.setattr(cli, "fit_mf", no_fit)
+        res = CliRunner().invoke(
+            main, ["fit", "--lf", "lf.csv", "--hf", "hf.csv", "--out", "missing/m.json"]
+        )
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert res.output.startswith("error: cannot write missing/m.json")
+
+    def test_unwritable_predict_out_exit_2(self, workdir):
+        _saved_model(workdir)
+        _write_csv(workdir / "in.csv", np.zeros((2, 1)))
+        res = CliRunner().invoke(
+            main,
+            ["predict", "--model", "m.json", "--inputs", "in.csv", "--out", "missing/p.csv"],
+        )
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert res.output.startswith("error: cannot write missing/p.csv")
 
     def test_predict_inputs_wrong_width_exit_2(self, workdir):
         _saved_model(workdir)
@@ -562,6 +585,17 @@ class TestBenchCli:
         assert res.exit_code == EXIT_CONFIG_ERROR, res.output
         assert not (workdir / "results.csv").exists()
 
+    def test_unwritable_output_path_exit_2_before_running(self, workdir, monkeypatch):
+        self._config(workdir, output_path=str(workdir / "missing" / "results.csv"))
+
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before the output path was checked")
+
+        monkeypatch.setattr(bench, "run_replication", no_replication)
+        res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert "does not exist" in res.output
+
     def test_non_object_config_exit_2(self, workdir):
         (workdir / "bench.json").write_text("[1, 2]")
         res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
@@ -594,3 +628,13 @@ def test_worker_count_env(monkeypatch):
     assert bench.worker_count() == 3
     monkeypatch.delenv("MFKRIG_THREADS")
     assert bench.worker_count() >= 1
+
+
+def test_non_integer_worker_count_exit_2(workdir, monkeypatch):
+    monkeypatch.setenv("MFKRIG_THREADS", "two")
+    with pytest.raises(InvalidConfig, match="MFKRIG_THREADS must be an integer"):
+        bench.worker_count()
+    TestBenchCli()._config(workdir)
+    res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
+    assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+    assert not (workdir / "results.csv").exists()

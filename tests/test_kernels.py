@@ -146,6 +146,20 @@ class TestCorrMatrixGrad:
         expected = np.sum(a * stack[:, :, d_dim])
         assert abs(_contraction(x, theta, a)[d_dim] - expected) <= 1e-13 * abs(expected)
 
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_diagonal_of_r_is_not_read(self, rng, dim):
+        # gp.profiled_gls passes R~ = R + eta I in R's buffer; the contraction must
+        # give the same bits, as the squared differences on the diagonal are 0.
+        x = rng.uniform(size=(20, dim))
+        ws = KernelWorkspace(x)
+        th = LengthScales(rng.uniform(0.2, 2.0, dim))
+        a = rng.normal(size=(20, 20))
+        r = ws.corr(th)
+        r_tilde = r.copy()
+        np.fill_diagonal(r_tilde, 1.0 + 0.37)
+        assert np.array_equal(kernels.corr_matrix_grad(ws, th, r_tilde, a),
+                              kernels.corr_matrix_grad(ws, th, r, a))
+
     def test_wrong_r_shape(self):
         ws = KernelWorkspace(np.zeros((3, 1)))
         th = LengthScales(np.array([1.0]))

@@ -47,6 +47,14 @@ class TestCholFactor:
         with pytest.raises(DimensionMismatch):
             numerics.chol_factor(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+    def test_non_finite_entry_rejected(self, bad, where):
+        m = np.eye(3)
+        m[where] = m[where[::-1]] = bad
+        with pytest.raises(NotPositiveDefinite, match="non-finite"):
+            numerics.chol_factor(m)
+
 
 class TestSolveSpd:
     def test_identity(self):
