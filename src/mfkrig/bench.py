@@ -9,7 +9,6 @@ regardless of worker scheduling.
 from __future__ import annotations
 
 import csv
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +21,7 @@ from .design import HF, LF
 from .exceptions import InvalidConfig, MfkrigError
 from .gp import DIAGONAL, LATENT, Dataset, MultiStartConfig, fit_gp, predict_gp
 from .mfgp import EmConfig, MfData, fit_mf, predict_mf
+from .optimize import check_count
 
 MODEL_NAMES = ("mf", "hf_only", "lf_only")
 
@@ -47,12 +47,6 @@ RESULT_COLUMNS = (
     "failed",
     "error",
 )
-
-
-def check_count(name: str, value, minimum: int = 1) -> None:
-    """A count in a run config must be an integer (not a bool) of at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -270,8 +264,3 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def read_results(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))

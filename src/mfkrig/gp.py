@@ -47,6 +47,8 @@ class Dataset:
         x = np.asarray(self.x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(-1, 1)
+        if x.ndim != 2:
+            raise DimensionMismatch(f"training inputs must be an N x D array, got shape {x.shape}")
         z = np.asarray(self.z, dtype=float).ravel()
         if x.shape[0] != z.shape[0]:
             raise DimensionMismatch("inputs and outputs have different lengths")
@@ -289,7 +291,7 @@ def fit_gp(
         value, grad = profiled_nll_and_grad(ws, data.z, f, *hyper(omega))
         return value, grad[: omega.size]
 
-    omega, best_val, start_log = log_space_search(
+    omega, best_val, _ = log_space_search(
         objective, default_bounds(data, with_eta=fixed_eta is None), config
     )
     theta, eta = hyper(omega)
@@ -297,12 +299,7 @@ def fit_gp(
     model = make_trained_gp(
         data, basis, beta, KernelParams(theta=theta, sigma2=sigma2, eta=eta)
     )
-    fit_log = {
-        "nll": best_val,
-        "n_starts": len(start_log),
-        "start_values": [s.value for s in start_log],
-    }
-    return replace(model, fit_log=fit_log)
+    return replace(model, fit_log={"nll": best_val})
 
 
 def make_trained_gp(
@@ -361,6 +358,14 @@ def latent_spread(model: TrainedGp, x_star: np.ndarray, u: np.ndarray, cov: str)
     return model.hyper.kernel.sigma2 * (1.0 - np.einsum("ij,ij->j", u, u))
 
 
+def check_predict_options(mode: str, cov: str) -> None:
+    """Raise InvalidConfig unless mode is latent or noisy and cov is diagonal or full."""
+    if mode not in (LATENT, NOISY):
+        raise InvalidConfig(f"mode must be {LATENT!r} or {NOISY!r}, got {mode!r}")
+    if cov not in (DIAGONAL, FULL):
+        raise InvalidConfig(f"cov must be {DIAGONAL!r} or {FULL!r}, got {cov!r}")
+
+
 def predictive(mean: np.ndarray, spread: np.ndarray, noise: float) -> PredictiveDistribution:
     """Posterior from variances or a full covariance: symmetrized, clipped at 0, plus noise."""
     if spread.ndim == 2:
@@ -377,6 +382,7 @@ def predict_gp(
     cov: str = DIAGONAL,
 ) -> PredictiveDistribution:
     """Kriging posterior at new points: latent or noisy, diagonal or full."""
+    check_predict_options(mode, cov)
     x_star = query_points(x_star, model.data.d)
     mean, u = kriging_step(model, x_star)
     noise = model.hyper.kernel.noise_variance if mode == NOISY else 0.0

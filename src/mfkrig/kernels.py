@@ -59,15 +59,13 @@ def _as_2d(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def corr_matrix(x: np.ndarray, x2: np.ndarray, theta: LengthScales) -> np.ndarray:
-    """Cross-correlation matrix, entries exp(-0.5 sum_d ((x_i^(d) - x2_j^(d)) / theta_d)^2)."""
+    """Cross-correlation matrix, entries exp(-0.5 sum_d ((x_i^(d) - x2_j^(d)) / theta_d)^2).
+
+    With x2 equal to x it is exactly symmetric with a unit diagonal, as cdist's
+    squared distances are exactly symmetric and exactly 0 there."""
     d = theta.ndim
     xs = _as_2d(x, d) / theta.theta
     xs2 = _as_2d(x2, d) / theta.theta
-    if xs is xs2 or (xs.shape == xs2.shape and np.array_equal(xs, xs2)):
-        sq = cdist(xs, xs, metric="sqeuclidean")
-        r = np.exp(-0.5 * sq)
-        np.fill_diagonal(r, 1.0)
-        return r
     return np.exp(-0.5 * cdist(xs, xs2, metric="sqeuclidean"))
 
 

@@ -33,6 +33,7 @@ from .gp import (
     MultiStartConfig,
     PredictiveDistribution,
     TrainedGp,
+    check_predict_options,
     check_rank,
     constant_basis,
     default_bounds,
@@ -48,6 +49,7 @@ from .gp import (
     whitened_cov,
 )
 from .kernels import LengthScales
+from .optimize import check_count, check_tolerance
 
 LF = "lf"
 HF = "hf"
@@ -96,25 +98,15 @@ class HfParams:
     def noise_variance(self) -> float:
         return self.eta_h * self.sigma2_h
 
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.beta_rho, self.beta_h])
-
 
 @dataclass
 class EStepState:
-    """Conditional moments of the latent LF values at the HF inputs, plus the
-    fixed matrices the M-step consumes."""
+    """Conditional moments of the latent LF values at the HF inputs, and the
+    M-step design matrix H = [G o mu_{Y|Z}, F]."""
 
     mu_y_given_z: np.ndarray
     sigma_y_given_z: np.ndarray
     h_matrix: np.ndarray
-    g_matrix: np.ndarray
-
-    @property
-    def latent(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, Sigma_{Y|Z}): the latent-value term of the M-step's profiled GLS."""
-        return self.g_matrix, self.sigma_y_given_z
 
 
 @dataclass(frozen=True)
@@ -149,6 +141,10 @@ class EmConfig:
     max_em_iterations: int = 100
     loglik_rel_tolerance: float = 1e-8
 
+    def __post_init__(self):
+        check_count("max_em_iterations", self.max_em_iterations)
+        check_tolerance("loglik_rel_tolerance", self.loglik_rel_tolerance, zero_ok=True)
+
 
 @dataclass(frozen=True)
 class MfModel:
@@ -181,24 +177,22 @@ def hf_workspace(
     )
 
 
-def ar_covariance(
-    rho: np.ndarray, v_yl: np.ndarray, ws: kernels.KernelWorkspace, params: HfParams
-):
-    """AR(1) covariance of the HF observations, rho rho^T o V_L + sigma2_H (R_H + eta_H I),
-    and its factorization; R_H comes from the workspace at the HF inputs."""
-    r_h = ws.corr(params.theta_h)
-    cov = np.outer(rho, rho) * v_yl + params.sigma2_h * (r_h + params.eta_h * np.eye(len(rho)))
-    try:
-        return cov, numerics.chol_factor(cov)
-    except NotPositiveDefinite as exc:
-        raise FactorizationFailure(str(exc)) from exc
-
-
 def ar_marginal(hf: HfWorkspace, params: HfParams) -> ArMarginal:
     """Assemble the AR(1) marginal of the HF observations, the one path by which
-    the E-step, the observed log-likelihood and the prediction caches see it."""
+    the E-step, the observed log-likelihood and the prediction caches see it.
+
+    Its covariance is rho rho^T o V_L + sigma2_H (R_H + eta_H I), with the LF
+    posterior covariance V_L at X_H and R_H from the workspace at the HF inputs.
+    """
     rho = hf.g_matrix @ params.beta_rho
-    _, fact = ar_covariance(rho, hf.lf_cov, hf.ws, params)
+    r_h = hf.ws.corr(params.theta_h)
+    cov = np.outer(rho, rho) * hf.lf_cov + params.sigma2_h * (
+        r_h + params.eta_h * np.eye(len(rho))
+    )
+    try:
+        fact = numerics.chol_factor(cov)
+    except NotPositiveDefinite as exc:
+        raise FactorizationFailure(str(exc)) from exc
     resid = hf.data.z - rho * hf.lf_mean - hf.f_matrix @ params.beta_h
     return ArMarginal(hf, rho, resid, fact, numerics.solve_spd(fact, resid))
 
@@ -211,21 +205,15 @@ def e_step(ar: ArMarginal) -> EStepState:
     sigma_cond = hf.lf_cov - sigma_yz @ numerics.solve_spd(ar.factorization, sigma_yz.T)
     sigma_cond = 0.5 * (sigma_cond + sigma_cond.T)
     h_mat = np.hstack([hf.g_matrix * mu[:, None], hf.f_matrix])
-    return EStepState(
-        mu_y_given_z=mu,
-        sigma_y_given_z=sigma_cond,
-        h_matrix=h_mat,
-        g_matrix=hf.g_matrix,
-    )
+    return EStepState(mu_y_given_z=mu, sigma_y_given_z=sigma_cond, h_matrix=h_mat)
 
 
 def m_step_closed_forms(
     state: EStepState, hf: HfWorkspace, theta_h: LengthScales, eta_h: float
 ) -> tuple[np.ndarray, float]:
     """Closed-form (beta_rho_h, sigma2_h) at fixed (theta_h, eta_h)."""
-    return profiled_gls(
-        hf.ws, hf.data.z, state.h_matrix, theta_h, eta_h, state.latent
-    )[:2]
+    latent = (hf.g_matrix, state.sigma_y_given_z)
+    return profiled_gls(hf.ws, hf.data.z, state.h_matrix, theta_h, eta_h, latent)[:2]
 
 
 def q_tilde_and_grad(
@@ -233,9 +221,8 @@ def q_tilde_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Negated profiled EM objective over (theta_H, eta_H) and its gradient: the
     shared profiled likelihood with the latent-value term of Sigma_{Y|Z}."""
-    return profiled_objective(
-        hf.ws, hf.data.z, state.h_matrix, theta_h, eta_h, state.latent
-    )
+    latent = (hf.g_matrix, state.sigma_y_given_z)
+    return profiled_objective(hf.ws, hf.data.z, state.h_matrix, theta_h, eta_h, latent)
 
 
 def hf_observed_loglik(ar: ArMarginal) -> float:
@@ -407,7 +394,8 @@ def predict_mf(
     if level == LF:
         return predict_gp(model.lf_model, x_star, mode=mode, cov=cov)
     if level != HF:
-        raise ValueError(f"level must be {LF!r} or {HF!r}, got {level!r}")
+        raise InvalidConfig(f"level must be {LF!r} or {HF!r}, got {level!r}")
+    check_predict_options(mode, cov)
     x_star = query_points(x_star, model.data.hf.d)
     lf, params, x_h = model.lf_model, model.hf_params, model.data.hf.x
     m_yl, u = kriging_step(lf, x_star)

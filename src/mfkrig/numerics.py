@@ -8,7 +8,6 @@ prediction whitens cross-correlations with one triangular solve.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +20,6 @@ JITTER_SCHEDULE = (1e-10, 1e-8, 1e-6)
 
 SYMMETRY_RTOL = 1e-9
 
-# Active recorders of factorized-matrix dimensions, see track_factorization_sizes().
-_size_recorders: list[list[int]] = []
-
 
 @dataclass(frozen=True)
 class SpdFactorization:
@@ -35,21 +31,6 @@ class SpdFactorization:
     @property
     def n(self) -> int:
         return self.lower_factor.shape[0]
-
-
-@contextmanager
-def track_factorization_sizes():
-    """Record the dimension of every matrix factorized inside the block.
-
-    Used to assert structurally that no joint (N_L + N_H)-sized covariance is
-    ever formed during a multi-fidelity fit.
-    """
-    sizes: list[int] = []
-    _size_recorders.append(sizes)
-    try:
-        yield sizes
-    finally:
-        _size_recorders.remove(sizes)
 
 
 def chol_factor(m: np.ndarray) -> SpdFactorization:
@@ -71,9 +52,6 @@ def chol_factor(m: np.ndarray) -> SpdFactorization:
     # M - M^T is exactly antisymmetric, so its max is its largest absolute entry.
     if (m - m.T).max() > SYMMETRY_RTOL * max(hi, -lo, 1.0):
         raise NotSymmetric("matrix is not symmetric within tolerance")
-
-    for sizes in _size_recorders:
-        sizes.append(m.shape[0])
 
     lower, info = lapack.dpotrf(m, lower=1, clean=1)
     if info == 0:

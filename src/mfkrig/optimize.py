@@ -7,13 +7,15 @@ multi-start layer adds seeded start sampling and a deterministic reduction.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .exceptions import AllStartsFailed, ObjectiveNonFinite
+from .exceptions import AllStartsFailed, InvalidConfig, ObjectiveNonFinite
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -47,6 +49,25 @@ class BoxBounds:
         return np.clip(x, self.lower, self.upper)
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """A count in a run config must be an integer (not a bool) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_tolerance(name: str, value, zero_ok: bool = False) -> None:
+    """A tolerance in a run config must be a finite real number (not a bool) above 0,
+    or at least 0 when `zero_ok`."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0 <= value < math.inf
+        or (value == 0 and not zero_ok)
+    ):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise InvalidConfig(f"{name} must be a finite number {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MultiStartConfig:
     n_starts: int = 10
@@ -55,12 +76,10 @@ class MultiStartConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
+        check_count("n_starts", self.n_starts)
+        check_count("max_iterations", self.max_iterations)
+        check_tolerance("gradient_tolerance", self.gradient_tolerance)
+        check_count("rng_seed", self.rng_seed, 0)
 
 
 @dataclass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mfkrig import design
+from mfkrig import design, numerics
 from mfkrig.exceptions import DimensionMismatch
 from mfkrig.gp import BasisSpec, Dataset, MultiStartConfig
 from mfkrig.kernels import LengthScales
@@ -41,6 +41,24 @@ def gauss_corr(x, x2, theta: LengthScales) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def factorization_sizes(monkeypatch):
+    """The dimension of every matrix factorized during the test, in call order.
+
+    gp and mfgp call `numerics.chol_factor` through the module attribute, so
+    wrapping it there sees every factorization of a fit.
+    """
+    sizes: list[int] = []
+    chol_factor = numerics.chol_factor
+
+    def recording_chol_factor(m):
+        sizes.append(np.shape(m)[0])
+        return chol_factor(m)
+
+    monkeypatch.setattr(numerics, "chol_factor", recording_chol_factor)
+    return sizes
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ the test log."""
 import numpy as np
 import pytest
 
-from mfkrig import design, numerics
+from mfkrig import design
 from mfkrig.bench import BenchmarkConfig, run_benchmark
 from mfkrig.gp import (
     BasisSpec,
@@ -393,19 +393,19 @@ class TestInterpolationProperty:
 
 
 class TestComplexityProperty:
-    def test_no_joint_factorization(self, capsys):
+    def test_no_joint_factorization(self, capsys, factorization_sizes):
         pair = design.ANALYTIC_1D
         n_lf, n_hf = 30, 12
         x_lf = design.scale_to_domain(pair, design.lhs(n_lf, 1, seed=3).points)
         z_lf = design.add_noise(design.eval_testfn(pair, "lf", x_lf), 0.05**2, 4)
         x_hf = design.scale_to_domain(pair, design.lhs(n_hf, 1, seed=5).points)
         z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 0.05**2, 6)
-        with numerics.track_factorization_sizes() as sizes:
-            fit_mf(
-                MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf)),
-                lf_config=MultiStartConfig(n_starts=4, rng_seed=1),
-                hf_config=MultiStartConfig(n_starts=4, rng_seed=2),
-            )
+        fit_mf(
+            MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf)),
+            lf_config=MultiStartConfig(n_starts=4, rng_seed=1),
+            hf_config=MultiStartConfig(n_starts=4, rng_seed=2),
+        )
+        sizes = factorization_sizes
         peak = max(sizes)
         ok = peak == max(n_lf, n_hf) and (n_lf + n_hf) not in sizes
         _announce(capsys, "per-level factorization complexity",

@@ -28,6 +28,12 @@ from mfkrig.kernels import KernelParams, LengthScales
 from mfkrig.mfgp import HfParams, MfData, make_mf_model, predict_mf
 
 
+def _read_rows(path):
+    """The rows of a results CSV as dicts of strings, keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def _write_csv(path, x, z=None):
     d = x.shape[1]
     with open(path, "w", newline="") as fh:
@@ -525,7 +531,7 @@ class TestBenchCli:
         self._config(workdir)
         res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
         assert res.exit_code == 0, res.output
-        rows = bench.read_results(str(workdir / "results.csv"))
+        rows = _read_rows(str(workdir / "results.csv"))
         assert len(rows) == 1
         row = rows[0]
         assert row["model_name"] == "lf_only"
@@ -548,7 +554,7 @@ class TestBenchCli:
             (workdir / "bench.json").write_text(json.dumps(cfg))
             res = runner.invoke(main, ["bench", "--config", "bench.json"])
             assert res.exit_code == 0, res.output
-            tables.append(bench.read_results(str(workdir / out)))
+            tables.append(_read_rows(str(workdir / out)))
         for ra, rb in zip(*tables):
             ra.pop("fit_seconds")
             rb.pop("fit_seconds")
@@ -558,7 +564,7 @@ class TestBenchCli:
         self._config(workdir, n_replications=2, models=["mf", "hf_only"], n_hf=12)
         res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
         assert res.exit_code == 0, res.output
-        rows = bench.read_results(str(workdir / "results.csv"))
+        rows = _read_rows(str(workdir / "results.csv"))
         keys = [(r["replication_index"], r["model_name"]) for r in rows]
         assert keys == [("0", "mf"), ("0", "hf_only"), ("1", "mf"), ("1", "hf_only")]
 

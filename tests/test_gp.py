@@ -3,6 +3,7 @@ import pytest
 
 from mfkrig import design, gp, kernels
 from mfkrig.exceptions import (
+    DimensionMismatch,
     DomainViolation,
     InvalidConfig,
     RankDeficientBasis,
@@ -161,6 +162,10 @@ class TestDataset:
         with pytest.raises(InvalidConfig):
             Dataset(x, z)
 
+    def test_rejects_inputs_of_three_or_more_dimensions(self, rng):
+        with pytest.raises(DimensionMismatch, match="N x D"):
+            Dataset(rng.random((8, 2, 2)), rng.random(8))
+
 
 class TestFitGp:
     def test_noise_free_interpolation(self):
@@ -193,11 +198,15 @@ class TestFitGp:
         assert m1.hyper.kernel.eta == m2.hyper.kernel.eta
         assert np.array_equal(m1.hyper.beta, m2.hyper.beta)
 
-    def test_objective_not_worse_than_starts(self, rng):
+    def test_fit_log_nll_is_the_objective_at_the_fit(self, rng):
+        # The minimum over the starts is checked in test_optimize.
         x = rng.uniform(size=(15, 1))
         z = rng.normal(size=15)
         model = fit_gp(Dataset(x, z), config=MultiStartConfig(n_starts=6, rng_seed=9))
-        assert model.fit_log["nll"] <= min(model.fit_log["start_values"]) + 1e-12
+        k = model.hyper.kernel
+        f = model.basis.design_matrix(x)
+        nll, _ = gp.profiled_nll_and_grad(KernelWorkspace(x), model.data.z, f, k.theta, k.eta)
+        assert model.fit_log == {"nll": nll}
 
     def test_residual_solve_invariant(self, rng):
         x = rng.uniform(size=(18, 1))
@@ -259,6 +268,11 @@ class TestPredictGp:
     def test_non_finite_input_raises(self, model, bad):
         with pytest.raises(DomainViolation, match="finite"):
             predict_gp(model, np.array([[0.2, 0.3], [bad, 0.5]]))
+
+    @pytest.mark.parametrize("option", [{"mode": "noisey"}, {"cov": "ful"}])
+    def test_unknown_option_raises(self, model, option):
+        with pytest.raises(InvalidConfig, match=next(iter(option))):
+            predict_gp(model, np.array([[0.2, 0.3]]), **option)
 
     def test_cross_cov_matches_dense_oracle(self, model, rng):
         # sigma2 (R(a, b) - r_a^T (R + eta I)^-1 r_b) by explicit dense inversion.

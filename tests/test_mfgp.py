@@ -18,7 +18,12 @@ from mfkrig.gp import (
     posterior_cross_cov,
     predict_gp,
 )
-from mfkrig.exceptions import DomainViolation, RankDeficientBasis, SingularNormalEquations
+from mfkrig.exceptions import (
+    DomainViolation,
+    InvalidConfig,
+    RankDeficientBasis,
+    SingularNormalEquations,
+)
 from mfkrig.kernels import KernelParams, KernelWorkspace, LengthScales
 from mfkrig.metrics import q2
 from mfkrig.mfgp import (
@@ -28,7 +33,6 @@ from mfkrig.mfgp import (
     HfParams,
     HfWorkspace,
     MfData,
-    ar_covariance,
     ar_marginal,
     e_step,
     em_fit_hf,
@@ -53,6 +57,13 @@ def _lf_moments(lf_model, x):
 def _ar_marginal(data, lf_model, params, hf_basis, rho_basis):
     """The AR(1) marginal at params, on a freshly built HF workspace."""
     return ar_marginal(hf_workspace(data, lf_model, hf_basis, rho_basis), params)
+
+
+def _ar_cov(ar):
+    """L L^T of the AR(1) marginal's factor: its covariance, as no jitter was added."""
+    assert ar.factorization.jitter_used == 0.0
+    low = ar.factorization.lower_factor
+    return low @ low.T
 
 
 def _nested_lf(n_lf=20, n_hf=8, seed=0):
@@ -174,7 +185,7 @@ class TestEStep:
         state = e_step(ar)
         expected = np.hstack(
             [
-                state.g_matrix * state.mu_y_given_z[:, None],
+                ar.hf.g_matrix * state.mu_y_given_z[:, None],
                 ar.hf.f_matrix,
             ]
         )
@@ -185,11 +196,9 @@ class TestEStep:
         lf_model = _noisy_lf()
         x_hf = rng.uniform(0, 2, size=(9, 1))
         data = MfData(lf_model.data, Dataset(x_hf, rng.normal(size=9)))
-        params = _some_params()
-        state = e_step(_ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
-        _, v = _lf_moments(lf_model, x_hf)
-        sigma_zz, _ = ar_covariance(np.full(9, params.beta_rho[0]), v, KernelWorkspace(x_hf), params)
-        assert np.linalg.eigvalsh(sigma_zz).min() > 0
+        ar = _ar_marginal(data, lf_model, _some_params(), constant_basis(), constant_basis())
+        state = e_step(ar)
+        assert np.linalg.eigvalsh(_ar_cov(ar)).min() > 0
         assert np.linalg.eigvalsh(state.sigma_y_given_z).min() >= -1e-8
 
 
@@ -201,23 +210,18 @@ def _synthetic_state(rng, n_h, mu=None, sigma_cond=None):
     mu = mu if mu is not None else rng.normal(size=n_h)
     sigma_cond = sigma_cond if sigma_cond is not None else np.zeros((n_h, n_h))
     h = np.hstack([g * mu[:, None], f])
-    state = EStepState(
-        mu_y_given_z=mu,
-        sigma_y_given_z=sigma_cond,
-        h_matrix=h,
-        g_matrix=g,
-    )
+    state = EStepState(mu_y_given_z=mu, sigma_y_given_z=sigma_cond, h_matrix=h)
     return state, x_hf
 
 
-def _synthetic_hf(state, x_hf, z_hf):
-    """HF workspace for a hand-assembled state: the M-step reads only the HF data
-    and the kernel workspace, so the LF moments are placeholders."""
+def _synthetic_hf(x_hf, z_hf):
+    """HF workspace for a hand-assembled state with q = p_H = 1: the M-step reads
+    only the HF data, G and the kernel workspace, so the LF moments are placeholders."""
     n_h = len(z_hf)
     return HfWorkspace(
         data=Dataset(x_hf, z_hf),
         ws=KernelWorkspace(x_hf),
-        g_matrix=state.g_matrix,
+        g_matrix=np.ones((n_h, 1)),
         f_matrix=np.ones((n_h, 1)),
         lf_mean=np.zeros(n_h),
         lf_cov=np.zeros((n_h, n_h)),
@@ -229,7 +233,7 @@ class TestMStep:
         n_h = 12
         state, x_hf = _synthetic_state(rng, n_h)
         z_hf = rng.normal(size=n_h)
-        hf = _synthetic_hf(state, x_hf, z_hf)
+        hf = _synthetic_hf(x_hf, z_hf)
         theta, eta = LengthScales(np.array([0.5])), 0.3
         beta, sigma2 = m_step_closed_forms(state, hf, theta, eta)
 
@@ -247,7 +251,7 @@ class TestMStep:
         state, x_hf = _synthetic_state(rng, n_h)
         c = np.array([1.2, -0.7])
         z_hf = state.h_matrix @ c
-        hf = _synthetic_hf(state, x_hf, z_hf)
+        hf = _synthetic_hf(x_hf, z_hf)
         beta, sigma2 = m_step_closed_forms(
             state, hf, LengthScales(np.array([0.6])), 0.2
         )
@@ -271,7 +275,7 @@ class TestMStep:
 
         cov = kernels.corr_matrix(x_hf, x_hf, theta) + eta * np.eye(n_h)
         w = np.linalg.inv(cov)
-        t_block = state.g_matrix.T @ ((w * state.sigma_y_given_z) @ state.g_matrix)
+        t_block = hf.g_matrix.T @ ((w * state.sigma_y_given_z) @ hf.g_matrix)
         t_mat = np.zeros((2, 2))
         t_mat[:1, :1] = t_block
         h = state.h_matrix
@@ -288,10 +292,9 @@ class TestMStep:
             mu_y_given_z=mu,
             sigma_y_given_z=0.5 * np.eye(n_h),
             h_matrix=np.column_stack([mu, np.ones(n_h), np.ones(n_h)]),
-            g_matrix=np.ones((n_h, 1)),
         )
         z_hf = rng.normal(size=n_h)
-        hf = _synthetic_hf(state, x_hf, z_hf)
+        hf = _synthetic_hf(x_hf, z_hf)
         with pytest.raises(SingularNormalEquations):
             m_step_closed_forms(state, hf, LengthScales(np.array([0.5])), 3.0)
 
@@ -302,7 +305,7 @@ def _per_dimension_q_tilde(state, hf, theta_h, eta_h):
     the inverse taken by solving against the identity."""
     x_h, z_h, n_h = hf.data.x, hf.data.z, hf.data.n
     d = theta_h.ndim
-    g_mat, h = state.g_matrix, state.h_matrix
+    g_mat, h = hf.g_matrix, state.h_matrix
     q, p = g_mat.shape[1], h.shape[1]
     lower = np.linalg.cholesky(
         kernels.corr_matrix(x_h, x_h, theta_h) + eta_h * np.eye(n_h)
@@ -404,7 +407,7 @@ class TestQTilde:
         n_h = 12
         state, x_hf = _synthetic_state(rng, n_h)
         z_hf = rng.normal(size=n_h)
-        hf = _synthetic_hf(state, x_hf, z_hf)
+        hf = _synthetic_hf(x_hf, z_hf)
         theta, eta = LengthScales(np.array([0.5])), 0.3
         value, grad = q_tilde_and_grad(state, hf, theta, eta)
 
@@ -503,6 +506,29 @@ def fitted_mf():
         lf_config=MultiStartConfig(n_starts=5, rng_seed=1),
         hf_config=MultiStartConfig(n_starts=5, rng_seed=2),
     )
+
+
+class TestEmConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_em_iterations", 0),
+            ("max_em_iterations", 2.5),
+            ("max_em_iterations", True),
+            ("max_em_iterations", "100"),
+            ("loglik_rel_tolerance", -1e-8),
+            ("loglik_rel_tolerance", float("nan")),
+            ("loglik_rel_tolerance", float("inf")),
+            ("loglik_rel_tolerance", True),
+            ("loglik_rel_tolerance", "tight"),
+        ],
+    )
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            EmConfig(**{field: value})
+
+    def test_zero_tolerance_allowed(self):
+        assert EmConfig(loglik_rel_tolerance=0).loglik_rel_tolerance == 0
 
 
 class TestEmFit:
@@ -729,7 +755,8 @@ class TestGemSchedule:
         for _ in range(2):
             searches = _spy_searches(monkeypatch)
             params, em_log = em_fit_hf(data, lf, config=MultiStartConfig(n_starts=3, rng_seed=1))
-            runs.append((searches, em_log, params.stacked.tolist(), params.sigma2_h,
+            coefficients = np.concatenate([params.beta_rho, params.beta_h])
+            runs.append((searches, em_log, coefficients.tolist(), params.sigma2_h,
                          params.theta_h.theta.tolist(), params.eta_h))
         assert runs[0] == runs[1]
 
@@ -804,12 +831,10 @@ class TestArCovariance:
         )
         x_h = fitted_mf.data.hf.x
         n_h = len(x_h)
-        _, v_yl = _lf_moments(fitted_mf.lf_model, x_h)
-        cov, fact = ar_covariance(np.zeros(n_h), v_yl, KernelWorkspace(x_h), params)
+        basis = constant_basis()
+        cov = _ar_cov(_ar_marginal(fitted_mf.data, fitted_mf.lf_model, params, basis, basis))
         r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
         assert np.allclose(cov, params.sigma2_h * (r_h + params.eta_h * np.eye(n_h)), atol=1e-12)
-        assert fact.jitter_used == 0.0
-        assert np.allclose(fact.lower_factor @ fact.lower_factor.T, cov, atol=1e-12)
         # Far from every training input the HF posterior is the discrepancy prior.
         model = make_mf_model(
             fitted_mf.data, fitted_mf.lf_model, params,
@@ -823,8 +848,9 @@ class TestArCovariance:
         lf_model, x_lf, z_lf, x_hf = _nested_lf()
         params = _some_params(beta_rho=(1.5,), sigma2=0.3)
         n_h = len(x_hf)
-        _, v_yl = _lf_moments(lf_model, x_hf)
-        cov, _ = ar_covariance(np.full(n_h, 1.5), v_yl, KernelWorkspace(x_hf), params)
+        data = MfData(lf_model.data, Dataset(x_hf, np.zeros(n_h)))
+        basis = constant_basis()
+        cov = _ar_cov(_ar_marginal(data, lf_model, params, basis, basis))
         r_h = kernels.corr_matrix(x_hf, x_hf, params.theta_h)
         assert np.allclose(cov, params.sigma2_h * (r_h + params.eta_h * np.eye(n_h)), atol=1e-7)
         # The LF posterior covariance vanishes at nested noise-free inputs, so
@@ -838,7 +864,11 @@ class TestArCovariance:
         n_h = len(x_h)
         rho = rng.normal(size=n_h)
         _, v_hh = _lf_moments(fitted_mf.lf_model, x_h)
-        cov, _ = ar_covariance(rho, v_hh, KernelWorkspace(x_h), params)
+        # One scaling column G = rho with beta_rho = 1 gives each HF input its own rho_i.
+        basis = constant_basis()
+        hf = hf_workspace(fitted_mf.data, fitted_mf.lf_model, basis, basis)
+        hf = dataclasses.replace(hf, g_matrix=rho[:, None])
+        cov = _ar_cov(ar_marginal(hf, dataclasses.replace(params, beta_rho=np.array([1.0]))))
         oracle = np.empty((n_h, n_h))
         for i in range(n_h):
             for j in range(n_h):
@@ -945,6 +975,15 @@ class TestPredictMf:
     def test_non_finite_input_raises(self, fitted_mf, level, bad):
         with pytest.raises(DomainViolation, match="finite"):
             predict_mf(fitted_mf, np.array([[0.2], [bad]]), level=level)
+
+    @pytest.mark.parametrize("level", ["hf", "lf"])
+    @pytest.mark.parametrize(
+        "option", [{"level": "mf"}, {"mode": "noisey"}, {"cov": "ful"}], ids=str
+    )
+    def test_unknown_option_raises(self, fitted_mf, level, option):
+        kwargs = {"level": level, **option}
+        with pytest.raises(InvalidConfig, match=next(iter(option))):
+            predict_mf(fitted_mf, np.array([[0.2]]), **kwargs)
 
     def test_interpolation_exact_covariance(self):
         lf_model, x_lf, z_lf, x_hf = _nested_lf(n_lf=20, n_hf=10)

@@ -174,10 +174,3 @@ class TestWhiten:
         u = numerics.whiten(f, b)
         assert np.array_equal(u, solve_triangular(f.lower_factor, b, lower=True))
         assert np.allclose(f.lower_factor @ u, b, atol=1e-12)
-
-
-def test_track_factorization_sizes(rng):
-    with numerics.track_factorization_sizes() as sizes:
-        numerics.chol_factor(random_spd(rng, 5))
-        numerics.chol_factor(random_spd(rng, 9))
-    assert sizes == [5, 9]

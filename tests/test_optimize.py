@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfkrig.exceptions import AllStartsFailed, ObjectiveNonFinite
+from mfkrig.exceptions import AllStartsFailed, InvalidConfig, ObjectiveNonFinite
 from mfkrig.optimize import (
     BoxBounds,
     MultiStartConfig,
@@ -173,6 +173,30 @@ class TestMultiStart:
         bounds = BoxBounds(np.array([1e-3]), np.array([1e3]))
         omega, value, _ = log_space_search(bowl, bounds, MultiStartConfig(n_starts=3))
         assert np.allclose(omega, 5.0, rtol=1e-6) and value < 1e-12
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_starts", 0),
+        ("n_starts", 2.5),
+        ("n_starts", True),
+        ("n_starts", "10"),
+        ("max_iterations", 0),
+        ("max_iterations", 200.0),
+        ("gradient_tolerance", 0.0),
+        ("gradient_tolerance", -1e-6),
+        ("gradient_tolerance", float("nan")),
+        ("gradient_tolerance", float("inf")),
+        ("gradient_tolerance", "1e-6"),
+        ("rng_seed", -1),
+        ("rng_seed", 1.5),
+        ("rng_seed", False),
+    ],
+)
+def test_multi_start_config_rejects_bad_value(field, value):
+    with pytest.raises(InvalidConfig, match=field):
+        MultiStartConfig(**{field: value})
 
 
 def test_box_bounds_validation():

@@ -2,10 +2,16 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mfkrig"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mfkrig"
+# Where a package function may be used: the package and the benchmark, not their tests.
+CALLERS = sorted(SRC.glob("*.py")) + [
+    p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")
+]
 
 
 def unused_module_imports(source: str) -> list[str]:
@@ -39,3 +45,56 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_module_imports(path.read_text()) == []
+
+
+def unreferenced_defs(source: str, others: str) -> list[str]:
+    """Functions and methods defined in `source` whose name, as a whole word, appears
+    neither in `source` outside their own `def` line nor in `others`.
+
+    A plain word search: a call, an import, a mention in a docstring and a string
+    in `__all__` all count. Dunders and click commands and groups (decorated with
+    `<name>.command(...)` or `<name>.group(...)`) are exempt.
+    """
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if any(
+            isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+            and d.func.attr in ("command", "group")
+            for d in node.decorator_list
+        ):
+            continue
+        rest = "\n".join(line for i, line in enumerate(lines, 1) if i != node.lineno)
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not (word.search(rest) or word.search(others)):
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_detector_finds_an_unreferenced_def():
+    source = (
+        "import click\n"
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def exported(): pass\n"
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): return used()\n"
+        "@click.group()\n"
+        "def main(): pass\n"
+        "@main.command('run')\n"
+        "def run_cmd(): pass\n"
+        "__all__ = ['exported']\n"
+    )
+    assert unreferenced_defs(source, "A().method()") == ["unused (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_def_is_referenced(path):
+    others = "\n".join(p.read_text() for p in CALLERS if p != path)
+    assert unreferenced_defs(path.read_text(), others) == []
