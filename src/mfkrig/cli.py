@@ -172,7 +172,7 @@ def model_from_dict(doc: dict) -> MfModel:
     except KeyError as exc:
         raise ParseError(f"model document is missing key {exc}") from None
     except (TypeError, ValueError, IndexError, AttributeError, OverflowError,
-            DimensionMismatch) as exc:
+            DimensionMismatch, InvalidConfig) as exc:
         raise ParseError(f"model document has an ill-typed value: {exc}") from None
 
 

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .exceptions import DomainViolation
+from .exceptions import DomainViolation, InvalidConfig
 
 LF = "lf"
 HF = "hf"
@@ -36,7 +36,7 @@ class TestFunctionPair:
 def lhs(n: int, d: int, seed: int) -> Design:
     """Latin hypercube sample: one point per stratum [k/n, (k+1)/n) per dimension."""
     if n < 1 or d < 1:
-        raise ValueError("n and d must be at least 1")
+        raise InvalidConfig(f"n and d must be at least 1, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     points = np.empty((n, d))
     for j in range(d):
@@ -49,9 +49,9 @@ def maximin_lhs(n: int, d: int, restarts: int = 100, seed: int = 0) -> Design:
     """Best of `restarts` LHS candidates by the maximin (min pairwise distance)
     criterion; ties broken by first occurrence."""
     if n < 2:
-        raise ValueError("maximin needs at least 2 points")
+        raise InvalidConfig(f"maximin needs at least 2 points, got {n}")
     if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+        raise InvalidConfig(f"restarts must be at least 1, got {restarts}")
     sub_seeds = np.random.SeedSequence(seed).generate_state(restarts)
     best: Design | None = None
     best_dist = -np.inf
@@ -118,7 +118,7 @@ def get_pair(name: str) -> TestFunctionPair:
     try:
         return _PAIRS[name]
     except KeyError:
-        raise KeyError(f"unknown test-function pair {name!r}") from None
+        raise InvalidConfig(f"unknown test-function pair {name!r}") from None
 
 
 def scale_to_domain(pair: TestFunctionPair, unit_points: np.ndarray) -> np.ndarray:
@@ -142,13 +142,13 @@ def eval_testfn(pair: TestFunctionPair, level: str, x: np.ndarray) -> np.ndarray
         return pair.lf_evaluator(x)
     if level == HF:
         return pair.hf_evaluator(x)
-    raise ValueError(f"level must be {LF!r} or {HF!r}, got {level!r}")
+    raise InvalidConfig(f"level must be {LF!r} or {HF!r}, got {level!r}")
 
 
 def add_noise(y: np.ndarray, noise_variance: float, seed: int) -> np.ndarray:
     """y plus i.i.d. N(0, noise_variance) noise; a zero variance returns y unchanged."""
     if noise_variance < 0:
-        raise ValueError("noise_variance must be non-negative")
+        raise InvalidConfig(f"noise_variance must be non-negative, got {noise_variance}")
     y = np.asarray(y, dtype=float)
     if noise_variance == 0.0:
         return y.copy()

@@ -35,6 +35,12 @@ DIAGONAL = "diagonal"
 # Below this, the profiled variance is treated as degenerate and the NLL is +inf.
 _SIGMA2_FLOOR = 1e-300
 
+# Query rows per block of a diagonal-covariance prediction. A block's
+# cross-correlations (rows x N) stay in cache across the steps that read them:
+# a 10^4-point predict_mf call at N_L = 100 ran within 5 % at 500 to 2,000 rows
+# and 30 to 50 % slower at 5,000 or 10^4.
+PREDICT_BLOCK_ROWS = 1000
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -335,12 +341,15 @@ def query_points(x_star: np.ndarray, d: int) -> np.ndarray:
     return x_star
 
 
-def kriging_step(model: TrainedGp, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kriging mean at x_star and the whitened cross-correlation U = L^-1 R(X, x_star),
-    from which every posterior covariance follows (Rasmussen & Williams 2006, Alg. 2.1)."""
+def kriging_step(
+    model: TrainedGp, x_star: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kriging mean at x_star, the cross-correlation R(x_star, X) and its whitened
+    U = L^-1 R(X, x_star), from which every posterior covariance follows
+    (Rasmussen & Williams 2006, Alg. 2.1)."""
     r = kernels.corr_matrix(x_star, model.data.x, model.hyper.kernel.theta)
     mean = model.basis.design_matrix(x_star) @ model.hyper.beta + r @ model.residual_solve
-    return mean, numerics.whiten(model.factorization, r.T)
+    return mean, r, numerics.whiten(model.factorization, r.T)
 
 
 def whitened_cov(
@@ -375,6 +384,27 @@ def predictive(mean: np.ndarray, spread: np.ndarray, noise: float) -> Predictive
     return PredictiveDistribution(mean=mean, variance=np.clip(spread, 0.0, None) + noise)
 
 
+def in_blocks(
+    predict_block: Callable[[np.ndarray], PredictiveDistribution], x_star: np.ndarray, cov: str
+) -> PredictiveDistribution:
+    """predict_block over row blocks of PREDICT_BLOCK_ROWS query points, concatenated.
+
+    Rows of a diagonal prediction are independent, so blocking changes no formula.
+    A full covariance couples every pair of points, so it and a batch of at most
+    one block run as a single call.
+    """
+    n = x_star.shape[0]
+    if cov == FULL or n <= PREDICT_BLOCK_ROWS:
+        return predict_block(x_star)
+    parts = [
+        predict_block(x_star[i : i + PREDICT_BLOCK_ROWS]) for i in range(0, n, PREDICT_BLOCK_ROWS)
+    ]
+    return PredictiveDistribution(
+        mean=np.concatenate([p.mean for p in parts]),
+        variance=np.concatenate([p.variance for p in parts]),
+    )
+
+
 def predict_gp(
     model: TrainedGp,
     x_star: np.ndarray,
@@ -384,15 +414,19 @@ def predict_gp(
     """Kriging posterior at new points: latent or noisy, diagonal or full."""
     check_predict_options(mode, cov)
     x_star = query_points(x_star, model.data.d)
-    mean, u = kriging_step(model, x_star)
     noise = model.hyper.kernel.noise_variance if mode == NOISY else 0.0
-    return predictive(mean, latent_spread(model, x_star, u, cov), noise)
+
+    def predict_block(x: np.ndarray) -> PredictiveDistribution:
+        mean, _, u = kriging_step(model, x)
+        return predictive(mean, latent_spread(model, x, u, cov), noise)
+
+    return in_blocks(predict_block, x_star, cov)
 
 
 def posterior_cross_cov(
     model: TrainedGp, xa: np.ndarray, xb: np.ndarray
 ) -> np.ndarray:
     """Posterior covariance v_Y(xa_i, xb_j) between two point sets."""
-    _, ua = kriging_step(model, xa)
-    _, ub = kriging_step(model, xb)
+    ua = kriging_step(model, xa)[2]
+    ub = kriging_step(model, xb)[2]
     return whitened_cov(model, xa, ua, xb, ub)

@@ -3,17 +3,19 @@ per-fit workspace that rebuilds R(theta) and contracts its length-scale gradient
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, InvalidConfig
+from .optimize import check_positive
 
 
 @dataclass(frozen=True)
 class LengthScales:
-    """One strictly positive length scale per input dimension."""
+    """One finite, strictly positive length scale per input dimension."""
 
     theta: np.ndarray
 
@@ -21,8 +23,9 @@ class LengthScales:
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         if theta.ndim != 1 or theta.size == 0:
             raise DimensionMismatch("length scales must be a non-empty vector")
-        if not np.all(theta > 0):
-            raise ValueError("length scales must be strictly positive")
+        # One pass over Python floats: the fit builds these on every evaluation.
+        if not all(0.0 < t < math.inf for t in theta.tolist()):
+            raise InvalidConfig(f"length scales must be finite and > 0, got {theta}")
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -39,10 +42,8 @@ class KernelParams:
     eta: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be strictly positive")
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
+        check_positive("sigma2", self.sigma2)
+        check_positive("eta", self.eta, zero_ok=True)
 
     @property
     def noise_variance(self) -> float:

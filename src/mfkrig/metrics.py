@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .exceptions import ConstantTruth, DomainViolation, EmptyGrid
+from .exceptions import ConstantTruth, DimensionMismatch, DomainViolation, EmptyGrid
 
 DEFAULT_ALPHA_GRID = np.round(np.arange(1, 100) / 100.0, 2)
 
@@ -27,7 +27,7 @@ class CalibrationReport:
     def at_level(self, alpha: float, which: str = "cicp") -> float:
         idx = int(np.argmin(np.abs(self.alpha_grid - alpha)))
         if abs(self.alpha_grid[idx] - alpha) > 1e-9:
-            raise KeyError(f"level {alpha} not on the grid")
+            raise DomainViolation(f"level {alpha} not on the grid")
         return float(getattr(self, which)[idx])
 
 
@@ -36,7 +36,7 @@ def q2(y_true: np.ndarray, mean_pred: np.ndarray) -> float:
     y_true = np.asarray(y_true, dtype=float).ravel()
     mean_pred = np.asarray(mean_pred, dtype=float).ravel()
     if y_true.shape != mean_pred.shape or y_true.size < 2:
-        raise ValueError("need two same-length vectors of at least 2 entries")
+        raise DimensionMismatch("need two same-length vectors of at least 2 entries")
     sst = float(np.sum((y_true - y_true.mean()) ** 2))
     if sst == 0.0:
         raise ConstantTruth("ground truth is constant; predictivity undefined")
@@ -78,9 +78,9 @@ def coverage_report(
     mean_pred = np.asarray(mean_pred, dtype=float).ravel()
     latent_sd = np.asarray(latent_sd, dtype=float).ravel()
     if np.any(latent_sd < 0):
-        raise ValueError("latent sd must be non-negative")
+        raise DomainViolation("latent sd must be non-negative")
     if noise_variance_hat < 0:
-        raise ValueError("noise variance estimate must be non-negative")
+        raise DomainViolation("noise variance estimate must be non-negative")
 
     phi = ndtri((1.0 + alpha) / 2.0)  # (K,)
     pi_sd = np.sqrt(latent_sd**2 + noise_variance_hat)

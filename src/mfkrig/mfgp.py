@@ -38,6 +38,7 @@ from .gp import (
     constant_basis,
     default_bounds,
     fit_gp,
+    in_blocks,
     kriging_step,
     latent_spread,
     log_space_search,
@@ -46,10 +47,9 @@ from .gp import (
     profiled_gls,
     profiled_objective,
     query_points,
-    whitened_cov,
 )
 from .kernels import LengthScales
-from .optimize import check_count, check_tolerance
+from .optimize import check_count, check_positive
 
 LF = "lf"
 HF = "hf"
@@ -89,10 +89,8 @@ class HfParams:
     def __post_init__(self):
         object.__setattr__(self, "beta_rho", np.atleast_1d(np.asarray(self.beta_rho, float)))
         object.__setattr__(self, "beta_h", np.atleast_1d(np.asarray(self.beta_h, float)))
-        if self.sigma2_h <= 0:
-            raise ValueError("sigma2_h must be strictly positive")
-        if self.eta_h < 0:
-            raise ValueError("eta_h must be non-negative")
+        check_positive("sigma2_h", self.sigma2_h)
+        check_positive("eta_h", self.eta_h, zero_ok=True)
 
     @property
     def noise_variance(self) -> float:
@@ -143,7 +141,7 @@ class EmConfig:
 
     def __post_init__(self):
         check_count("max_em_iterations", self.max_em_iterations)
-        check_tolerance("loglik_rel_tolerance", self.loglik_rel_tolerance, zero_ok=True)
+        check_positive("loglik_rel_tolerance", self.loglik_rel_tolerance, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -388,8 +386,10 @@ def predict_mf(
 ) -> PredictiveDistribution:
     """Co-kriging posterior at new points for either fidelity level.
 
-    The LF mean, variance and covariance with the HF inputs all come from one
-    LF kriging step at x_star; the HF variance from one solve with the AR factor.
+    The LF solve against the cross-correlation with the HF inputs is made once
+    per call. Each block of x_star then takes its LF mean, variance and
+    covariance with the HF inputs from one LF kriging step, and its HF variance
+    from one whitening with the AR factor.
     """
     if level == LF:
         return predict_gp(model.lf_model, x_star, mode=mode, cov=cov)
@@ -398,23 +398,32 @@ def predict_mf(
     check_predict_options(mode, cov)
     x_star = query_points(x_star, model.data.hf.d)
     lf, params, x_h = model.lf_model, model.hf_params, model.data.hf.x
-    m_yl, u = kriging_step(lf, x_star)
-    v_cross = whitened_cov(lf, x_star, u, x_h, kriging_step(lf, x_h)[1])
-    lf_post = predictive(m_yl, latent_spread(lf, x_star, u, cov), 0.0)
+    kl = lf.hyper.kernel
+    # R~_L^-1 R_L(X_L, X_H) by one solve per call, so the LF cross-covariance is as
+    # accurate as the solve; a product of two whitened terms would carry the
+    # inverse factor's rounding, which grows with the condition number of R~_L.
+    solve_h = numerics.solve_spd(lf.factorization, kernels.corr_matrix(lf.data.x, x_h, kl.theta))
+    noise = params.noise_variance if mode == NOISY else 0.0
 
-    rho_star = model.rho_basis.design_matrix(x_star) @ params.beta_rho
-    k_cross = (
-        rho_star[:, None] * model.rho_at_hf[None, :] * v_cross
-        + params.sigma2_h * kernels.corr_matrix(x_star, x_h, params.theta_h)
-    )
-    m_ar = rho_star * m_yl + model.hf_basis.design_matrix(x_star) @ params.beta_h
-    mean = m_ar + k_cross @ model.ar_residual_solve
-    w = numerics.whiten(model.ar_factorization, k_cross.T)
-    if cov == FULL:
-        prior = np.outer(rho_star, rho_star) * lf_post.covariance + params.sigma2_h * (
-            kernels.corr_matrix(x_star, x_star, params.theta_h)
+    def predict_block(x: np.ndarray) -> PredictiveDistribution:
+        m_yl, r, u = kriging_step(lf, x)
+        v_cross = kl.sigma2 * (kernels.corr_matrix(x, x_h, kl.theta) - r @ solve_h)
+        lf_post = predictive(m_yl, latent_spread(lf, x, u, cov), 0.0)
+        rho_star = model.rho_basis.design_matrix(x) @ params.beta_rho
+        k_cross = (
+            rho_star[:, None] * model.rho_at_hf[None, :] * v_cross
+            + params.sigma2_h * kernels.corr_matrix(x, x_h, params.theta_h)
         )
-        spread = prior - w.T @ w
-    else:
-        spread = rho_star**2 * lf_post.variance + params.sigma2_h - np.einsum("ij,ij->j", w, w)
-    return predictive(mean, spread, params.noise_variance if mode == NOISY else 0.0)
+        m_ar = rho_star * m_yl + model.hf_basis.design_matrix(x) @ params.beta_h
+        mean = m_ar + k_cross @ model.ar_residual_solve
+        w = numerics.whiten(model.ar_factorization, k_cross.T)
+        if cov == FULL:
+            prior = np.outer(rho_star, rho_star) * lf_post.covariance + params.sigma2_h * (
+                kernels.corr_matrix(x, x, params.theta_h)
+            )
+            spread = prior - w.T @ w
+        else:
+            spread = rho_star**2 * lf_post.variance + params.sigma2_h - np.einsum("ij,ij->j", w, w)
+        return predictive(mean, spread, noise)
+
+    return in_blocks(predict_block, x_star, cov)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .exceptions import AllStartsFailed, InvalidConfig, ObjectiveNonFinite
+from .exceptions import AllStartsFailed, DimensionMismatch, InvalidConfig, ObjectiveNonFinite
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -33,11 +33,11 @@ class BoxBounds:
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("bounds must be two vectors of equal length")
+            raise DimensionMismatch("bounds must be two vectors of equal length")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("bounds must be finite")
+            raise InvalidConfig("bounds must be finite")
         if not np.all(lower < upper):
-            raise ValueError("each lower bound must be strictly below its upper bound")
+            raise InvalidConfig("each lower bound must be strictly below its upper bound")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -55,9 +55,9 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def check_tolerance(name: str, value, zero_ok: bool = False) -> None:
-    """A tolerance in a run config must be a finite real number (not a bool) above 0,
-    or at least 0 when `zero_ok`."""
+def check_positive(name: str, value, zero_ok: bool = False) -> None:
+    """A tolerance, variance or noise ratio must be a finite real number (not a bool)
+    above 0, or at least 0 when `zero_ok`."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
@@ -78,7 +78,7 @@ class MultiStartConfig:
     def __post_init__(self):
         check_count("n_starts", self.n_starts)
         check_count("max_iterations", self.max_iterations)
-        check_tolerance("gradient_tolerance", self.gradient_tolerance)
+        check_positive("gradient_tolerance", self.gradient_tolerance)
         check_count("rng_seed", self.rng_seed, 0)
 
 

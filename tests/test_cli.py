@@ -475,11 +475,12 @@ class TestModelJson:
 
     def test_valid_document_still_loads(self, workdir):
         model = _saved_model(workdir)
-        x = np.array([[0.2], [0.7]])
+        x = np.linspace(-0.5, 1.5, 2500).reshape(-1, 1)
         loaded = load_model(str(workdir / "m.json"))
-        assert np.array_equal(
-            predict_mf(loaded, x).mean, predict_mf(model, x).mean
-        )
+        for level in ("lf", "hf"):
+            got, want = predict_mf(loaded, x, level=level), predict_mf(model, x, level=level)
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.variance, want.variance)
 
 
 class TestBenchConfig:

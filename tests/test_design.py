@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from mfkrig import design
-from mfkrig.exceptions import DomainViolation
+from mfkrig.exceptions import DomainViolation, InvalidConfig
 
 
 class TestLhs:
@@ -116,5 +116,22 @@ class TestAddNoise:
         assert np.array_equal(a, b)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             design.add_noise(np.zeros(3), -1.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: design.lhs(0, 2, seed=0),
+        lambda: design.lhs(3, 0, seed=0),
+        lambda: design.maximin_lhs(1, 2),
+        lambda: design.maximin_lhs(5, 2, restarts=0),
+        lambda: design.get_pair("branin"),
+        lambda: design.eval_testfn(design.ANALYTIC_1D, "mf", np.zeros((2, 1))),
+    ],
+    ids=["lhs-n", "lhs-d", "maximin-n", "maximin-restarts", "pair", "level"],
+)
+def test_bad_arguments_raise_invalid_config(call):
+    with pytest.raises(InvalidConfig):
+        call()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfkrig import design, gp, kernels
+from mfkrig import design, gp, kernels, numerics
 from mfkrig.exceptions import (
     DimensionMismatch,
     DomainViolation,
@@ -187,6 +187,25 @@ class TestFitGp:
         xt = np.linspace(0, 2, 2000).reshape(-1, 1)
         pred = predict_gp(model, xt)
         assert q2(design.eval_testfn(pair, "lf", xt), pred.mean) > 0.999
+
+    def test_fit_never_inverts_a_factor(self, rng, monkeypatch):
+        # Only prediction reads the inverse factor; the thousands of
+        # factorizations of a fit must not pay for it.
+        made = []
+        chol_factor = numerics.chol_factor
+
+        def recording_chol_factor(m):
+            made.append(chol_factor(m))
+            return made[-1]
+
+        monkeypatch.setattr(numerics, "chol_factor", recording_chol_factor)
+        x = rng.uniform(size=(15, 2))
+        z = np.sin(3 * x[:, 0]) + x[:, 1] + rng.normal(scale=0.1, size=15)
+        model = fit_gp(Dataset(x, z), config=MultiStartConfig(n_starts=2))
+        assert len(made) > 10
+        assert not any("lower_inverse" in vars(f) for f in made)
+        predict_gp(model, x)
+        assert "lower_inverse" in vars(model.factorization)
 
     def test_refit_determinism(self, rng):
         x = rng.uniform(size=(20, 2))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfkrig import gp, kernels, numerics
-from mfkrig.exceptions import DimensionMismatch
+from mfkrig.exceptions import DimensionMismatch, InvalidConfig
 from mfkrig.kernels import KernelWorkspace, LengthScales
 
 from conftest import gauss_corr, random_spd
@@ -223,12 +223,29 @@ class TestWorkspaceAgreement:
 
 
 def test_length_scales_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         LengthScales(np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_length_scales_reject_zero_and_non_finite(bad):
+    with pytest.raises(InvalidConfig, match="length scales"):
+        LengthScales(np.array([1.0, bad]))
 
 
 def test_kernel_params_noise_variance():
     kp = kernels.KernelParams(theta=LengthScales(np.array([1.0])), sigma2=4.0, eta=0.25)
     assert kp.noise_variance == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         kernels.KernelParams(theta=LengthScales(np.array([1.0])), sigma2=0.0, eta=0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigma2", -1.0), ("sigma2", np.inf), ("sigma2", np.nan), ("eta", -1e-12),
+     ("eta", np.inf), ("eta", np.nan)],
+)
+def test_kernel_params_reject_bad_values(field, value):
+    kwargs = {"theta": LengthScales(np.array([1.0])), "sigma2": 1.0, "eta": 0.0, field: value}
+    with pytest.raises(InvalidConfig, match=field):
+        kernels.KernelParams(**kwargs)

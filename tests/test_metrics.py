@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mfkrig.exceptions import ConstantTruth, DomainViolation, EmptyGrid
+from mfkrig.exceptions import ConstantTruth, DimensionMismatch, DomainViolation, EmptyGrid
 from mfkrig.metrics import (
     DEFAULT_ALPHA_GRID,
     coverage_report,
@@ -32,6 +32,11 @@ class TestQ2:
     def test_constant_truth_raises(self):
         with pytest.raises(ConstantTruth):
             q2(np.ones(5), np.zeros(5))
+
+    @pytest.mark.parametrize("pred", [np.zeros(2), np.zeros(4)], ids=["short", "long"])
+    def test_mismatched_lengths_raise(self, pred):
+        with pytest.raises(DimensionMismatch):
+            q2(np.arange(3.0), pred)
 
     def test_never_exceeds_one(self, rng):
         y = rng.normal(size=30)
@@ -133,7 +138,7 @@ class TestCoverageReport:
         y = rng.normal(size=n)
         rep = coverage_report(y, y, y, np.ones(n), 0.0)
         assert rep.at_level(0.9, "cicp") == rep.cicp[89]
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainViolation):
             rep.at_level(0.905)
 
     def test_iae_bounds(self, rng):
@@ -144,6 +149,12 @@ class TestCoverageReport:
         rep = coverage_report(y, y, m, s, 0.0)
         assert 0.0 <= rep.iae_ci <= 0.5
         assert 0.0 <= rep.iae_pi <= 0.5
+
+    @pytest.mark.parametrize("sd, noise", [(-1.0, 0.0), (1.0, -1e-3)])
+    def test_negative_spread_raises(self, sd, noise):
+        y = np.arange(4.0)
+        with pytest.raises(DomainViolation, match="non-negative"):
+            coverage_report(y, y, y, np.full(4, sd), noise)
 
     def test_bad_grids(self):
         y = np.zeros(3) + np.array([0.0, 1.0, 2.0])

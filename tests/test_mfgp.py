@@ -7,6 +7,7 @@ from scipy.linalg import cho_solve
 
 from mfkrig import design, kernels, mfgp, numerics
 from mfkrig.gp import (
+    PREDICT_BLOCK_ROWS,
     BasisSpec,
     Dataset,
     MultiStartConfig,
@@ -508,6 +509,18 @@ def fitted_mf():
     )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigma2_h", -1.0), ("sigma2_h", 0.0), ("sigma2_h", np.nan), ("sigma2_h", np.inf),
+     ("eta_h", -1e-12), ("eta_h", np.nan), ("eta_h", np.inf)],
+)
+def test_hf_params_reject_bad_values(field, value):
+    kwargs = dict(beta_rho=[1.0], beta_h=[0.0], sigma2_h=1.0,
+                  theta_h=LengthScales(np.array([0.5])), eta_h=0.1)
+    with pytest.raises(InvalidConfig, match=field):
+        HfParams(**{**kwargs, field: value})
+
+
 class TestEmConfig:
     @pytest.mark.parametrize(
         "field, value",
@@ -969,6 +982,64 @@ class TestPredictMf:
         np.testing.assert_allclose(pred.mean, mean, rtol=0, atol=1e-12 * np.abs(mean).max())
         got = pred.covariance if cov == "full" else pred.variance
         np.testing.assert_allclose(got, spread, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("level", ["hf", "lf"])
+    @pytest.mark.parametrize("mode", ["latent", "noisy"])
+    @pytest.mark.parametrize(
+        "n", [PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS, PREDICT_BLOCK_ROWS + 1,
+              2 * PREDICT_BLOCK_ROWS + 7]
+    )
+    def test_blocked_batch_matches_two_solve_reference(self, fitted_mf, dim, level, mode, n):
+        model = fitted_mf if dim == 1 else _park_model()
+        x = np.random.default_rng(n).uniform(0, 2 if dim == 1 else 1, size=(n, dim))
+        pred = predict_mf(model, x, level=level, mode=mode)
+        if level == "hf":
+            mean, var = _two_solve_predict_mf(model, x, mode, "diagonal")
+        else:
+            mean, var = _two_solve_predict_gp(model.lf_model, x, mode, "diagonal")
+        np.testing.assert_allclose(pred.mean, mean, rtol=0, atol=1e-12 * np.abs(mean).max())
+        np.testing.assert_allclose(pred.variance, var, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("level", ["hf", "lf"])
+    def test_blocks_equal_predicting_them_alone(self, fitted_mf, dim, level):
+        model = fitted_mf if dim == 1 else _park_model()
+        b = PREDICT_BLOCK_ROWS
+        x = np.random.default_rng(dim).uniform(0, 1, size=(2 * b + 7, dim))
+        pred = predict_mf(model, x, level=level)
+        for rows in (slice(0, b), slice(2 * b, None)):
+            alone = predict_mf(model, x[rows], level=level)
+            assert np.array_equal(pred.mean[rows], alone.mean)
+            assert np.array_equal(pred.variance[rows], alone.variance)
+
+    @pytest.mark.parametrize("level", ["hf", "lf"])
+    @pytest.mark.parametrize("cov", ["diagonal", "full"])
+    def test_empty_batch(self, fitted_mf, level, cov):
+        pred = predict_mf(fitted_mf, np.empty((0, 1)), level=level, cov=cov)
+        assert pred.mean.shape == (0,)
+        spread = pred.covariance if cov == "full" else pred.variance
+        assert spread.shape == ((0, 0) if cov == "full" else (0,))
+
+    @pytest.mark.parametrize("level", ["hf", "lf"])
+    @pytest.mark.parametrize("n", [40, 2 * PREDICT_BLOCK_ROWS + 7])
+    def test_noise_free_lf_matches_two_solve_reference(self, fitted_mf, level, n):
+        # eta_L at the 1e-8 lower bound of the fit, where the analytic1d LF fits end:
+        # the LF factor is as ill-conditioned as prediction meets it.
+        lf = fitted_mf.lf_model
+        k = lf.hyper.kernel
+        lf = make_trained_gp(lf.data, lf.basis, lf.hyper.beta,
+                             KernelParams(theta=k.theta, sigma2=k.sigma2, eta=1e-8))
+        model = make_mf_model(fitted_mf.data, lf, fitted_mf.hf_params,
+                              fitted_mf.hf_basis, fitted_mf.rho_basis)
+        x = np.random.default_rng(n).uniform(0, 2, size=(n, 1))
+        pred = predict_mf(model, x, level=level)
+        if level == "hf":
+            mean, var = _two_solve_predict_mf(model, x, "latent", "diagonal")
+        else:
+            mean, var = _two_solve_predict_gp(lf, x, "latent", "diagonal")
+        np.testing.assert_allclose(pred.mean, mean, rtol=0, atol=1e-12 * np.abs(mean).max())
+        np.testing.assert_allclose(pred.variance, var, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("level", ["hf", "lf"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

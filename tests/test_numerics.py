@@ -138,13 +138,41 @@ class TestInvSpd:
             numerics.inv_spd(f)
 
 
+class TestLowerInverse:
+    def test_inverts_the_factor(self, rng):
+        f = numerics.chol_factor(random_spd(rng, 12))
+        inv = f.lower_inverse
+        assert np.array_equal(inv, np.tril(inv))
+        assert np.allclose(inv @ f.lower_factor, np.eye(12), atol=1e-12)
+
+    def test_computed_once_on_first_use_and_read_only(self, rng):
+        f = numerics.chol_factor(random_spd(rng, 8))
+        numerics.inv_spd(f)
+        numerics.solve_spd(f, np.ones(8))
+        assert "lower_inverse" not in vars(f)
+        inv = f.lower_inverse
+        assert f.lower_inverse is inv
+        with pytest.raises(ValueError, match="read-only"):
+            inv[0, 0] = 1.0
+
+    def test_zero_pivot_raises(self):
+        f = numerics.SpdFactorization(lower_factor=np.diag([1.0, 0.0]), jitter_used=0.0)
+        with pytest.raises(NotPositiveDefinite):
+            f.lower_inverse
+
+
 class TestWhiten:
+    @staticmethod
+    def _check(f, b):
+        u = numerics.whiten(f, b)
+        assert np.array_equal(u, f.lower_inverse @ b)
+        assert np.allclose(f.lower_factor @ u, b, atol=1e-12)
+        ref = solve_triangular(f.lower_factor, b, lower=True)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_equals_triangular_solve(self, rng):
         f = numerics.chol_factor(random_spd(rng, 12))
-        b = rng.normal(size=(12, 30))
-        u = numerics.whiten(f, b)
-        assert np.array_equal(u, solve_triangular(f.lower_factor, b, lower=True))
-        assert np.allclose(f.lower_factor @ u, b, atol=1e-12)
+        self._check(f, rng.normal(size=(12, 30)))
 
     def test_quadratic_form_matches_solve(self, rng):
         # U_a^T U_b = B_a^T M^-1 B_b, the identity prediction relies on.
@@ -170,7 +198,4 @@ class TestWhiten:
         m = np.outer(x, x) + np.outer(1.0 - x, 1.0 - x)
         f = numerics.chol_factor(m)
         assert f.jitter_used > 0
-        b = np.eye(6)
-        u = numerics.whiten(f, b)
-        assert np.array_equal(u, solve_triangular(f.lower_factor, b, lower=True))
-        assert np.allclose(f.lower_factor @ u, b, atol=1e-12)
+        self._check(f, np.eye(6))

@@ -200,7 +200,7 @@ def test_multi_start_config_rejects_bad_value(field, value):
 
 
 def test_box_bounds_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         BoxBounds(np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         BoxBounds(np.array([0.0]), np.array([np.inf]))

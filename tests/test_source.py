@@ -1,6 +1,7 @@
 """Static checks of the package source."""
 
 import ast
+import builtins
 import pathlib
 import re
 
@@ -98,3 +99,51 @@ def test_detector_finds_an_unreferenced_def():
 def test_every_def_is_referenced(path):
     others = "\n".join(p.read_text() for p in CALLERS if p != path)
     assert unreferenced_defs(path.read_text(), others) == []
+
+
+BUILTIN_EXCEPTIONS = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
+
+
+def builtin_raises(source: str) -> list[str]:
+    """`raise` statements that name a builtin exception class, called or not.
+
+    A bare `raise` and `raise exc` of a caught exception name no class, and
+    translating a caught builtin into a package error names a package class, so
+    neither is reported.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
+            found.append((node.lineno, exc.id))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_detector_finds_a_builtin_raise():
+    source = (
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError('negative')\n"
+        "    try:\n"
+        "        return {}[x]\n"
+        "    except KeyError as exc:\n"
+        "        if x:\n"
+        "            raise\n"
+        "        if x > 1:\n"
+        "            raise exc\n"
+        "        raise InvalidConfig(str(exc)) from exc\n"
+        "    raise TypeError\n"
+    )
+    assert builtin_raises(source) == ["ValueError (line 3)", "TypeError (line 12)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_raises_only_package_errors(path):
+    """Every error the package raises is an MfkrigError, so callers and the CLI can
+    tell a bad input from a bug."""
+    assert builtin_raises(path.read_text()) == []
