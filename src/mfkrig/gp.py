@@ -8,6 +8,7 @@ the HF level of the co-kriging model shares that profiled step
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -154,36 +155,37 @@ def profiled_gls(
 ):
     """The profiled generalized-least-squares step of both levels at fixed (theta, eta).
 
-    Builds R~ = R(theta) + eta I from the fit's workspace (1 + eta written in place
-    on R's diagonal), factorizes and inverts it, solves
+    Builds R~ = R(theta) + eta I from the fit's workspace, factorizes it by
+    `numerics.chol_core` (R~ is exactly symmetric, and finite because `Dataset`,
+    `LengthScales` and the search box are), inverts it, solves
     (H^T R~^-1 H + T) beta = H^T R~^-1 z by LAPACK dgesv and, with r = z - H beta,
     returns beta, sigma2 = (r^T R~^-1 r + beta^T T beta) / n, R~, the factor, R~^-1
     and R~^-1 r. R~ differs from R only on the diagonal, which the length-scale
     gradient never reads: the workspace's squared differences are exactly 0 there.
     T = 0 for a single-fidelity fit. The HF M-step passes `latent = (G, Sigma_{Y|Z})`:
     its scaling rho = G beta_rho multiplies uncertain latent LF values, so T's
-    leading block is G^T (R~^-1 o Sigma) G (Le Gratiet & Garnier 2014).
+    leading block is G^T (R~^-1 o Sigma) G (Le Gratiet & Garnier 2014). Products
+    use np.dot: the BLAS calls of `@` without its per-call overhead at these sizes.
     """
     n = len(z)
-    r_tilde = ws.corr(theta)
-    np.fill_diagonal(r_tilde, 1.0 + eta)  # R + eta I, as R's diagonal is exactly 1
-    fact = numerics.chol_factor(r_tilde)
+    r_tilde = ws.corr(theta, eta)
+    fact = numerics.chol_core(r_tilde)
     rt_inv = numerics.inv_spd(fact)
-    ri_h = rt_inv @ h
-    normal = h.T @ ri_h
+    ri_h = np.dot(rt_inv, h)
+    normal = np.dot(h.T, ri_h)
     if latent is not None:
         g, sigma = latent
         q = g.shape[1]
-        t_block = g.T @ ((rt_inv * sigma) @ g)
+        t_block = np.dot(g.T, np.dot(rt_inv * sigma, g))
         normal[:q, :q] += t_block
-    beta, info = lapack.dgesv(normal, ri_h.T @ z)[2:]
+    beta, info = lapack.dgesv(normal, np.dot(ri_h.T, z))[2:]
     if info > 0:
         raise SingularNormalEquations("normal equations of the GLS step are singular")
-    resid = z - h @ beta
-    ri_resid = rt_inv @ resid
-    sigma2 = float(resid @ ri_resid)
+    resid = z - np.dot(h, beta)
+    ri_resid = np.dot(rt_inv, resid)
+    sigma2 = float(np.dot(resid, ri_resid))
     if latent is not None:
-        sigma2 += float(beta[:q] @ t_block @ beta[:q])
+        sigma2 += float(np.dot(np.dot(beta[:q], t_block), beta[:q]))
     return beta, max(sigma2 / n, 0.0), r_tilde, fact, rt_inv, ri_resid
 
 
@@ -208,10 +210,13 @@ def profiled_objective(
     w = None
     if latent is not None:
         g, sigma = latent
-        rho = g @ beta[: g.shape[1]]
-        w = rt_inv @ (np.outer(rho, rho) * sigma) @ rt_inv / sigma2
+        rho = np.dot(g, beta[: g.shape[1]])
+        w = rho[:, None] * rho
+        w *= sigma
+        w = np.dot(np.dot(rt_inv, w), rt_inv)
+        w /= sigma2
     a = rt_inv
-    a -= np.outer(kappa, kappa)
+    a -= kappa[:, None] * kappa
     if w is not None:
         a -= w
     n = len(z)
@@ -231,8 +236,9 @@ def contracted_grad(
     """
     grad = np.empty(theta.ndim + 1)
     grad[:-1] = kernels.corr_matrix_grad(ws, theta, r, a)
-    grad[-1] = np.trace(a)
-    return 0.5 * grad
+    grad[-1] = a.trace()
+    grad *= 0.5
+    return grad
 
 
 def profiled_nll_and_grad(
@@ -245,30 +251,36 @@ def profiled_nll_and_grad(
 
 
 def log_space_search(
-    objective: optimize.Objective,
+    evaluate: Callable[[LengthScales, float], tuple[float, np.ndarray]],
     bounds: BoxBounds,
     config: MultiStartConfig,
     extra_starts: Sequence[np.ndarray] = (),
     n_random: int | None = None,
-) -> tuple[np.ndarray, float, list[optimize.StartResult]]:
-    """Multi-start minimization of objective(omega) -> (value, gradient) over a
-    positive box, searched in psi = log(omega).
+    fixed_eta: float | None = None,
+) -> tuple[LengthScales, float, float, list[optimize.StartResult]]:
+    """Multi-start minimization of evaluate(theta, eta) -> (value, gradient) over a
+    positive box of omega = (theta, eta), or theta alone with `fixed_eta`, searched
+    in psi = log(omega) by one callback that also applies the chain rule.
 
     The `n_random` random starts (config.n_starts by default; 0 for none) are
     uniform in psi, i.e. log-uniform over the box; the raw extra starts come
-    first. Returns the best omega, its value and the start log.
+    first. Returns the best theta and eta, the value there and the start log.
     """
     log_bounds = BoxBounds(np.log(bounds.lower), np.log(bounds.upper))
+    d = bounds.ndim if fixed_eta is not None else bounds.ndim - 1
+
+    def hyper(omega: np.ndarray) -> tuple[LengthScales, float]:
+        return LengthScales(omega[:d]), float(omega[d]) if fixed_eta is None else fixed_eta
 
     def in_log_space(psi: np.ndarray) -> tuple[float, np.ndarray]:
         omega = np.exp(psi)
-        value, grad = objective(omega)
-        return value, grad * omega
+        value, grad = evaluate(*hyper(omega))
+        return value, grad[: omega.size] * omega
 
     psi, value, start_log = optimize.multi_start_minimize(
         in_log_space, log_bounds, config, [np.log(s) for s in extra_starts], n_random
     )
-    return np.exp(psi), value, start_log
+    return (*hyper(np.exp(psi)), value, start_log)
 
 
 def fit_gp(
@@ -286,21 +298,12 @@ def fit_gp(
         raise InvalidConfig(f"need at least {basis.p + 1} training points, got {data.n}")
     f = check_rank(basis.design_matrix(data.x), "basis")
     ws = kernels.KernelWorkspace(data.x)
-    d = data.d
-
-    def hyper(omega: np.ndarray) -> tuple[LengthScales, float]:
-        if fixed_eta is None:
-            return LengthScales(omega[:d]), float(omega[d])
-        return LengthScales(omega), fixed_eta
-
-    def objective(omega: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = profiled_nll_and_grad(ws, data.z, f, *hyper(omega))
-        return value, grad[: omega.size]
-
-    omega, best_val, _ = log_space_search(
-        objective, default_bounds(data, with_eta=fixed_eta is None), config
+    theta, eta, best_val, _ = log_space_search(
+        functools.partial(profiled_nll_and_grad, ws, data.z, f),
+        default_bounds(data, with_eta=fixed_eta is None),
+        config,
+        fixed_eta=fixed_eta,
     )
-    theta, eta = hyper(omega)
     beta, sigma2 = profiled_gls(ws, data.z, f, theta, eta)[:2]
     model = make_trained_gp(
         data, basis, beta, KernelParams(theta=theta, sigma2=sigma2, eta=eta)
@@ -313,12 +316,12 @@ def make_trained_gp(
 ) -> TrainedGp:
     """Assemble a TrainedGp from given hyperparameters (fit and deserialization path).
 
-    R comes from a kernel workspace, as in the fit's objective, so the model
+    R~ comes from a kernel workspace, as in the fit's objective, so the model
     factorizes the same matrix the fit scored at these hyperparameters.
     """
     beta = np.asarray(beta, dtype=float)
-    r = kernels.KernelWorkspace(data.x).corr(kernel.theta)
-    fact = numerics.chol_factor(r + kernel.eta * np.eye(data.n))
+    r_tilde = kernels.KernelWorkspace(data.x).corr(kernel.theta, kernel.eta)
+    fact = numerics.chol_factor(r_tilde)
     ri_resid = numerics.solve_spd(fact, data.z - basis.design_matrix(data.x) @ beta)
     return TrainedGp(
         data=data,

@@ -20,11 +20,11 @@ class LengthScales:
     theta: np.ndarray
 
     def __post_init__(self):
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
+        theta = np.array(self.theta, dtype=float, ndmin=1, copy=None)
         if theta.ndim != 1 or theta.size == 0:
             raise DimensionMismatch("length scales must be a non-empty vector")
         # One pass over Python floats: the fit builds these on every evaluation.
-        if not all(0.0 < t < math.inf for t in theta.tolist()):
+        if not all([0.0 < t < math.inf for t in theta.tolist()]):
             raise InvalidConfig(f"length scales must be finite and > 0, got {theta}")
         object.__setattr__(self, "theta", theta)
 
@@ -95,13 +95,16 @@ class KernelWorkspace:
     def n(self) -> int:
         return self.x.shape[0]
 
-    def corr(self, theta: LengthScales) -> np.ndarray:
-        """R(theta) = corr_matrix(x, x, theta). Entries (i, j) and (j, i) are the same
-        sum of the same products, so R is exactly symmetric; its diagonal is 1."""
+    def corr(self, theta: LengthScales, eta: float = 0.0) -> np.ndarray:
+        """R(theta) + eta I, with R(theta) = corr_matrix(x, x, theta). Entries (i, j)
+        and (j, i) are the same sum of the same products, so it is exactly symmetric;
+        R's diagonal is exactly 1, so writing 1 + eta there adds eta I bit for bit."""
         if theta.ndim != self.x.shape[1]:
             raise DimensionMismatch("point dimensions do not match the length scales")
         s = np.dot(-0.5 / theta.theta**2, self.d2)
-        return np.exp(s, out=s).reshape(self.n, self.n)
+        np.exp(s, out=s)
+        s[:: self.n + 1] = 1.0 + eta
+        return s.reshape(self.n, self.n)
 
 
 def corr_matrix_grad(

@@ -9,6 +9,7 @@ leaving only (theta_H, eta_H) for numerical search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -183,9 +184,8 @@ def ar_marginal(hf: HfWorkspace, params: HfParams) -> ArMarginal:
     posterior covariance V_L at X_H and R_H from the workspace at the HF inputs.
     """
     rho = hf.g_matrix @ params.beta_rho
-    r_h = hf.ws.corr(params.theta_h)
-    cov = np.outer(rho, rho) * hf.lf_cov + params.sigma2_h * (
-        r_h + params.eta_h * np.eye(len(rho))
+    cov = np.outer(rho, rho) * hf.lf_cov + params.sigma2_h * hf.ws.corr(
+        params.theta_h, params.eta_h
     )
     try:
         fact = numerics.chol_factor(cov)
@@ -287,7 +287,6 @@ def em_fit_hf(
             f"need at least {q + p_h + 1} high-fidelity points, got {data.hf.n}"
         )
     bounds = default_bounds(data.hf)
-    d = data.hf.d
     hf = hf_workspace(data, lf_model, hf_basis, rho_basis)
     check_rank(hf.g_matrix, "HF scaling (rho) basis")
     check_rank(hf.f_matrix, "HF basis")
@@ -303,17 +302,13 @@ def em_fit_hf(
         state = e_step(ar)
         check_rank(state.h_matrix, "E-step HF scaling (rho) and HF basis")
 
-        def objective(omega: np.ndarray) -> tuple[float, np.ndarray]:
-            return q_tilde_and_grad(state, hf, LengthScales(omega[:d]), float(omega[d]))
-
         n_random = (config.n_starts if t == 0 else INNER_N_STARTS) if multi_start else 0
         seed = np.random.SeedSequence((config.rng_seed, t)).generate_state(1)[0]
         current = np.append(params.theta_h.theta, params.eta_h)
-        omega, _, _ = log_space_search(
-            objective, bounds, replace(config, rng_seed=int(seed)),
-            extra_starts=[current], n_random=n_random,
+        theta_new, eta_new, _, _ = log_space_search(
+            functools.partial(q_tilde_and_grad, state, hf), bounds,
+            replace(config, rng_seed=int(seed)), extra_starts=[current], n_random=n_random,
         )
-        theta_new, eta_new = LengthScales(omega[:d]), float(omega[d])
         beta, sigma2 = m_step_closed_forms(state, hf, theta_new, eta_new)
         params = HfParams(
             beta_rho=beta[:q],

@@ -50,12 +50,10 @@ class SpdFactorization:
 def chol_factor(m: np.ndarray) -> SpdFactorization:
     """Cholesky-factorize a symmetric matrix, escalating diagonal jitter on failure.
 
-    Raises NotPositiveDefinite if an entry is not finite, NotSymmetric if the
-    symmetric mismatch exceeds the relative tolerance, and NotPositiveDefinite
-    if every jitter level fails. LAPACK dpotrf factors the lower triangle and
-    zeroes the upper one; a nonzero `info` means the leading minor of that order
-    is not positive definite. The jitter scale mean(diag(M)) is computed only
-    when the bare factorization fails.
+    The validating front of `chol_core`, for public callers and model assembly:
+    raises DimensionMismatch for a non-square matrix, NotPositiveDefinite if an
+    entry is not finite and NotSymmetric if the symmetric mismatch exceeds the
+    relative tolerance, then factorizes by `chol_core`.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -66,19 +64,35 @@ def chol_factor(m: np.ndarray) -> SpdFactorization:
     # M - M^T is exactly antisymmetric, so its max is its largest absolute entry.
     if (m - m.T).max() > SYMMETRY_RTOL * max(hi, -lo, 1.0):
         raise NotSymmetric("matrix is not symmetric within tolerance")
+    return chol_core(m)
 
+
+def chol_core(m: np.ndarray) -> SpdFactorization:
+    """Cholesky factor of a float matrix from its lower triangle, escalating
+    diagonal jitter on failure, with no O(N^2) validation pass: for matrices that
+    are symmetric by construction, such as every R~ = R + eta I of a fit.
+
+    LAPACK dpotrf factors the lower triangle and zeroes the upper one; a nonzero
+    `info` means the leading minor of that order is not positive definite. The
+    jitter scale mean(diag(M)) is computed only when the bare factorization fails.
+    NotPositiveDefinite if every jitter level fails, or if the lower triangle
+    holds a NaN or an infinity, which reaches the factor's diagonal if it passes.
+    """
     lower, info = lapack.dpotrf(m, lower=1, clean=1)
-    if info == 0:
-        return SpdFactorization(lower_factor=lower, jitter_used=0.0)
-    mean_diag = float(np.mean(np.diag(m)))
-    for level in JITTER_SCHEDULE:
-        jitter = level * mean_diag
-        lower, info = lapack.dpotrf(m + jitter * np.eye(m.shape[0]), lower=1, clean=1)
-        if info == 0:
-            return SpdFactorization(lower_factor=lower, jitter_used=jitter)
-    raise NotPositiveDefinite(
-        "matrix is not positive definite even after jitter escalation"
-    )
+    jitter = 0.0
+    if info != 0:
+        mean_diag = float(np.mean(np.diag(m)))
+        for level in JITTER_SCHEDULE:
+            jitter = level * mean_diag
+            lower, info = lapack.dpotrf(m + jitter * np.eye(m.shape[0]), lower=1, clean=1)
+            if info == 0:
+                break
+    if info != 0:
+        raise NotPositiveDefinite("matrix is not positive definite even after jitter escalation")
+    # A finite matrix's factor cannot overflow this sum (cheaper than a NumPy reduction).
+    if not math.isfinite(sum(lower.diagonal().tolist())):
+        raise NotPositiveDefinite("matrix has a non-finite entry")
+    return SpdFactorization(lower, jitter)
 
 
 def _check_rows(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
@@ -121,7 +135,7 @@ def inv_spd(f: SpdFactorization) -> np.ndarray:
     upper_inv, info = lapack.dtrtri(f.lower_factor.T, lower=0)
     if info != 0:
         raise NotPositiveDefinite(f"dtrtri failed to invert the factor (info={info})")
-    return upper_inv @ upper_inv.T
+    return np.dot(upper_inv, upper_inv.T)
 
 
 def logdet_spd(f: SpdFactorization) -> float:

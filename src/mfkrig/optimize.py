@@ -107,22 +107,22 @@ def minimize_box(
     start costs exactly one evaluation there.
     """
     start = bounds.clip(np.asarray(start, dtype=float))
-
-    best: dict = {"x": None, "f": np.inf}
+    best_x, best_f = None, math.inf
 
     def wrapped(x):
+        nonlocal best_x, best_f
         value, grad = objective(x)
-        grad = np.asarray(grad, dtype=float)
-        if not np.isfinite(value):
-            if best["x"] is None:
+        if not math.isfinite(value):
+            if best_x is None:
                 raise ObjectiveNonFinite("objective is not finite at the start point")
             return _BIG, np.zeros_like(grad)
-        if value < best["f"]:
-            best["f"] = float(value)
-            best["x"] = np.array(x)
-        if not np.all(np.isfinite(grad)):
+        value = float(value)
+        if value < best_f:
+            best_x, best_f = x.copy(), value
+        # One pass: a sum of finite components overflows only beyond 1e308.
+        if not math.isfinite(sum(grad.tolist())):
             grad = np.zeros_like(grad)
-        return float(value), grad
+        return value, grad
 
     res = _scipy_minimize(
         wrapped,
@@ -138,8 +138,8 @@ def minimize_box(
         },
     )
     x, f = bounds.clip(res.x), float(res.fun)
-    if best["x"] is not None and best["f"] < f:
-        x, f = bounds.clip(best["x"]), best["f"]
+    if best_x is not None and best_f < f:
+        x, f = bounds.clip(best_x), best_f
     converged = bool(res.success) and np.isfinite(f)
     return x, f, converged
 

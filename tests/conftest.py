@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mfkrig import design, numerics
+from mfkrig import design, gp, mfgp, numerics, optimize
 from mfkrig.exceptions import DimensionMismatch
 from mfkrig.gp import BasisSpec, Dataset, MultiStartConfig
 from mfkrig.kernels import LengthScales
@@ -47,18 +47,59 @@ def rng():
 def factorization_sizes(monkeypatch):
     """The dimension of every matrix factorized during the test, in call order.
 
-    gp and mfgp call `numerics.chol_factor` through the module attribute, so
-    wrapping it there sees every factorization of a fit.
+    Every factorization runs `numerics.chol_core`: the fit's evaluations call it
+    through the module attribute, and the validating `chol_factor` through its
+    module global, so wrapping it there sees every factorization of a fit.
     """
     sizes: list[int] = []
-    chol_factor = numerics.chol_factor
+    chol_core = numerics.chol_core
 
-    def recording_chol_factor(m):
+    def recording_chol_core(m):
         sizes.append(np.shape(m)[0])
-        return chol_factor(m)
+        return chol_core(m)
 
-    monkeypatch.setattr(numerics, "chol_factor", recording_chol_factor)
+    monkeypatch.setattr(numerics, "chol_core", recording_chol_core)
     return sizes
+
+
+class _SearchStarted(Exception):
+    pass
+
+
+def first_search_callback(monkeypatch, run):
+    """The search callback psi -> (value, gradient in psi) of the first
+    `log_space_search` that `run()` starts, and the evaluate(theta, eta) it wraps
+    when `run` calls the search through the gp or mfgp module (else None).
+
+    `run` is stopped where that search would start its first minimization.
+    """
+    found = {}
+    search = gp.log_space_search
+
+    def spy(evaluate, *args, **kwargs):
+        found["evaluate"] = evaluate
+        return search(evaluate, *args, **kwargs)
+
+    def stop(objective, *args, **kwargs):
+        found["callback"] = objective
+        raise _SearchStarted
+
+    with monkeypatch.context() as patch, pytest.raises(_SearchStarted):
+        patch.setattr(gp, "log_space_search", spy)
+        patch.setattr(mfgp, "log_space_search", spy)
+        patch.setattr(optimize, "multi_start_minimize", stop)
+        run()
+    return found["callback"], found.get("evaluate")
+
+
+def central_differences(callback, psi: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of callback's value in psi."""
+    grad = np.empty(psi.size)
+    for i in range(psi.size):
+        e = np.zeros(psi.size)
+        e[i] = step
+        grad[i] = (callback(psi + e)[0] - callback(psi - e)[0]) / (2.0 * step)
+    return grad
 
 
 @pytest.fixture(scope="session")

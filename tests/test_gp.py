@@ -21,6 +21,8 @@ from mfkrig.gp import (
 from mfkrig.kernels import KernelWorkspace, LengthScales
 from mfkrig.metrics import q2
 
+from conftest import central_differences, first_search_callback
+
 
 def profiled_estimates(data, basis, theta, eta):
     """Closed-form GLS estimate of beta and the profiled variance, with fit_gp's rank check."""
@@ -192,13 +194,13 @@ class TestFitGp:
         # Only prediction reads the inverse factor; the thousands of
         # factorizations of a fit must not pay for it.
         made = []
-        chol_factor = numerics.chol_factor
+        chol_core = numerics.chol_core
 
-        def recording_chol_factor(m):
-            made.append(chol_factor(m))
+        def recording_chol_core(m):
+            made.append(chol_core(m))
             return made[-1]
 
-        monkeypatch.setattr(numerics, "chol_factor", recording_chol_factor)
+        monkeypatch.setattr(numerics, "chol_core", recording_chol_core)
         x = rng.uniform(size=(15, 2))
         z = np.sin(3 * x[:, 0]) + x[:, 1] + rng.normal(scale=0.1, size=15)
         model = fit_gp(Dataset(x, z), config=MultiStartConfig(n_starts=2))
@@ -247,6 +249,49 @@ def model():
     x = rng.uniform(size=(25, 2))
     z = np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1]) + rng.normal(scale=0.05, size=25)
     return fit_gp(Dataset(x, z), config=MultiStartConfig(n_starts=4, rng_seed=2))
+
+
+class TestLogSpaceCallback:
+    """The LF fit's search callback: value and gradient in psi = log(theta, eta),
+    with the chain rule applied in the callback itself."""
+
+    @pytest.fixture(scope="class")
+    def park_data(self):
+        x = design.lhs(25, 4, seed=11).points
+        z = design.add_noise(design.eval_testfn(design.PARK_4D, "lf", x), 1.0, seed=12)
+        return Dataset(x, z)
+
+    @staticmethod
+    def psi_points(rng, d, count=5):
+        omega = np.column_stack([rng.uniform(0.3, 2.0, (count, d)), rng.uniform(0.01, 1.0, count)])
+        return np.log(omega)
+
+    @pytest.mark.parametrize("fixed_eta", [None, 0.0])
+    def test_same_bits_as_the_raw_gradient_times_omega(self, park_data, monkeypatch, rng,
+                                                      fixed_eta):
+        callback, evaluate = first_search_callback(
+            monkeypatch, lambda: fit_gp(park_data, fixed_eta=fixed_eta)
+        )
+        assert evaluate.func is gp.profiled_nll_and_grad
+        f = constant_basis().design_matrix(park_data.x)
+        for psi in self.psi_points(rng, 4):
+            if fixed_eta is not None:
+                psi = psi[:4]
+            omega = np.exp(psi)
+            eta = float(omega[4]) if fixed_eta is None else fixed_eta
+            value, grad = gp.profiled_nll_and_grad(
+                KernelWorkspace(park_data.x), park_data.z, f, LengthScales(omega[:4]), eta
+            )
+            got_value, got_grad = callback(psi)
+            assert got_value == value
+            assert np.array_equal(got_grad, grad[: omega.size] * omega)
+
+    def test_central_differences_in_psi(self, park_data, monkeypatch, rng):
+        callback, _ = first_search_callback(monkeypatch, lambda: fit_gp(park_data))
+        for psi in self.psi_points(rng, 4):
+            grad = callback(psi)[1]
+            assert np.allclose(central_differences(callback, psi), grad,
+                               rtol=1e-5, atol=1e-5 * np.max(np.abs(grad)))
 
 
 class TestPredictGp:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -46,7 +47,7 @@ from mfkrig.mfgp import (
     q_tilde_and_grad,
 )
 
-from conftest import det_cofactor, gauss_corr
+from conftest import central_differences, det_cofactor, first_search_callback, gauss_corr
 
 
 def _lf_moments(lf_model, x):
@@ -667,7 +668,7 @@ def _spy_searches(monkeypatch) -> list[tuple[int, int]]:
 
     def spy(*args, **kwargs):
         result = log_space_search(*args, **kwargs)
-        searches.append((kwargs["n_random"], len(result[2])))
+        searches.append((kwargs["n_random"], len(result[3])))
         return result
 
     monkeypatch.setattr(mfgp, "log_space_search", spy)
@@ -694,17 +695,11 @@ def _further_m_step(data, lf_model, params, seed):
     """Observed log-likelihood after one multi-start M-step from params."""
     hf = hf_workspace(data, lf_model, constant_basis(), constant_basis())
     state = e_step(ar_marginal(hf, params))
-    d = data.hf.d
-
-    def objective(omega):
-        return q_tilde_and_grad(state, hf, LengthScales(omega[:d]), float(omega[d]))
-
-    omega, _, _ = log_space_search(
-        objective, default_bounds(data.hf), MultiStartConfig(n_starts=INNER_N_STARTS,
-                                                             rng_seed=seed),
+    theta, eta, _, _ = log_space_search(
+        functools.partial(q_tilde_and_grad, state, hf), default_bounds(data.hf),
+        MultiStartConfig(n_starts=INNER_N_STARTS, rng_seed=seed),
         extra_starts=[np.append(params.theta_h.theta, params.eta_h)],
     )
-    theta, eta = LengthScales(omega[:d]), float(omega[d])
     beta, sigma2 = m_step_closed_forms(state, hf, theta, eta)
     new = HfParams(beta_rho=beta[:1], beta_h=beta[1:], sigma2_h=sigma2, theta_h=theta, eta_h=eta)
     return hf_observed_loglik(ar_marginal(hf, new))
@@ -1131,3 +1126,74 @@ class TestPredictMf:
         pred = predict_mf(model, xt, level="hf")
         assert np.all(np.isfinite(pred.mean)) and np.all(np.isfinite(pred.variance))
         assert q2(design.eval_testfn(pair, "hf", xt), pred.mean) > 0.9
+
+
+class TestMStepSearchCallback:
+    """The HF M-step's search callback: value and gradient in psi = log(theta_H, eta_H),
+    with the chain rule applied in the callback itself."""
+
+    @staticmethod
+    def psi_points(rng, count=5):
+        omega = np.column_stack([rng.uniform(0.3, 2.0, (count, 4)), rng.uniform(0.01, 1.0, count)])
+        return np.log(omega)
+
+    @staticmethod
+    def first_m_step(park_em_case, monkeypatch):
+        data, lf = park_em_case
+        return first_search_callback(
+            monkeypatch, lambda: em_fit_hf(data, lf, config=MultiStartConfig(n_starts=2))
+        )
+
+    def test_same_bits_as_the_raw_gradient_times_omega(self, park_em_case, monkeypatch, rng):
+        callback, evaluate = self.first_m_step(park_em_case, monkeypatch)
+        assert evaluate.func is mfgp.q_tilde_and_grad
+        state, hf = evaluate.args
+        assert np.any(state.sigma_y_given_z != 0.0)
+        for psi in self.psi_points(rng):
+            omega = np.exp(psi)
+            value, grad = q_tilde_and_grad(state, hf, LengthScales(omega[:4]), float(omega[4]))
+            got_value, got_grad = callback(psi)
+            assert got_value == value
+            assert np.array_equal(got_grad, grad * omega)
+
+    @pytest.mark.parametrize("latent_term", [True, False])
+    def test_central_differences_in_psi(self, park_em_case, monkeypatch, rng, latent_term):
+        _, evaluate = self.first_m_step(park_em_case, monkeypatch)
+        state, hf = evaluate.args
+        if not latent_term:
+            state = dataclasses.replace(state, sigma_y_given_z=np.zeros_like(state.sigma_y_given_z))
+        callback, _ = first_search_callback(
+            monkeypatch,
+            lambda: log_space_search(functools.partial(q_tilde_and_grad, state, hf),
+                                     default_bounds(hf.data), MultiStartConfig()),
+        )
+        for psi in self.psi_points(rng):
+            grad = callback(psi)[1]
+            assert np.allclose(central_differences(callback, psi), grad,
+                               rtol=1e-5, atol=1e-5 * np.max(np.abs(grad)))
+
+
+def test_validating_factorization_runs_only_at_assembly(park_em_case, monkeypatch):
+    # The fit's evaluations factorize through the core alone; the validating
+    # front runs once per assembled model (fit_gp) or AR(1) marginal (EM iterate).
+    counts = {"front": 0, "core": 0}
+    front, core = numerics.chol_factor, numerics.chol_core
+
+    def counting_front(m):
+        counts["front"] += 1
+        return front(m)
+
+    def counting_core(m):
+        counts["core"] += 1
+        return core(m)
+
+    monkeypatch.setattr(numerics, "chol_factor", counting_front)
+    monkeypatch.setattr(numerics, "chol_core", counting_core)
+    data, lf = park_em_case
+    fit_gp(data.hf, config=MultiStartConfig(n_starts=10, rng_seed=0))
+    assert counts["front"] == 1 and counts["core"] > 100
+    counts.update(front=0, core=0)
+    _, em_log = em_fit_hf(data, lf, config=MultiStartConfig(n_starts=3, rng_seed=1),
+                          em_config=EmConfig(max_em_iterations=3))
+    assert counts["front"] == len(em_log)
+    assert counts["core"] > 10 * counts["front"]

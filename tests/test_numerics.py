@@ -56,6 +56,33 @@ class TestCholFactor:
             numerics.chol_factor(m)
 
 
+class TestCholCore:
+    def test_same_bits_as_the_validating_front(self, rng):
+        for m in (random_spd(rng, 9), np.ones((4, 4))):
+            core, front = numerics.chol_core(m), numerics.chol_factor(m)
+            assert np.array_equal(core.lower_factor, front.lower_factor)
+            assert core.jitter_used == front.jitter_used
+
+    def test_reads_only_the_lower_triangle(self, rng):
+        m = random_spd(rng, 6)
+        garbled = m.copy()
+        garbled[np.triu_indices(6, 1)] = np.nan
+        assert np.array_equal(
+            numerics.chol_core(garbled).lower_factor, numerics.chol_core(m).lower_factor
+        )
+
+    @pytest.mark.parametrize("n", [5, 100])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lower_entry_rejected(self, rng, n, bad):
+        # OpenBLAS's dpotrf returns info = 0 on some of these (a NaN pivot passes
+        # its positivity test), so the core checks the factor's diagonal.
+        for where in [(0, 0), (n - 1, n - 1), (1, 0), (n - 1, 0), (n - 1, n - 2), (n // 2, 1)]:
+            m = random_spd(rng, n)
+            m[where] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite):
+                numerics.chol_core(m)
+
+
 class TestSolveSpd:
     def test_identity(self):
         f = numerics.chol_factor(np.eye(3))

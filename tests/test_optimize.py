@@ -147,12 +147,14 @@ class TestMultiStart:
     def test_log_uniform_sampling_for_positive_bounds(self):
         from mfkrig.gp import log_space_search
 
-        def linear(omega):
-            return float(np.sum(omega)), np.ones_like(omega)
+        def linear(theta, eta):
+            return float(np.sum(theta.theta)), np.array([1.0, 0.0])
 
         bounds = BoxBounds(np.array([1e-6]), np.array([1e2]))
         config = MultiStartConfig(n_starts=300, max_iterations=1, rng_seed=0)
-        _, _, log = log_space_search(linear, bounds, config, extra_starts=[np.array([3.0])])
+        *_, log = log_space_search(
+            linear, bounds, config, extra_starts=[np.array([3.0])], fixed_eta=0.0
+        )
         # The raw extra start comes first, as its log; then the random starts.
         assert len(log) == 301
         assert np.array_equal(log[0].start, np.log([3.0]))
@@ -165,14 +167,16 @@ class TestMultiStart:
     def test_log_space_search_applies_the_chain_rule(self):
         from mfkrig.gp import log_space_search
 
-        def bowl(omega):
-            # Minimum at omega = 5; raw-space gradient of (log omega - log 5)^2.
-            u = np.log(omega) - np.log(5.0)
-            return float(np.sum(u**2)), 2.0 * u / omega
+        def bowl(theta, eta):
+            # Minimum at (theta, eta) = (5, 0.01); raw-space gradient of
+            # (log theta - log 5)^2 + (log eta - log 0.01)^2.
+            u = np.log(np.append(theta.theta, eta)) - np.log([5.0, 0.01])
+            return float(np.sum(u**2)), 2.0 * u / np.append(theta.theta, eta)
 
-        bounds = BoxBounds(np.array([1e-3]), np.array([1e3]))
-        omega, value, _ = log_space_search(bowl, bounds, MultiStartConfig(n_starts=3))
-        assert np.allclose(omega, 5.0, rtol=1e-6) and value < 1e-12
+        bounds = BoxBounds(np.array([1e-3, 1e-8]), np.array([1e3, 1e2]))
+        theta, eta, value, _ = log_space_search(bowl, bounds, MultiStartConfig(n_starts=3))
+        assert np.allclose(theta.theta, 5.0, rtol=1e-6) and np.isclose(eta, 0.01, rtol=1e-6)
+        assert value < 1e-12
 
 
 @pytest.mark.parametrize(
