@@ -21,7 +21,7 @@ from .design import HF, LF
 from .exceptions import InvalidConfig, MfkrigError
 from .gp import DIAGONAL, LATENT, Dataset, MultiStartConfig, fit_gp, predict_gp
 from .mfgp import EmConfig, MfData, fit_mf, predict_mf
-from .optimize import check_count
+from .optimize import check_count, check_positive
 
 MODEL_NAMES = ("mf", "hf_only", "lf_only")
 
@@ -70,11 +70,15 @@ class BenchmarkConfig:
         for name in ("n_lf", "n_hf", "n_test", "n_replications", "n_starts", "max_em_iterations"):
             check_count(name, getattr(self, name))
         check_count("seed", self.seed, 0)
-        if self.noise_sd_lf < 0 or self.noise_sd_hf < 0:
-            raise InvalidConfig("noise standard deviations must be non-negative")
-        unknown = set(self.models) - set(MODEL_NAMES)
+        check_positive("noise_sd_lf", self.noise_sd_lf, zero_ok=True)
+        check_positive("noise_sd_hf", self.noise_sd_hf, zero_ok=True)
+        if not isinstance(self.models, (list, tuple)):
+            raise InvalidConfig(f"models must be a list of model names, got {self.models!r}")
+        unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
-            raise InvalidConfig(f"unknown models: {sorted(unknown)}")
+            raise InvalidConfig(f"unknown models: {unknown}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise InvalidConfig(f"output_path must be a string or null, got {self.output_path!r}")
 
     @staticmethod
     def from_dict(raw: dict) -> "BenchmarkConfig":
@@ -86,12 +90,9 @@ class BenchmarkConfig:
         unknown = set(raw) - known
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        if "models" in raw:
+        if isinstance(raw.get("models"), list):
             raw = dict(raw, models=tuple(raw["models"]))
-        try:
-            return BenchmarkConfig(**raw)
-        except TypeError as exc:
-            raise InvalidConfig(str(exc)) from exc
+        return BenchmarkConfig(**raw)
 
 
 def _rep_seeds(seed: int, r: int, n: int = 8) -> list[int]:

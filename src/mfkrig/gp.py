@@ -344,29 +344,19 @@ def query_points(x_star: np.ndarray, d: int) -> np.ndarray:
     return x_star
 
 
-def kriging_step(
-    model: TrainedGp, x_star: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kriging mean at x_star, the cross-correlation R(x_star, X) and its whitened
-    U = L^-1 R(X, x_star), from which every posterior covariance follows
-    (Rasmussen & Williams 2006, Alg. 2.1)."""
+def kriging_step(model: TrainedGp, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kriging mean at x_star and the cross-correlation R(x_star, X)."""
     r = kernels.corr_matrix(x_star, model.data.x, model.hyper.kernel.theta)
     mean = model.basis.design_matrix(x_star) @ model.hyper.beta + r @ model.residual_solve
-    return mean, r, numerics.whiten(model.factorization, r.T)
+    return mean, r
 
 
-def whitened_cov(
-    model: TrainedGp, xa: np.ndarray, ua: np.ndarray, xb: np.ndarray, ub: np.ndarray
-) -> np.ndarray:
-    """Posterior covariance sigma2 (R(xa, xb) - U_a^T U_b) from two kriging steps."""
-    k = model.hyper.kernel
-    return k.sigma2 * (kernels.corr_matrix(xa, xb, k.theta) - ua.T @ ub)
-
-
-def latent_spread(model: TrainedGp, x_star: np.ndarray, u: np.ndarray, cov: str) -> np.ndarray:
-    """Latent posterior variances (diagonal) or covariance (full) at x_star."""
+def latent_spread(model: TrainedGp, x_star: np.ndarray, r: np.ndarray, cov: str) -> np.ndarray:
+    """Latent posterior covariance at x_star (full), or its diagonal sigma2 (1 - |U_i|^2)
+    from the cross-correlation r whitened by the cached inverse factor, U = L^-1 r^T."""
     if cov == FULL:
-        return whitened_cov(model, x_star, u, x_star, u)
+        return posterior_cross_cov(model, x_star, x_star)
+    u = numerics.whiten(model.factorization, r.T)
     return model.hyper.kernel.sigma2 * (1.0 - np.einsum("ij,ij->j", u, u))
 
 
@@ -420,16 +410,18 @@ def predict_gp(
     noise = model.hyper.kernel.noise_variance if mode == NOISY else 0.0
 
     def predict_block(x: np.ndarray) -> PredictiveDistribution:
-        mean, _, u = kriging_step(model, x)
-        return predictive(mean, latent_spread(model, x, u, cov), noise)
+        mean, r = kriging_step(model, x)
+        return predictive(mean, latent_spread(model, x, r, cov), noise)
 
     return in_blocks(predict_block, x_star, cov)
 
 
-def posterior_cross_cov(
-    model: TrainedGp, xa: np.ndarray, xb: np.ndarray
-) -> np.ndarray:
-    """Posterior covariance v_Y(xa_i, xb_j) between two point sets."""
-    ua = kriging_step(model, xa)[2]
-    ub = kriging_step(model, xb)[2]
-    return whitened_cov(model, xa, ua, xb, ub)
+def posterior_cross_cov(model: TrainedGp, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Posterior covariance sigma2 (R(xa, xb) - r_a R~^-1 r_b^T) between two point sets,
+    r = R(., X), by one solve (Rasmussen & Williams 2006, Alg. 2.1): the one path of
+    every full or cross covariance, accurate where a whitened product U_a^T U_b is not."""
+    k, x = model.hyper.kernel, model.data.x
+    ra = kernels.corr_matrix(xa, x, k.theta)
+    rb = ra if xb is xa else kernels.corr_matrix(xb, x, k.theta)
+    solve_b = numerics.solve_spd(model.factorization, rb.T)
+    return k.sigma2 * (kernels.corr_matrix(xa, xb, k.theta) - ra @ solve_b)

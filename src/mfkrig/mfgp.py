@@ -163,7 +163,8 @@ def hf_workspace(
     data: MfData, lf_model: TrainedGp, hf_basis: BasisSpec, rho_basis: BasisSpec
 ) -> HfWorkspace:
     """Build the HF workspace. Its LF posterior moments at X_H, from one full-covariance
-    LF prediction, are the only path by which the HF stage sees LF information."""
+    LF prediction (the covariance by `gp.posterior_cross_cov`), are the only path by
+    which the HF stage sees LF information."""
     x_h = data.hf.x
     lf_post = predict_gp(lf_model, x_h, mode=LATENT, cov=FULL)
     return HfWorkspace(
@@ -382,9 +383,11 @@ def predict_mf(
     """Co-kriging posterior at new points for either fidelity level.
 
     The LF solve against the cross-correlation with the HF inputs is made once
-    per call. Each block of x_star then takes its LF mean, variance and
-    covariance with the HF inputs from one LF kriging step, and its HF variance
-    from one whitening with the AR factor.
+    per call. Each block of x_star then takes its LF mean and covariance with the
+    HF inputs from one LF kriging step, and its HF variances from one whitening
+    of k_cross with the AR factor. A full covariance is prior - k_cross C^-1 k_cross^T
+    by one solve with the factor of the AR covariance C, its LF block from
+    `gp.posterior_cross_cov`.
     """
     if level == LF:
         return predict_gp(model.lf_model, x_star, mode=mode, cov=cov)
@@ -395,15 +398,14 @@ def predict_mf(
     lf, params, x_h = model.lf_model, model.hf_params, model.data.hf.x
     kl = lf.hyper.kernel
     # R~_L^-1 R_L(X_L, X_H) by one solve per call, so the LF cross-covariance is as
-    # accurate as the solve; a product of two whitened terms would carry the
-    # inverse factor's rounding, which grows with the condition number of R~_L.
+    # accurate as the solve.
     solve_h = numerics.solve_spd(lf.factorization, kernels.corr_matrix(lf.data.x, x_h, kl.theta))
     noise = params.noise_variance if mode == NOISY else 0.0
 
     def predict_block(x: np.ndarray) -> PredictiveDistribution:
-        m_yl, r, u = kriging_step(lf, x)
+        m_yl, r = kriging_step(lf, x)
         v_cross = kl.sigma2 * (kernels.corr_matrix(x, x_h, kl.theta) - r @ solve_h)
-        lf_post = predictive(m_yl, latent_spread(lf, x, u, cov), 0.0)
+        lf_post = predictive(m_yl, latent_spread(lf, x, r, cov), 0.0)
         rho_star = model.rho_basis.design_matrix(x) @ params.beta_rho
         k_cross = (
             rho_star[:, None] * model.rho_at_hf[None, :] * v_cross
@@ -411,13 +413,13 @@ def predict_mf(
         )
         m_ar = rho_star * m_yl + model.hf_basis.design_matrix(x) @ params.beta_h
         mean = m_ar + k_cross @ model.ar_residual_solve
-        w = numerics.whiten(model.ar_factorization, k_cross.T)
         if cov == FULL:
             prior = np.outer(rho_star, rho_star) * lf_post.covariance + params.sigma2_h * (
                 kernels.corr_matrix(x, x, params.theta_h)
             )
-            spread = prior - w.T @ w
+            spread = prior - k_cross @ numerics.solve_spd(model.ar_factorization, k_cross.T)
         else:
+            w = numerics.whiten(model.ar_factorization, k_cross.T)
             spread = rho_star**2 * lf_post.variance + params.sigma2_h - np.einsum("ij,ij->j", w, w)
         return predictive(mean, spread, noise)
 

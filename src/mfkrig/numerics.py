@@ -1,9 +1,9 @@
 """SPD linear algebra: Cholesky factorization with jitter escalation, solves, log-determinants.
 
 Likelihood and prediction code consumes :class:`SpdFactorization` objects; the
-likelihood gradients also take the explicit inverse from the cached factor, and
-prediction whitens cross-correlations by one matrix product with the inverse
-factor, computed once per factorization on first use.
+likelihood gradients also take the explicit inverse from the cached factor.
+Prediction takes full and cross covariances from solves, and diagonal variances
+from one product with the inverse factor, computed on first use.
 """
 
 from __future__ import annotations
@@ -111,12 +111,13 @@ def solve_spd(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
 
 def whiten(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
     """U = L^-1 B for the cached lower factor L, as one matrix product with the
-    cached inverse factor, so U_a^T U_b = B_a^T (M + jitter_used * I)^-1 B_b.
+    cached inverse factor, for diagonal variances only: column j of U has squared
+    norm b_j^T (M + jitter_used * I)^-1 b_j.
 
     A product runs at matrix-multiply speed where a triangular solve against many
     right-hand sides does not; the inverse costs one dtrtri per factorization.
-    Its rounding grows with the condition number of L, so a product U_a^T U_b of
-    two whitened terms is less accurate than B_a^T times a solve (`solve_spd`).
+    Its rounding grows with the condition number of L, so full and cross
+    covariances take B_a^T times a solve (`solve_spd`) instead of U_a^T U_b.
     """
     return f.lower_inverse @ _check_rows(f, b)
 

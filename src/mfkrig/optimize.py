@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import Bounds
 from scipy.optimize import minimize as _scipy_minimize
 
 from .exceptions import AllStartsFailed, DimensionMismatch, InvalidConfig, ObjectiveNonFinite
@@ -61,7 +63,7 @@ def check_positive(name: str, value, zero_ok: bool = False) -> None:
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
-        or not 0 <= value < math.inf
+        or not 0 <= value <= sys.float_info.max  # also an int too large for a float
         or (value == 0 and not zero_ok)
     ):
         bound = ">= 0" if zero_ok else "> 0"
@@ -129,7 +131,7 @@ def minimize_box(
         start,
         jac=True,
         method="L-BFGS-B",
-        bounds=list(zip(bounds.lower, bounds.upper)),
+        bounds=Bounds(bounds.lower, bounds.upper),
         options={
             "maxiter": max_iterations,
             "gtol": gradient_tolerance,

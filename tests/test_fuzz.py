@@ -1,18 +1,21 @@
-"""Property-based tests of the command-line boundary: malformed CSV training data
-and malformed model JSON end in exit code 2 or 3 with a one-line message, never
-in a traceback. Every generated input carries at least one defect, so no example
-may succeed."""
+"""Property-based tests of the command-line boundary: malformed CSV training data,
+malformed model JSON and malformed bench configs end in exit code 2 or 3 with a
+one-line message, never in a traceback. Every generated input carries at least
+one defect, so no example may succeed."""
 
 import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 from click.testing import CliRunner
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfkrig.bench import MODEL_NAMES
 from mfkrig.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_ERROR, main, model_to_dict
 from mfkrig.gp import Dataset, constant_basis, make_trained_gp
 from mfkrig.kernels import KernelParams, LengthScales
@@ -20,6 +23,7 @@ from mfkrig.mfgp import HfParams, MfData, make_mf_model
 
 FIT_EXAMPLES = 60
 PREDICT_EXAMPLES = 80
+BENCH_EXAMPLES = 25
 
 
 def _assert_clean_failure(res):
@@ -194,3 +198,45 @@ def test_predict_rejects_defective_model_json(model):
         res = runner.invoke(main, ["predict", "--model", "m.json", "--inputs", "in.csv",
                                    "--out", "p.csv"])
     _assert_clean_failure(res)
+
+
+# A valid bench config small enough that a missed defect still finishes quickly.
+BENCH_CONFIG = {
+    "benchmark": "analytic1d", "n_lf": 6, "n_hf": 4, "noise_sd_lf": 0.0, "noise_sd_hf": 0.05,
+    "n_test": 5, "n_replications": 1, "seed": 0, "models": ["lf_only"],
+    "output_path": "out.csv", "n_starts": 1, "max_em_iterations": 2,
+}
+not_an_int = json_value.filter(lambda v: type(v) is not int)
+not_a_real = json_value.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
+# Config key -> values that are defects there.
+BAD_BENCH_VALUES = {
+    "benchmark": json_value.filter(lambda v: v not in ("analytic1d", "park4d")),
+    **{key: st.one_of(st.integers(max_value=0), not_an_int)
+       for key in ("n_lf", "n_hf", "n_test", "n_replications", "n_starts", "max_em_iterations")},
+    "seed": st.one_of(st.integers(max_value=-1), not_an_int),
+    **{key: st.one_of(st.floats().filter(lambda v: not 0 <= v < math.inf),
+                      st.integers(min_value=2**1024), not_a_real)
+       for key in ("noise_sd_lf", "noise_sd_hf")},
+    "models": st.one_of(
+        json_value.filter(lambda v: not isinstance(v, list)),
+        st.lists(json_value, min_size=1, max_size=3).filter(
+            lambda names: any(m not in MODEL_NAMES for m in names)),
+    ),
+    "output_path": json_value.filter(lambda v: v is not None and not isinstance(v, str)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_BENCH_VALUES))
+@given(data=st.data())
+@settings(max_examples=BENCH_EXAMPLES)
+def test_bench_rejects_defective_config(key, data):
+    config = dict(BENCH_CONFIG, **{key: data.draw(BAD_BENCH_VALUES[key])})
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("bench.json", "w") as fh:
+            json.dump(config, fh)
+        res = runner.invoke(main, ["bench", "--config", "bench.json"])
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        _assert_clean_failure(res)
+        assert res.output.count("\n") == 1 and key in res.output, res.output
+        assert not os.path.exists("out.csv")

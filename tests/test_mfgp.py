@@ -935,6 +935,27 @@ def _two_solve_predict_mf(model, x_star, mode, cov):
     return mean, np.clip(var, 0.0, None) + noise
 
 
+def _longdouble_cholesky(a):
+    """Lower Cholesky factor of a in np.longdouble (80-bit on x86), column by column."""
+    a = np.asarray(a, dtype=np.longdouble)
+    low = np.zeros_like(a)
+    for j in range(len(a)):
+        low[j, j] = np.sqrt(a[j, j] - low[j, :j] @ low[j, :j])
+        low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
+def _longdouble_solve(low, b):
+    """(L L^T)^-1 b by forward and back substitution in np.longdouble."""
+    y = np.zeros_like(b)
+    for i in range(len(low)):
+        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
+    x = np.zeros_like(b)
+    for i in reversed(range(len(low))):
+        x[i] = (y[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
+    return x
+
+
 def _park_model():
     """A 4D model with a linear scaling basis, assembled from fixed hyperparameters."""
     pair = design.PARK_4D
@@ -1035,6 +1056,24 @@ class TestPredictMf:
             mean, var = _two_solve_predict_gp(lf, x, "latent", "diagonal")
         np.testing.assert_allclose(pred.mean, mean, rtol=0, atol=1e-12 * np.abs(mean).max())
         np.testing.assert_allclose(pred.variance, var, rtol=0, atol=1e-12)
+
+    def test_noise_free_lf_full_covariance_matches_longdouble_oracle(self, fitted_mf):
+        # The EM's LF input at X_H, from the same eta_L = 1e-8 LF model (cond R~ ~ 1.6e9).
+        # A product of two whitened terms was 2.0e-13 off this oracle; a solve is ~5e-16.
+        lf = fitted_mf.lf_model
+        k = lf.hyper.kernel
+        lf = make_trained_gp(lf.data, lf.basis, lf.hyper.beta,
+                             KernelParams(theta=k.theta, sigma2=k.sigma2, eta=1e-8))
+        x_h, x_l = fitted_mf.data.hf.x, lf.data.x
+        r_tilde = KernelWorkspace(x_l).corr(k.theta, 1e-8)
+        r_tilde += lf.factorization.jitter_used * np.eye(len(x_l))
+        r = kernels.corr_matrix(x_h, x_l, k.theta).astype(np.longdouble)
+        solved = _longdouble_solve(_longdouble_cholesky(r_tilde), r.T)
+        oracle = np.longdouble(k.sigma2) * (kernels.corr_matrix(x_h, x_h, k.theta) - r @ solved)
+        cov = predict_gp(lf, x_h, cov="full").covariance
+        assert np.max(np.abs(cov - oracle)) < 1e-14
+        hf = hf_workspace(fitted_mf.data, lf, fitted_mf.hf_basis, fitted_mf.rho_basis)
+        assert np.array_equal(hf.lf_cov, cov)
 
     @pytest.mark.parametrize("level", ["hf", "lf"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
