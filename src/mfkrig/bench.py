@@ -72,8 +72,10 @@ class BenchmarkConfig:
         check_count("seed", self.seed, 0)
         check_positive("noise_sd_lf", self.noise_sd_lf, zero_ok=True)
         check_positive("noise_sd_hf", self.noise_sd_hf, zero_ok=True)
-        if not isinstance(self.models, (list, tuple)):
-            raise InvalidConfig(f"models must be a list of model names, got {self.models!r}")
+        if not isinstance(self.models, (list, tuple)) or not self.models:
+            raise InvalidConfig(
+                f"models must be a non-empty list of model names, got {self.models!r}"
+            )
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise InvalidConfig(f"unknown models: {unknown}")

@@ -251,7 +251,11 @@ def bench_cmd(config_path: str):
         config = bench.BenchmarkConfig.from_dict(raw)
         rows = bench.run_benchmark(config)
         n_failed = sum(int(row.get("failed", 0) or 0) for row in rows)
-        click.echo(f"wrote {len(rows)} rows ({n_failed} failed) to {config.output_path}")
+        summary = f"{len(rows)} rows ({n_failed} failed)"
+        if config.output_path:
+            click.echo(f"wrote {summary} to {config.output_path}")
+        else:
+            click.echo(f"ran {summary}; no output_path is set, so nothing was written")
 
     _run(body)
 

@@ -67,7 +67,9 @@ def corr_matrix(x: np.ndarray, x2: np.ndarray, theta: LengthScales) -> np.ndarra
     d = theta.ndim
     xs = _as_2d(x, d) / theta.theta
     xs2 = _as_2d(x2, d) / theta.theta
-    return np.exp(-0.5 * cdist(xs, xs2, metric="sqeuclidean"))
+    r = cdist(xs, xs2, metric="sqeuclidean")
+    r *= -0.5
+    return np.exp(r, out=r)
 
 
 @dataclass(frozen=True)

@@ -153,10 +153,12 @@ class MfModel:
     rho_basis: BasisSpec
     data: MfData
     em_log: list[float] = field(compare=False)
-    # Cached co-kriging quantities at the HF training inputs.
+    # Cached co-kriging quantities at the HF training inputs, the last one the LF
+    # solve R~_L^-1 R_L(X_L, X_H) of every HF prediction.
     rho_at_hf: np.ndarray = field(compare=False)
     ar_factorization: numerics.SpdFactorization = field(compare=False)
     ar_residual_solve: np.ndarray = field(compare=False)
+    lf_cross_solve: np.ndarray = field(compare=False)
 
 
 def hf_workspace(
@@ -344,6 +346,7 @@ def make_mf_model(
 ) -> MfModel:
     """Assemble an MfModel (with prediction caches) from given parameters."""
     ar = ar_marginal(hf_workspace(data, lf_model, hf_basis, rho_basis), hf_params)
+    r_lh = kernels.corr_matrix(lf_model.data.x, data.hf.x, lf_model.hyper.kernel.theta)
     return MfModel(
         lf_model=lf_model,
         hf_params=hf_params,
@@ -354,6 +357,7 @@ def make_mf_model(
         rho_at_hf=ar.rho,
         ar_factorization=ar.factorization,
         ar_residual_solve=ar.residual_solve,
+        lf_cross_solve=numerics.solve_spd(lf_model.factorization, r_lh),
     )
 
 
@@ -382,12 +386,12 @@ def predict_mf(
 ) -> PredictiveDistribution:
     """Co-kriging posterior at new points for either fidelity level.
 
-    The LF solve against the cross-correlation with the HF inputs is made once
-    per call. Each block of x_star then takes its LF mean and covariance with the
-    HF inputs from one LF kriging step, and its HF variances from one whitening
-    of k_cross with the AR factor. A full covariance is prior - k_cross C^-1 k_cross^T
-    by one solve with the factor of the AR covariance C, its LF block from
-    `gp.posterior_cross_cov`.
+    Each block of x_star takes its LF mean and covariance with the HF inputs from
+    one LF kriging step and the model's cached solve R~_L^-1 R_L(X_L, X_H), and its
+    HF variances from one whitening of k_cross with the AR factor (a triangular
+    product, as for the LF variances). A full covariance is
+    prior - k_cross C^-1 k_cross^T by one solve with the factor of the AR
+    covariance C, its LF block from `gp.posterior_cross_cov`.
     """
     if level == LF:
         return predict_gp(model.lf_model, x_star, mode=mode, cov=cov)
@@ -397,20 +401,22 @@ def predict_mf(
     x_star = query_points(x_star, model.data.hf.d)
     lf, params, x_h = model.lf_model, model.hf_params, model.data.hf.x
     kl = lf.hyper.kernel
-    # R~_L^-1 R_L(X_L, X_H) by one solve per call, so the LF cross-covariance is as
-    # accurate as the solve.
-    solve_h = numerics.solve_spd(lf.factorization, kernels.corr_matrix(lf.data.x, x_h, kl.theta))
     noise = params.noise_variance if mode == NOISY else 0.0
 
     def predict_block(x: np.ndarray) -> PredictiveDistribution:
         m_yl, r = kriging_step(lf, x)
-        v_cross = kl.sigma2 * (kernels.corr_matrix(x, x_h, kl.theta) - r @ solve_h)
         lf_post = predictive(m_yl, latent_spread(lf, x, r, cov), 0.0)
         rho_star = model.rho_basis.design_matrix(x) @ params.beta_rho
-        k_cross = (
-            rho_star[:, None] * model.rho_at_hf[None, :] * v_cross
-            + params.sigma2_h * kernels.corr_matrix(x, x_h, params.theta_h)
-        )
+        # k_cross = rho* rho_H^T o V_cross + sigma2_H R_H(x, X_H), with the LF cross
+        # covariance V_cross = sigma2_L (R_L(x, X_H) - r R~_L^-1 R_L(X_L, X_H)), built
+        # in one buffer by the same operations in the same order.
+        k_cross = kernels.corr_matrix(x, x_h, kl.theta)
+        k_cross -= r @ model.lf_cross_solve
+        k_cross *= kl.sigma2
+        k_cross *= rho_star[:, None] * model.rho_at_hf
+        r_h = kernels.corr_matrix(x, x_h, params.theta_h)
+        r_h *= params.sigma2_h
+        k_cross += r_h
         m_ar = rho_star * m_yl + model.hf_basis.design_matrix(x) @ params.beta_h
         mean = m_ar + k_cross @ model.ar_residual_solve
         if cov == FULL:

@@ -3,7 +3,7 @@
 Likelihood and prediction code consumes :class:`SpdFactorization` objects; the
 likelihood gradients also take the explicit inverse from the cached factor.
 Prediction takes full and cross covariances from solves, and diagonal variances
-from one product with the inverse factor, computed on first use.
+from one triangular product with the inverse factor, computed on first use.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
+from scipy.linalg import blas, cho_solve, lapack
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
@@ -110,16 +110,19 @@ def solve_spd(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
 
 
 def whiten(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """U = L^-1 B for the cached lower factor L, as one matrix product with the
-    cached inverse factor, for diagonal variances only: column j of U has squared
-    norm b_j^T (M + jitter_used * I)^-1 b_j.
+    """U = L^-1 B for the cached lower factor L, as one triangular product (BLAS
+    dtrmm) with the cached inverse factor, for diagonal variances only: column j
+    of U has squared norm b_j^T (M + jitter_used * I)^-1 b_j. A 1-D B is one column.
 
     A product runs at matrix-multiply speed where a triangular solve against many
-    right-hand sides does not; the inverse costs one dtrtri per factorization.
+    right-hand sides does not, and dtrmm skips the zeros a dense product with the
+    triangular L^-1 would multiply; the inverse costs one dtrtri per factorization.
     Its rounding grows with the condition number of L, so full and cross
     covariances take B_a^T times a solve (`solve_spd`) instead of U_a^T U_b.
     """
-    return f.lower_inverse @ _check_rows(f, b)
+    b = _check_rows(f, b)
+    u = blas.dtrmm(1.0, f.lower_inverse, b[:, None] if b.ndim == 1 else b, lower=1)
+    return u.reshape(b.shape)
 
 
 def inv_spd(f: SpdFactorization) -> np.ndarray:

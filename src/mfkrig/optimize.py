@@ -110,26 +110,36 @@ def minimize_box(
     """
     start = bounds.clip(np.asarray(start, dtype=float))
     best_x, best_f = None, math.inf
+    # One-slot memo of the last evaluation: scipy asks for the value and then the
+    # gradient at each point, and the objective computes both at once.
+    last_x, last_grad = None, None
 
-    def wrapped(x):
-        nonlocal best_x, best_f
-        value, grad = objective(x)
-        if not math.isfinite(value):
+    def value(x):
+        nonlocal best_x, best_f, last_x, last_grad
+        f, grad = objective(x)
+        if not math.isfinite(f):
             if best_x is None:
                 raise ObjectiveNonFinite("objective is not finite at the start point")
-            return _BIG, np.zeros_like(grad)
-        value = float(value)
-        if value < best_f:
-            best_x, best_f = x.copy(), value
-        # One pass: a sum of finite components overflows only beyond 1e308.
-        if not math.isfinite(sum(grad.tolist())):
-            grad = np.zeros_like(grad)
-        return value, grad
+            f, grad = _BIG, np.zeros_like(grad)
+        else:
+            f = float(f)
+            if f < best_f:
+                best_x, best_f = x.copy(), f
+            # One pass: a sum of finite components overflows only beyond 1e308.
+            if not math.isfinite(sum(grad.tolist())):
+                grad = np.zeros_like(grad)
+        last_x, last_grad = x.tolist(), grad
+        return f
+
+    def gradient(x):
+        if x.tolist() != last_x:
+            value(x)
+        return last_grad
 
     res = _scipy_minimize(
-        wrapped,
+        value,
         start,
-        jac=True,
+        jac=gradient,
         method="L-BFGS-B",
         bounds=Bounds(bounds.lower, bounds.upper),
         options={

@@ -603,6 +603,25 @@ class TestBenchCli:
         assert res.exit_code == EXIT_CONFIG_ERROR, res.output
         assert "does not exist" in res.output
 
+    def test_empty_models_exit_2_before_running(self, workdir, monkeypatch):
+        self._config(workdir, models=[])
+
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran for an empty model list")
+
+        monkeypatch.setattr(bench, "run_replication", no_replication)
+        res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert "models" in res.output
+        assert not (workdir / "results.csv").exists()
+
+    def test_no_output_path_reports_rows_without_a_file(self, workdir):
+        self._config(workdir, output_path=None)
+        res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
+        assert res.exit_code == 0, res.output
+        assert res.output == "ran 1 rows (0 failed); no output_path is set, so nothing was written\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["bench.json"]
+
     def test_non_object_config_exit_2(self, workdir):
         (workdir / "bench.json").write_text("[1, 2]")
         res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])

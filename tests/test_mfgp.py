@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import cho_solve
 
 from mfkrig import design, kernels, mfgp, numerics
+from mfkrig.cli import load_model, save_model
 from mfkrig.gp import (
     PREDICT_BLOCK_ROWS,
     BasisSpec,
@@ -1028,6 +1029,13 @@ class TestPredictMf:
             alone = predict_mf(model, x[rows], level=level)
             assert np.array_equal(pred.mean[rows], alone.mean)
             assert np.array_equal(pred.variance[rows], alone.variance)
+
+    def test_cached_lf_cross_solve_equals_a_fresh_solve(self, fitted_mf, tmp_path):
+        save_model(fitted_mf, str(tmp_path / "m.json"))
+        for model in (fitted_mf, load_model(str(tmp_path / "m.json"))):
+            lf = model.lf_model
+            r_lh = kernels.corr_matrix(lf.data.x, model.data.hf.x, lf.hyper.kernel.theta)
+            assert np.array_equal(model.lf_cross_solve, numerics.solve_spd(lf.factorization, r_lh))
 
     @pytest.mark.parametrize("level", ["hf", "lf"])
     @pytest.mark.parametrize("cov", ["diagonal", "full"])

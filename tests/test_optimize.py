@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mfkrig.exceptions import AllStartsFailed, InvalidConfig, ObjectiveNonFinite
 from mfkrig.optimize import (
@@ -73,6 +74,30 @@ class TestMinimizeBox:
         start = np.array([0.9, 1.0])  # clipped into the box
         assert np.array_equal(calls[0], start)
         assert sum(np.array_equal(c, start) for c in calls) == 1
+
+    def test_evaluations_match_a_combined_value_and_gradient_call(self):
+        # Oracle: scipy memoizing one (value, gradient) callback itself (jac=True),
+        # with minimize_box's options, on a box whose minimum is on a bound.
+        def recorded(calls):
+            def rosen(x):
+                calls.append(x.tolist())
+                a, b = x
+                val = (1 - a) ** 2 + 100 * (b - a**2) ** 2
+                return float(val), np.array([-2 * (1 - a) - 400 * a * (b - a**2),
+                                             200 * (b - a**2)])
+            return rosen
+
+        bounds = BoxBounds(np.array([-2.0, -1.0]), np.array([0.5, 2.0]))
+        start = np.array([-1.2, 1.0])
+        got, want = [], []
+        x, f, conv = minimize_box(recorded(got), bounds, start)
+        res = scipy.optimize.minimize(
+            recorded(want), start, jac=True, method="L-BFGS-B",
+            bounds=scipy.optimize.Bounds(bounds.lower, bounds.upper),
+            options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-14, "maxcor": 10},
+        )
+        assert len(got) > 10 and got == want
+        assert np.array_equal(x, res.x) and f == res.fun and conv == res.success
 
     def test_nonfinite_away_from_start_is_a_retreat(self):
         def half_plane(x):
