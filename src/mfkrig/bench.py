@@ -165,9 +165,7 @@ def run_replication(config: BenchmarkConfig, r: int) -> list[dict]:
 
     x_test = _test_inputs(config, pair, s_test)
     y_h = design.eval_testfn(pair, HF, x_test)
-    y_l = design.eval_testfn(pair, LF, x_test)
     z_h = design.add_noise(y_h, config.noise_sd_hf**2, s_zh)
-    z_l = design.add_noise(y_l, config.noise_sd_lf**2, s_zl)
 
     ms_config = MultiStartConfig(n_starts=config.n_starts, rng_seed=s_fit)
     em_config = EmConfig(max_em_iterations=config.max_em_iterations)
@@ -193,6 +191,8 @@ def run_replication(config: BenchmarkConfig, r: int) -> list[dict]:
                 nv_lf, nv_hf = "", gp_model.hyper.kernel.noise_variance
                 report = metrics.coverage_report(y_h, z_h, pred.mean, pred.sd, nv_hf)
             else:  # lf_only, scored against the LF truth
+                y_l = design.eval_testfn(pair, LF, x_test)
+                z_l = design.add_noise(y_l, config.noise_sd_lf**2, s_zl)
                 gp_model = fit_gp(lf_data, config=ms_config)
                 pred = predict_gp(gp_model, x_test, mode=LATENT, cov=DIAGONAL)
                 nv_lf, nv_hf = gp_model.hyper.kernel.noise_variance, ""

@@ -22,15 +22,9 @@ from .exceptions import (
     MfkrigError,
     ParseError,
 )
-from .gp import (
-    Dataset,
-    MultiStartConfig,
-    TrainedGp,
-    constant_basis,
-    make_trained_gp,
-)
+from .gp import Dataset, GpHyper, MultiStartConfig, TrainedGp, constant_basis
 from .kernels import KernelParams, LengthScales
-from .mfgp import EmConfig, HfParams, MfData, MfModel, fit_mf, make_mf_model, predict_mf
+from .mfgp import EmConfig, HfParams, MfData, MfModel, fit_mf, predict_mf
 
 MODEL_FORMAT_VERSION = 1
 
@@ -117,15 +111,14 @@ def model_to_dict(model: MfModel) -> dict:
     }
 
 
-def _hyper(doc: dict, part: str, key: str, vector: bool = False):
-    """Hyperparameter doc[part][key] of a model document: a finite, non-boolean
-    number, or a list of them when `vector`; anything else is a ParseError naming it."""
-    value = doc[part][key]
+def _number(value, name: str, vector: bool = False):
+    """`value`, the model document's `name`: a finite, non-boolean number, or a list
+    of them when `vector`; anything else is a ParseError naming it."""
     items = value if vector else [value]
     if not (isinstance(items, list) and all(_is_finite_number(v) for v in items)):
         kind = "a list of finite numbers" if vector else "a finite number"
         raise ParseError(
-            f"model document has an ill-typed value: {part}.{key} must be {kind}, got {value!r}"
+            f"model document has an ill-typed value: {name} must be {kind}, got {value!r}"
         )
     return np.asarray(items, float) if vector else float(value)
 
@@ -141,6 +134,8 @@ def model_from_dict(doc: dict) -> MfModel:
     """Rebuild a model from its JSON document; a missing or ill-typed key is a ParseError.
 
     Every hyperparameter is checked to be a finite number before any factorization.
+    The optional `fit_info` reloads too: `lf_nll` a finite number or null, `em_log`
+    a list of finite numbers.
     """
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
@@ -149,25 +144,28 @@ def model_from_dict(doc: dict) -> MfModel:
         lf = doc["lf"]
         lf_data = Dataset(x=np.asarray(lf["x"], float), z=np.asarray(lf["z"], float))
         lf_kernel = KernelParams(
-            theta=LengthScales(_hyper(doc, "lf", "theta", vector=True)),
-            sigma2=_hyper(doc, "lf", "sigma2"),
-            eta=_hyper(doc, "lf", "eta"),
+            theta=LengthScales(_number(lf["theta"], "lf.theta", vector=True)),
+            sigma2=_number(lf["sigma2"], "lf.sigma2"),
+            eta=_number(lf["eta"], "lf.eta"),
         )
-        lf_beta = _hyper(doc, "lf", "beta", vector=True)
+        lf_beta = _number(lf["beta"], "lf.beta", vector=True)
         hf = doc["hf"]
         hf_data = Dataset(x=np.asarray(hf["x"], float), z=np.asarray(hf["z"], float))
         params = HfParams(
-            beta_rho=_hyper(doc, "hf", "beta_rho", vector=True),
-            beta_h=_hyper(doc, "hf", "beta_h", vector=True),
-            sigma2_h=_hyper(doc, "hf", "sigma2_h"),
-            theta_h=LengthScales(_hyper(doc, "hf", "theta_h", vector=True)),
-            eta_h=_hyper(doc, "hf", "eta_h"),
+            beta_rho=_number(hf["beta_rho"], "hf.beta_rho", vector=True),
+            beta_h=_number(hf["beta_h"], "hf.beta_h", vector=True),
+            sigma2_h=_number(hf["sigma2_h"], "hf.sigma2_h"),
+            theta_h=LengthScales(_number(hf["theta_h"], "hf.theta_h", vector=True)),
+            eta_h=_number(hf["eta_h"], "hf.eta_h"),
         )
-        em_log = [float(v) for v in doc.get("fit_info", {}).get("em_log", [])]
-        lf_model = make_trained_gp(lf_data, constant_basis(), beta=lf_beta, kernel=lf_kernel)
-        return make_mf_model(
-            MfData(lf=lf_data, hf=hf_data),
-            lf_model, params, constant_basis(), constant_basis(), em_log,
+        info = doc.get("fit_info", {})
+        lf_nll = info.get("lf_nll")
+        fit_log = {} if lf_nll is None else {"nll": _number(lf_nll, "fit_info.lf_nll")}
+        em_log = _number(info.get("em_log", []), "fit_info.em_log", vector=True).tolist()
+        lf_model = TrainedGp(lf_data, constant_basis(), GpHyper(lf_beta, lf_kernel), fit_log)
+        return MfModel(
+            lf_model, params, constant_basis(), constant_basis(),
+            MfData(lf=lf_data, hf=hf_data), em_log,
         )
     except KeyError as exc:
         raise ParseError(f"model document is missing key {exc}") from None

@@ -17,10 +17,9 @@ HF = "hf"
 
 @dataclass(frozen=True)
 class Design:
-    """An N x D point set in the unit cube, with the seed that generated it."""
+    """An N x D point set in the unit cube."""
 
     points: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ def lhs(n: int, d: int, seed: int) -> Design:
     for j in range(d):
         perm = rng.permutation(n)
         points[:, j] = (perm + rng.uniform(size=n)) / n
-    return Design(points=points, seed=seed)
+    return Design(points=points)
 
 
 def maximin_lhs(n: int, d: int, restarts: int = 100, seed: int = 0) -> Design:
@@ -60,7 +59,7 @@ def maximin_lhs(n: int, d: int, restarts: int = 100, seed: int = 0) -> Design:
         dist = float(pdist(cand.points).min())
         if dist > best_dist:
             best, best_dist = cand, dist
-    return Design(points=best.points, seed=seed)
+    return best
 
 
 def _analytic1d_lf(x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,6 +106,9 @@ class GpHyper:
     beta: np.ndarray
     kernel: KernelParams
 
+    def __post_init__(self):
+        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
@@ -123,12 +126,27 @@ class PredictiveDistribution:
 
 @dataclass(frozen=True)
 class TrainedGp:
+    """A GP fixed by its data, basis and hyperparameters; `fit_log` holds the fit's
+    negative log-likelihood `nll` when it is known.
+
+    Construction factorizes R~ = R(theta) + eta I, built by a kernel workspace as in
+    the fit's objective, so the model factorizes the same matrix the fit scored at
+    these hyperparameters, and caches R~^-1 (z - F beta) for prediction.
+    """
+
     data: Dataset
     basis: BasisSpec
     hyper: GpHyper
-    factorization: SpdFactorization
-    residual_solve: np.ndarray
     fit_log: dict = field(default_factory=dict, compare=False)
+    factorization: SpdFactorization = field(init=False, repr=False, compare=False)
+    residual_solve: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k, x = self.hyper.kernel, self.data.x
+        fact = numerics.chol_factor(kernels.KernelWorkspace(x).corr(k.theta, k.eta))
+        resid = self.data.z - self.basis.design_matrix(x) @ self.hyper.beta
+        object.__setattr__(self, "factorization", fact)
+        object.__setattr__(self, "residual_solve", numerics.solve_spd(fact, resid))
 
 
 def default_bounds(data: Dataset, with_eta: bool = True) -> BoxBounds:
@@ -305,31 +323,8 @@ def fit_gp(
         fixed_eta=fixed_eta,
     )
     beta, sigma2 = profiled_gls(ws, data.z, f, theta, eta)[:2]
-    model = make_trained_gp(
-        data, basis, beta, KernelParams(theta=theta, sigma2=sigma2, eta=eta)
-    )
-    return replace(model, fit_log={"nll": best_val})
-
-
-def make_trained_gp(
-    data: Dataset, basis: BasisSpec, beta: np.ndarray, kernel: KernelParams
-) -> TrainedGp:
-    """Assemble a TrainedGp from given hyperparameters (fit and deserialization path).
-
-    R~ comes from a kernel workspace, as in the fit's objective, so the model
-    factorizes the same matrix the fit scored at these hyperparameters.
-    """
-    beta = np.asarray(beta, dtype=float)
-    r_tilde = kernels.KernelWorkspace(data.x).corr(kernel.theta, kernel.eta)
-    fact = numerics.chol_factor(r_tilde)
-    ri_resid = numerics.solve_spd(fact, data.z - basis.design_matrix(data.x) @ beta)
-    return TrainedGp(
-        data=data,
-        basis=basis,
-        hyper=GpHyper(beta=beta, kernel=kernel),
-        factorization=fact,
-        residual_solve=ri_resid,
-    )
+    hyper = GpHyper(beta, KernelParams(theta=theta, sigma2=sigma2, eta=eta))
+    return TrainedGp(data, basis, hyper, fit_log={"nll": best_val})
 
 
 def query_points(x_star: np.ndarray, d: int) -> np.ndarray:

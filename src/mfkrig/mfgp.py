@@ -98,7 +98,7 @@ class HfParams:
         return self.eta_h * self.sigma2_h
 
 
-@dataclass
+@dataclass(frozen=True)
 class EStepState:
     """Conditional moments of the latent LF values at the HF inputs, and the
     M-step design matrix H = [G o mu_{Y|Z}, F]."""
@@ -147,18 +147,26 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class MfModel:
+    """The fitted co-kriging model: the LF GP, the HF parameters and bases, and the
+    data. Construction builds what every HF prediction reads: the AR(1) marginal of
+    the HF observations at `hf_params` (`ar_marginal`, with its factor and solve) and
+    the LF solve R~_L^-1 R_L(X_L, X_H)."""
+
     lf_model: TrainedGp
     hf_params: HfParams
     hf_basis: BasisSpec
     rho_basis: BasisSpec
     data: MfData
-    em_log: list[float] = field(compare=False)
-    # Cached co-kriging quantities at the HF training inputs, the last one the LF
-    # solve R~_L^-1 R_L(X_L, X_H) of every HF prediction.
-    rho_at_hf: np.ndarray = field(compare=False)
-    ar_factorization: numerics.SpdFactorization = field(compare=False)
-    ar_residual_solve: np.ndarray = field(compare=False)
-    lf_cross_solve: np.ndarray = field(compare=False)
+    em_log: list[float] = field(default_factory=list, compare=False)
+    ar: ArMarginal = field(init=False, repr=False, compare=False)
+    lf_cross_solve: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lf = self.lf_model
+        hf = hf_workspace(self.data, lf, self.hf_basis, self.rho_basis)
+        object.__setattr__(self, "ar", ar_marginal(hf, self.hf_params))
+        r_lh = kernels.corr_matrix(lf.data.x, self.data.hf.x, lf.hyper.kernel.theta)
+        object.__setattr__(self, "lf_cross_solve", numerics.solve_spd(lf.factorization, r_lh))
 
 
 def hf_workspace(
@@ -336,31 +344,6 @@ def em_fit_hf(
     return params, em_log
 
 
-def make_mf_model(
-    data: MfData,
-    lf_model: TrainedGp,
-    hf_params: HfParams,
-    hf_basis: BasisSpec,
-    rho_basis: BasisSpec,
-    em_log: list[float] | None = None,
-) -> MfModel:
-    """Assemble an MfModel (with prediction caches) from given parameters."""
-    ar = ar_marginal(hf_workspace(data, lf_model, hf_basis, rho_basis), hf_params)
-    r_lh = kernels.corr_matrix(lf_model.data.x, data.hf.x, lf_model.hyper.kernel.theta)
-    return MfModel(
-        lf_model=lf_model,
-        hf_params=hf_params,
-        hf_basis=hf_basis,
-        rho_basis=rho_basis,
-        data=data,
-        em_log=em_log if em_log is not None else [],
-        rho_at_hf=ar.rho,
-        ar_factorization=ar.factorization,
-        ar_residual_solve=ar.residual_solve,
-        lf_cross_solve=numerics.solve_spd(lf_model.factorization, r_lh),
-    )
-
-
 def fit_mf(
     data: MfData,
     hf_basis: BasisSpec = constant_basis(),
@@ -374,7 +357,7 @@ def fit_mf(
     params, em_log = em_fit_hf(
         data, lf_model, hf_basis, rho_basis, config=hf_config, em_config=em_config
     )
-    return make_mf_model(data, lf_model, params, hf_basis, rho_basis, em_log)
+    return MfModel(lf_model, params, hf_basis, rho_basis, data, em_log)
 
 
 def predict_mf(
@@ -413,19 +396,19 @@ def predict_mf(
         k_cross = kernels.corr_matrix(x, x_h, kl.theta)
         k_cross -= r @ model.lf_cross_solve
         k_cross *= kl.sigma2
-        k_cross *= rho_star[:, None] * model.rho_at_hf
+        k_cross *= rho_star[:, None] * model.ar.rho
         r_h = kernels.corr_matrix(x, x_h, params.theta_h)
         r_h *= params.sigma2_h
         k_cross += r_h
         m_ar = rho_star * m_yl + model.hf_basis.design_matrix(x) @ params.beta_h
-        mean = m_ar + k_cross @ model.ar_residual_solve
+        mean = m_ar + k_cross @ model.ar.residual_solve
         if cov == FULL:
             prior = np.outer(rho_star, rho_star) * lf_post.covariance + params.sigma2_h * (
                 kernels.corr_matrix(x, x, params.theta_h)
             )
-            spread = prior - k_cross @ numerics.solve_spd(model.ar_factorization, k_cross.T)
+            spread = prior - k_cross @ numerics.solve_spd(model.ar.factorization, k_cross.T)
         else:
-            w = numerics.whiten(model.ar_factorization, k_cross.T)
+            w = numerics.whiten(model.ar.factorization, k_cross.T)
             spread = rho_star**2 * lf_post.variance + params.sigma2_h - np.einsum("ij,ij->j", w, w)
         return predictive(mean, spread, noise)
 

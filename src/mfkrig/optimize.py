@@ -84,7 +84,7 @@ class MultiStartConfig:
         check_count("rng_seed", self.rng_seed, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StartResult:
     start: np.ndarray
     x: np.ndarray

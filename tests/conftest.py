@@ -62,6 +62,20 @@ def factorization_sizes(monkeypatch):
     return sizes
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap `module.name` so every call through the module attribute appends its
+    arguments to the returned list."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class _SearchStarted(Exception):
     pass
 

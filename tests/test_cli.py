@@ -18,14 +18,15 @@ from mfkrig.cli import (
 from mfkrig.exceptions import InvalidConfig, ParseError
 from mfkrig.gp import (
     Dataset,
+    GpHyper,
     MultiStartConfig,
+    TrainedGp,
     constant_basis,
     fit_gp,
-    make_trained_gp,
     predict_gp,
 )
 from mfkrig.kernels import KernelParams, LengthScales
-from mfkrig.mfgp import HfParams, MfData, make_mf_model, predict_mf
+from mfkrig.mfgp import HfParams, MfData, MfModel, predict_mf
 
 
 def _read_rows(path):
@@ -116,10 +117,10 @@ def _saved_model(workdir, name="m.json"):
     x_lf = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
     x_hf = x_lf[::2]
     lf_data = Dataset(x_lf, np.sin(4 * x_lf[:, 0]))
-    lf_model = make_trained_gp(
-        lf_data, constant_basis(), np.array([0.0]),
+    lf_model = TrainedGp(lf_data, constant_basis(), GpHyper(
+        np.array([0.0]),
         KernelParams(theta=LengthScales(np.array([0.3])), sigma2=1.0, eta=1e-3),
-    )
+    ))
     params = HfParams(
         beta_rho=np.array([1.0]),
         beta_h=np.array([0.1]),
@@ -127,9 +128,9 @@ def _saved_model(workdir, name="m.json"):
         theta_h=LengthScales(np.array([0.4])),
         eta_h=0.01,
     )
-    model = make_mf_model(
-        MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf[:, 0]) + 0.1)),
+    model = MfModel(
         lf_model, params, constant_basis(), constant_basis(),
+        MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf[:, 0]) + 0.1)),
     )
     save_model(model, str(workdir / name))
     return model
@@ -341,9 +342,9 @@ class TestFitPredictCli:
             theta_h=LengthScales(np.array([0.5])),
             eta_h=0.0,
         )
-        model = make_mf_model(
-            MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf)),
+        model = MfModel(
             lf_model, params, constant_basis(), constant_basis(),
+            MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf)),
         )
         save_model(model, str(workdir / "m.json"))
         _write_csv(workdir / "in.csv", x_hf)
@@ -472,6 +473,38 @@ class TestModelJson:
         with pytest.raises(InvalidConfig, match=r"HF scaling \(rho\) basis"):
             save_model(linear_rho_mf, str(workdir / "lin.json"))
         assert not (workdir / "lin.json").exists()
+
+    def test_fitted_model_document_round_trips(self, workdir):
+        _training_csvs(workdir)
+        model = cli.fit_from_csv("lf.csv", "hf.csv", {"n_starts": 2, "seed": 1})
+        doc = cli.model_to_dict(model)
+        assert doc["fit_info"]["lf_nll"] is not None and len(doc["fit_info"]["em_log"]) > 1
+        save_model(model, str(workdir / "m.json"))
+        assert cli.model_to_dict(load_model(str(workdir / "m.json"))) == doc
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lf_nll", "-97.68"), ("lf_nll", True), ("lf_nll", float("nan")), ("lf_nll", [1.0]),
+         ("em_log", "123"), ("em_log", ["1.5", True]), ("em_log", [float("nan")]),
+         ("em_log", None)],
+        ids=str,
+    )
+    def test_ill_typed_fit_info_exit_2(self, workdir, key, value):
+        _saved_model(workdir, "good.json")
+        doc = json.loads((workdir / "good.json").read_text())
+        doc["fit_info"][key] = value
+        res = self._predict(workdir, doc)
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert f"fit_info.{key} must be" in res.output
+
+    def test_document_without_fit_info_loads(self, workdir):
+        model = _saved_model(workdir, "good.json")
+        doc = json.loads((workdir / "good.json").read_text())
+        del doc["fit_info"]
+        loaded = cli.model_from_dict(doc)
+        assert loaded.lf_model.fit_log == {} and loaded.em_log == []
+        x = np.linspace(-0.5, 1.5, 50).reshape(-1, 1)
+        assert np.array_equal(predict_mf(loaded, x).mean, predict_mf(model, x).mean)
 
     def test_valid_document_still_loads(self, workdir):
         model = _saved_model(workdir)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from mfkrig.bench import MODEL_NAMES
 from mfkrig.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_ERROR, main, model_to_dict
-from mfkrig.gp import Dataset, constant_basis, make_trained_gp
+from mfkrig.gp import Dataset, GpHyper, TrainedGp, constant_basis
 from mfkrig.kernels import KernelParams, LengthScales
-from mfkrig.mfgp import HfParams, MfData, make_mf_model
+from mfkrig.mfgp import HfParams, MfData, MfModel
 
 FIT_EXAMPLES = 60
 PREDICT_EXAMPLES = 80
@@ -110,14 +110,14 @@ def _model_document() -> dict:
     x_lf = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
     x_hf = x_lf[::2]
     lf_data = Dataset(x_lf, np.sin(4 * x_lf[:, 0]))
-    lf_model = make_trained_gp(
-        lf_data, constant_basis(), np.array([0.0]),
+    lf_model = TrainedGp(lf_data, constant_basis(), GpHyper(
+        np.array([0.0]),
         KernelParams(theta=LengthScales(np.array([0.3])), sigma2=1.0, eta=1e-3),
-    )
+    ))
     params = HfParams(beta_rho=np.array([1.0]), beta_h=np.array([0.1]), sigma2_h=0.5,
                       theta_h=LengthScales(np.array([0.4])), eta_h=0.01)
-    model = make_mf_model(MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf[:, 0]) + 0.1)),
-                          lf_model, params, constant_basis(), constant_basis())
+    model = MfModel(lf_model, params, constant_basis(), constant_basis(),
+                    MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf[:, 0]) + 0.1)))
     return model_to_dict(model)
 
 

@@ -21,7 +21,7 @@ from mfkrig.gp import (
 from mfkrig.kernels import KernelWorkspace, LengthScales
 from mfkrig.metrics import q2
 
-from conftest import central_differences, first_search_callback
+from conftest import central_differences, count_calls, first_search_callback
 
 
 def profiled_estimates(data, basis, theta, eta):
@@ -208,6 +208,19 @@ class TestFitGp:
         assert not any("lower_inverse" in vars(f) for f in made)
         predict_gp(model, x)
         assert "lower_inverse" in vars(model.factorization)
+
+    def test_fit_factorizes_once_per_evaluation_plus_two(self, monkeypatch,
+                                                         factorization_sizes):
+        # One factorization per objective evaluation, one for the closed forms at
+        # the optimum and one in the model's construction. A model rebuilt after
+        # the fit (a dataclasses.replace re-runs the construction) would add one.
+        evaluations = count_calls(monkeypatch, gp, "profiled_nll_and_grad")
+        pair = design.ANALYTIC_1D
+        x = design.scale_to_domain(pair, design.lhs(30, 1, seed=1).points)
+        fit_gp(Dataset(x, design.eval_testfn(pair, "lf", x)),
+               config=MultiStartConfig(n_starts=3, rng_seed=0))
+        assert len(factorization_sizes) == len(evaluations) + 2 == 119
+        assert set(factorization_sizes) == {30}
 
     def test_refit_determinism(self, rng):
         x = rng.uniform(size=(20, 2))

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from mfkrig import design, kernels, mfgp, numerics
+from mfkrig import design, gp, kernels, mfgp, numerics
 from mfkrig.cli import load_model, save_model
 from mfkrig.gp import (
     PREDICT_BLOCK_ROWS,
     BasisSpec,
     Dataset,
+    GpHyper,
     MultiStartConfig,
+    TrainedGp,
     constant_basis,
     default_bounds,
     fit_gp,
     log_space_search,
-    make_trained_gp,
     posterior_cross_cov,
     predict_gp,
 )
@@ -36,6 +37,7 @@ from mfkrig.mfgp import (
     HfParams,
     HfWorkspace,
     MfData,
+    MfModel,
     ar_marginal,
     e_step,
     em_fit_hf,
@@ -43,12 +45,17 @@ from mfkrig.mfgp import (
     hf_observed_loglik,
     hf_workspace,
     m_step_closed_forms,
-    make_mf_model,
     predict_mf,
     q_tilde_and_grad,
 )
 
-from conftest import central_differences, det_cofactor, first_search_callback, gauss_corr
+from conftest import (
+    central_differences,
+    count_calls,
+    det_cofactor,
+    first_search_callback,
+    gauss_corr,
+)
 
 
 def _lf_moments(lf_model, x):
@@ -590,8 +597,8 @@ class TestEmFit:
     def test_zero_lf_mean_is_rank_deficient(self, fitted_mf):
         # All-zero LF data give m_L = 0 at X_H, so G o m_L = 0 leaves rho unidentified.
         lf_data = Dataset(fitted_mf.data.lf.x, np.zeros(fitted_mf.data.lf.n))
-        lf = make_trained_gp(lf_data, constant_basis(), np.zeros(1), KernelParams(
-            theta=LengthScales(np.array([0.5])), sigma2=1.0, eta=0.1))
+        lf = TrainedGp(lf_data, constant_basis(), GpHyper(np.zeros(1), KernelParams(
+            theta=LengthScales(np.array([0.5])), sigma2=1.0, eta=0.1)))
         data = MfData(lf_data, fitted_mf.data.hf)
         with pytest.raises(RankDeficientBasis, match="LF-mean-scaled"):
             em_fit_hf(data, lf, config=MultiStartConfig(n_starts=1))
@@ -822,11 +829,27 @@ class TestArMarginal:
             + n_h * math.log(2 * math.pi)
         )
         assert loglik == expected
-        assert np.array_equal(fitted_mf.rho_at_hf, ar.rho)
-        assert np.array_equal(fitted_mf.ar_residual_solve, ar.residual_solve)
+        assert np.array_equal(fitted_mf.ar.rho, ar.rho)
+        assert np.array_equal(fitted_mf.ar.residual_solve, ar.residual_solve)
         assert np.array_equal(
-            fitted_mf.ar_factorization.lower_factor, ar.factorization.lower_factor
+            fitted_mf.ar.factorization.lower_factor, ar.factorization.lower_factor
         )
+
+
+def test_models_assemble_their_own_caches(fitted_mf):
+    lf = fitted_mf.lf_model
+    with pytest.raises(TypeError):
+        TrainedGp(lf.data, lf.basis, lf.hyper, factorization=lf.factorization)
+    with pytest.raises(TypeError):
+        MfModel(lf, fitted_mf.hf_params, fitted_mf.hf_basis, fitted_mf.rho_basis,
+                fitted_mf.data, ar=fitted_mf.ar)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fitted_mf.hf_params = fitted_mf.hf_params
+    rebuilt = MfModel(lf, fitted_mf.hf_params, fitted_mf.hf_basis, fitted_mf.rho_basis,
+                      fitted_mf.data)
+    assert np.array_equal(rebuilt.ar.residual_solve, fitted_mf.ar.residual_solve)
+    assert np.array_equal(rebuilt.lf_cross_solve, fitted_mf.lf_cross_solve)
+    assert GpHyper([1, 2], lf.hyper.kernel).beta.dtype == float
 
 
 class TestArCovariance:
@@ -845,9 +868,8 @@ class TestArCovariance:
         r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
         assert np.allclose(cov, params.sigma2_h * (r_h + params.eta_h * np.eye(n_h)), atol=1e-12)
         # Far from every training input the HF posterior is the discrepancy prior.
-        model = make_mf_model(
-            fitted_mf.data, fitted_mf.lf_model, params,
-            constant_basis(), constant_basis(),
+        model = MfModel(
+            fitted_mf.lf_model, params, constant_basis(), constant_basis(), fitted_mf.data
         )
         pred = predict_mf(model, np.array([[50.0]]), level="hf")
         assert np.isclose(pred.mean[0], 0.7, atol=1e-12)
@@ -919,11 +941,11 @@ def _two_solve_predict_mf(model, x_star, mode, cov):
         - ra @ cho_solve((lf.factorization.lower_factor, True), rb.T)
     )
     k_cross = (
-        rho_star[:, None] * model.rho_at_hf[None, :] * v_cross
+        rho_star[:, None] * model.ar.rho[None, :] * v_cross
         + params.sigma2_h * kernels.corr_matrix(x_star, x_h, params.theta_h)
     )
-    mean = m_ar + k_cross @ model.ar_residual_solve
-    solved = cho_solve((model.ar_factorization.lower_factor, True), k_cross.T)
+    mean = m_ar + k_cross @ model.ar.residual_solve
+    solved = cho_solve((model.ar.factorization.lower_factor, True), k_cross.T)
     _, v_yl = _two_solve_predict_gp(lf, x_star, "latent", cov)
     noise = params.noise_variance if mode == "noisy" else 0.0
     if cov == "full":
@@ -964,11 +986,11 @@ def _park_model():
     z_lf = design.add_noise(design.eval_testfn(pair, "lf", x_lf), 0.1**2, seed=51)
     x_hf = design.lhs(12, 4, seed=52).points
     z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 0.1**2, seed=53)
-    lf_model = make_trained_gp(
-        Dataset(x_lf, z_lf), constant_basis(), np.array([z_lf.mean()]),
+    lf_model = TrainedGp(Dataset(x_lf, z_lf), constant_basis(), GpHyper(
+        np.array([z_lf.mean()]),
         KernelParams(theta=LengthScales(np.array([0.5, 0.7, 0.9, 1.1])),
                      sigma2=float(np.var(z_lf)), eta=1e-3),
-    )
+    ))
     params = HfParams(
         beta_rho=np.array([1.1, -0.2]),
         beta_h=np.array([0.3]),
@@ -977,8 +999,8 @@ def _park_model():
         eta_h=0.01,
     )
     lin = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: v[:, 0]))
-    return make_mf_model(MfData(lf_model.data, Dataset(x_hf, z_hf)),
-                         lf_model, params, constant_basis(), lin)
+    return MfModel(lf_model, params, constant_basis(), lin,
+                   MfData(lf_model.data, Dataset(x_hf, z_hf)))
 
 
 class TestPredictMf:
@@ -1052,10 +1074,10 @@ class TestPredictMf:
         # the LF factor is as ill-conditioned as prediction meets it.
         lf = fitted_mf.lf_model
         k = lf.hyper.kernel
-        lf = make_trained_gp(lf.data, lf.basis, lf.hyper.beta,
-                             KernelParams(theta=k.theta, sigma2=k.sigma2, eta=1e-8))
-        model = make_mf_model(fitted_mf.data, lf, fitted_mf.hf_params,
-                              fitted_mf.hf_basis, fitted_mf.rho_basis)
+        lf = TrainedGp(lf.data, lf.basis, GpHyper(
+            lf.hyper.beta, KernelParams(theta=k.theta, sigma2=k.sigma2, eta=1e-8)))
+        model = MfModel(lf, fitted_mf.hf_params, fitted_mf.hf_basis, fitted_mf.rho_basis,
+                        fitted_mf.data)
         x = np.random.default_rng(n).uniform(0, 2, size=(n, 1))
         pred = predict_mf(model, x, level=level)
         if level == "hf":
@@ -1070,8 +1092,8 @@ class TestPredictMf:
         # A product of two whitened terms was 2.0e-13 off this oracle; a solve is ~5e-16.
         lf = fitted_mf.lf_model
         k = lf.hyper.kernel
-        lf = make_trained_gp(lf.data, lf.basis, lf.hyper.beta,
-                             KernelParams(theta=k.theta, sigma2=k.sigma2, eta=1e-8))
+        lf = TrainedGp(lf.data, lf.basis, GpHyper(
+            lf.hyper.beta, KernelParams(theta=k.theta, sigma2=k.sigma2, eta=1e-8)))
         x_h, x_l = fitted_mf.data.hf.x, lf.data.x
         r_tilde = KernelWorkspace(x_l).corr(k.theta, 1e-8)
         r_tilde += lf.factorization.jitter_used * np.eye(len(x_l))
@@ -1109,7 +1131,7 @@ class TestPredictMf:
             theta_h=LengthScales(np.array([0.5])),
             eta_h=0.0,
         )
-        model = make_mf_model(data, lf_model, params, constant_basis(), constant_basis())
+        model = MfModel(lf_model, params, constant_basis(), constant_basis(), data)
         pred = predict_mf(model, x_hf, level="hf")
         assert np.max(np.abs(pred.mean - z_hf)) < 1e-6
 
@@ -1121,16 +1143,13 @@ class TestPredictMf:
             theta_h=LengthScales(np.array([0.7])),
             eta_h=0.2,
         )
-        model = make_mf_model(
-            fitted_mf.data, fitted_mf.lf_model, params,
-            constant_basis(), constant_basis(),
+        model = MfModel(
+            fitted_mf.lf_model, params, constant_basis(), constant_basis(), fitted_mf.data
         )
-        single = make_trained_gp(
-            fitted_mf.data.hf,
-            constant_basis(),
+        single = TrainedGp(fitted_mf.data.hf, constant_basis(), GpHyper(
             params.beta_h,
             KernelParams(theta=params.theta_h, sigma2=params.sigma2_h, eta=params.eta_h),
-        )
+        ))
         x = rng.uniform(0, 2, size=(20, 1))
         mf_pred = predict_mf(model, x, level="hf")
         sf_pred = predict_gp(single, x)
@@ -1244,3 +1263,24 @@ def test_validating_factorization_runs_only_at_assembly(park_em_case, monkeypatc
                           em_config=EmConfig(max_em_iterations=3))
     assert counts["front"] == len(em_log)
     assert counts["core"] > 10 * counts["front"]
+
+
+def test_fit_mf_factorization_count(monkeypatch, factorization_sizes):
+    # One factorization per objective evaluation of either level. Beyond them the
+    # LF fit factorizes for its closed forms and its model, EM for its initial
+    # AR(1) marginal and, per iteration, for the M-step closed forms and the new
+    # marginal, and the model once for its marginal. The pinned total also catches
+    # a model rebuilt after the fit.
+    lf_evaluations = count_calls(monkeypatch, gp, "profiled_nll_and_grad")
+    hf_evaluations = count_calls(monkeypatch, mfgp, "q_tilde_and_grad")
+    pair = design.ANALYTIC_1D
+    x_lf = design.scale_to_domain(pair, design.lhs(25, 1, seed=1).points)
+    x_hf = design.scale_to_domain(pair, design.lhs(10, 1, seed=2).points)
+    z_lf = design.add_noise(design.eval_testfn(pair, "lf", x_lf), 0.01, seed=3)
+    z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 0.01, seed=4)
+    model = fit_mf(MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf)),
+                   lf_config=MultiStartConfig(n_starts=3, rng_seed=1),
+                   hf_config=MultiStartConfig(n_starts=3, rng_seed=1))
+    iterations = len(model.em_log) - 1
+    evaluations = len(lf_evaluations) + len(hf_evaluations)
+    assert len(factorization_sizes) == evaluations + 4 + 2 * iterations == 428

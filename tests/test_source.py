@@ -147,3 +147,55 @@ def test_package_raises_only_package_errors(path):
     """Every error the package raises is an MfkrigError, so callers and the CLI can
     tell a bad input from a bug."""
     assert builtin_raises(path.read_text()) == []
+
+
+def unfrozen_dataclasses(source: str) -> list[str]:
+    """Classes decorated with `dataclass` or `dataclasses.dataclass`, bare or called,
+    without `frozen=True`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for d in node.decorator_list:
+            target = d.func if isinstance(d, ast.Call) else d
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name != "dataclass":
+                continue
+            frozen = isinstance(d, ast.Call) and any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in d.keywords
+            )
+            if not frozen:
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_detector_finds_an_unfrozen_dataclass():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "@dataclass(frozen=True)\n"
+        "class B:\n"
+        "    x: int\n"
+        "@dataclass(eq=False)\n"
+        "class C:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(frozen=False)\n"
+        "class D:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class E:\n"
+        "    x: int\n"
+        "class F:\n"
+        "    pass\n"
+    )
+    assert unfrozen_dataclasses(source) == ["A (line 4)", "C (line 10)", "D (line 13)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_dataclass_is_frozen(path):
+    """Records are immutable: a model's construction-time caches stay true to its fields."""
+    assert unfrozen_dataclasses(path.read_text()) == []
