@@ -148,8 +148,9 @@ class EmConfig:
 @dataclass(frozen=True)
 class MfModel:
     """The fitted co-kriging model: the LF GP, the HF parameters and bases, and the
-    data. Construction builds what every HF prediction reads: the AR(1) marginal of
-    the HF observations at `hf_params` (`ar_marginal`, with its factor and solve) and
+    data, whose LF set must equal the LF GP's by value (InvalidConfig otherwise).
+    Construction builds what every HF prediction reads: the AR(1) marginal of the
+    HF observations at `hf_params` (`ar_marginal`, with its factor and solve) and
     the LF solve R~_L^-1 R_L(X_L, X_H)."""
 
     lf_model: TrainedGp
@@ -163,6 +164,9 @@ class MfModel:
 
     def __post_init__(self):
         lf = self.lf_model
+        if not (np.array_equal(self.data.lf.x, lf.data.x)
+                and np.array_equal(self.data.lf.z, lf.data.z)):
+            raise InvalidConfig("data.lf must equal the LF model's training data")
         hf = hf_workspace(self.data, lf, self.hf_basis, self.rho_basis)
         object.__setattr__(self, "ar", ar_marginal(hf, self.hf_params))
         r_lh = kernels.corr_matrix(lf.data.x, self.data.hf.x, lf.hyper.kernel.theta)

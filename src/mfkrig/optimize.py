@@ -105,17 +105,22 @@ def minimize_box(
 
     Returns (argmin, value, converged). The returned value never exceeds the
     value at the start point. Raises ObjectiveNonFinite when the objective is
-    not finite at the start itself, which L-BFGS-B evaluates first, so every
-    start costs exactly one evaluation there.
+    not finite at the start itself, which L-BFGS-B evaluates first. Each
+    distinct point, the start included, is evaluated once per start.
     """
     start = bounds.clip(np.asarray(start, dtype=float))
     best_x, best_f = None, math.inf
-    # One-slot memo of the last evaluation: scipy asks for the value and then the
-    # gradient at each point, and the objective computes both at once.
-    last_x, last_grad = None, None
+    # Every (value, gradient) handed to scipy, keyed by the bits of x: scipy asks
+    # for the value and then the gradient at each point, and the line search asks
+    # again for points it already holds. The objective is a pure function of x,
+    # so a hit returns what recomputing would. Gradients are stored read-only.
+    seen: dict[bytes, tuple[float, np.ndarray]] = {}
 
     def value(x):
-        nonlocal best_x, best_f, last_x, last_grad
+        nonlocal best_x, best_f
+        key = x.tobytes()
+        if key in seen:
+            return seen[key][0]
         f, grad = objective(x)
         if not math.isfinite(f):
             if best_x is None:
@@ -128,13 +133,16 @@ def minimize_box(
             # One pass: a sum of finite components overflows only beyond 1e308.
             if not math.isfinite(sum(grad.tolist())):
                 grad = np.zeros_like(grad)
-        last_x, last_grad = x.tolist(), grad
+        grad = np.array(grad, dtype=float)
+        grad.flags.writeable = False
+        seen[key] = f, grad
         return f
 
     def gradient(x):
-        if x.tolist() != last_x:
+        key = x.tobytes()
+        if key not in seen:
             value(x)
-        return last_grad
+        return seen[key][1]
 
     res = _scipy_minimize(
         value,

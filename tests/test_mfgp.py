@@ -852,6 +852,22 @@ def test_models_assemble_their_own_caches(fitted_mf):
     assert GpHyper([1, 2], lf.hyper.kernel).beta.dtype == float
 
 
+def test_model_lf_data_must_be_the_lf_models():
+    # An 8-point LF model beside a 3-point data.lf would describe another model.
+    x_lf = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
+    lf_data = Dataset(x_lf, np.sin(6 * x_lf[:, 0]))
+    lf = TrainedGp(lf_data, constant_basis(),
+                   GpHyper([0.0], KernelParams(LengthScales([0.3]), 1.0, 1e-6)))
+    hf = Dataset(np.array([[0.2], [0.5], [0.8]]), np.array([0.1, 0.4, -0.3]))
+    for other in (Dataset(x_lf[:3], lf_data.z[:3]), Dataset(x_lf, lf_data.z + 1e-12)):
+        with pytest.raises(InvalidConfig, match="data.lf"):
+            MfModel(lf, _some_params(), constant_basis(), constant_basis(), MfData(other, hf))
+    # An equal set built anew is the same data.
+    equal = Dataset(x_lf.copy(), lf_data.z.copy())
+    model = MfModel(lf, _some_params(), constant_basis(), constant_basis(), MfData(equal, hf))
+    assert model.data.lf is equal
+
+
 class TestArCovariance:
     def test_zero_scaling(self, fitted_mf):
         params = HfParams(
@@ -1283,4 +1299,4 @@ def test_fit_mf_factorization_count(monkeypatch, factorization_sizes):
                    hf_config=MultiStartConfig(n_starts=3, rng_seed=1))
     iterations = len(model.em_log) - 1
     evaluations = len(lf_evaluations) + len(hf_evaluations)
-    assert len(factorization_sizes) == evaluations + 4 + 2 * iterations == 428
+    assert len(factorization_sizes) == evaluations + 4 + 2 * iterations == 427

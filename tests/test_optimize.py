@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+from mfkrig import design, gp, mfgp, optimize
 from mfkrig.exceptions import AllStartsFailed, InvalidConfig, ObjectiveNonFinite
+from mfkrig.gp import Dataset, fit_gp
+from mfkrig.kernels import KernelWorkspace
 from mfkrig.optimize import (
     BoxBounds,
     MultiStartConfig,
@@ -10,12 +15,47 @@ from mfkrig.optimize import (
     multi_start_minimize,
 )
 
+from conftest import first_search_callback
+
 
 def quadratic(center):
     def f(x):
         return float(np.sum((x - center) ** 2)), 2.0 * (x - center)
 
     return f
+
+
+def scipy_combined(objective, bounds, start):
+    """Oracle: scipy memoizing one (value, gradient) callback itself (jac=True),
+    with minimize_box's options."""
+    return scipy.optimize.minimize(
+        objective, start, jac=True, method="L-BFGS-B",
+        bounds=scipy.optimize.Bounds(bounds.lower, bounds.upper),
+        options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-14, "maxcor": 10},
+    )
+
+
+def recorded(objective, calls):
+    """objective, appending the bits of every x it is called at to calls."""
+    def wrapped(x):
+        calls.append(x.tobytes())
+        return objective(x)
+    return wrapped
+
+
+def first_occurrences(items):
+    return list(dict.fromkeys(items))
+
+
+def array_bits(*objects):
+    """The bytes of every array among objects and, recursively, their dataclass fields."""
+    bits = []
+    for obj in objects:
+        if isinstance(obj, np.ndarray):
+            bits.append(obj.tobytes())
+        elif dataclasses.is_dataclass(obj):
+            bits.extend(array_bits(*(getattr(obj, f.name) for f in dataclasses.fields(obj))))
+    return bits
 
 
 class TestMinimizeBox:
@@ -76,28 +116,59 @@ class TestMinimizeBox:
         assert sum(np.array_equal(c, start) for c in calls) == 1
 
     def test_evaluations_match_a_combined_value_and_gradient_call(self):
-        # Oracle: scipy memoizing one (value, gradient) callback itself (jac=True),
-        # with minimize_box's options, on a box whose minimum is on a bound.
-        def recorded(calls):
-            def rosen(x):
-                calls.append(x.tolist())
-                a, b = x
-                val = (1 - a) ** 2 + 100 * (b - a**2) ** 2
-                return float(val), np.array([-2 * (1 - a) - 400 * a * (b - a**2),
-                                             200 * (b - a**2)])
-            return rosen
+        # On a box whose minimum is on a bound.
+        def rosen(x):
+            a, b = x
+            val = (1 - a) ** 2 + 100 * (b - a**2) ** 2
+            return float(val), np.array([-2 * (1 - a) - 400 * a * (b - a**2),
+                                         200 * (b - a**2)])
 
         bounds = BoxBounds(np.array([-2.0, -1.0]), np.array([0.5, 2.0]))
         start = np.array([-1.2, 1.0])
         got, want = [], []
-        x, f, conv = minimize_box(recorded(got), bounds, start)
-        res = scipy.optimize.minimize(
-            recorded(want), start, jac=True, method="L-BFGS-B",
-            bounds=scipy.optimize.Bounds(bounds.lower, bounds.upper),
-            options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-14, "maxcor": 10},
-        )
-        assert len(got) > 10 and got == want
+        x, f, conv = minimize_box(recorded(rosen, got), bounds, start)
+        res = scipy_combined(recorded(rosen, want), bounds, start)
+        assert len(got) > 10 and got == first_occurrences(want)
         assert np.array_equal(x, res.x) and f == res.fun and conv == res.success
+
+    def test_each_distinct_point_reaches_the_objective_once(self, monkeypatch):
+        # The noise-free analytic1d LF objective in log space: eta goes to its lower
+        # bound, where the line search asks again for points it already holds.
+        pair = design.ANALYTIC_1D
+        x = design.scale_to_domain(pair, design.lhs(30, 1, seed=1).points)
+        data = Dataset(x, design.eval_testfn(pair, "lf", x))
+        callback, _ = first_search_callback(
+            monkeypatch, lambda: fit_gp(data, config=MultiStartConfig(n_starts=1))
+        )
+        box = gp.default_bounds(data)
+        bounds = BoxBounds(np.log(box.lower), np.log(box.upper))
+        start = np.random.default_rng(0).uniform(bounds.lower, bounds.upper)
+        got, want = [], []
+        x_min, f, conv = minimize_box(recorded(callback, got), bounds, start)
+        res = scipy_combined(recorded(callback, want), bounds, start)
+        assert len(first_occurrences(want)) < len(want)
+        assert got == first_occurrences(want)
+        assert np.array_equal(x_min, res.x) and f == res.fun and conv == res.success
+
+    def test_gradients_handed_to_scipy_are_read_only_copies(self, monkeypatch):
+        handed, returned = [], []
+        scipy_minimize = optimize._scipy_minimize
+
+        def spy(fun, x0, jac, **kwargs):
+            def gradient(x):
+                handed.append(jac(x))
+                return handed[-1]
+            return scipy_minimize(fun, x0, jac=gradient, **kwargs)
+
+        def bowl(x):
+            value, grad = quadratic(np.array([0.3, -0.2]))(x)
+            returned.append(grad)
+            return value, grad
+
+        monkeypatch.setattr(optimize, "_scipy_minimize", spy)
+        minimize_box(bowl, BoxBounds(np.full(2, -1.0), np.full(2, 1.0)), np.array([0.9, 0.4]))
+        assert handed and not any(g.flags.writeable for g in handed)
+        assert all(g.flags.writeable for g in returned)
 
     def test_nonfinite_away_from_start_is_a_retreat(self):
         def half_plane(x):
@@ -226,6 +297,25 @@ class TestMultiStart:
 def test_multi_start_config_rejects_bad_value(field, value):
     with pytest.raises(InvalidConfig, match=field):
         MultiStartConfig(**{field: value})
+
+
+def test_objectives_are_pure(linear_rho_mf):
+    # The memo of minimize_box rests on this: two calls at one point give the same
+    # bits and leave their arguments as they were.
+    model = linear_rho_mf
+    lf = model.lf_model
+    ws = KernelWorkspace(lf.data.x)
+    f = lf.basis.design_matrix(lf.data.x)
+    state = mfgp.e_step(model.ar)
+    cases = [
+        (gp.profiled_nll_and_grad, (ws, lf.data.z, f, lf.hyper.kernel.theta, 0.05)),
+        (mfgp.q_tilde_and_grad, (state, model.ar.hf, model.hf_params.theta_h, 0.05)),
+    ]
+    for objective, args in cases:
+        before = array_bits(*args)
+        (v1, g1), (v2, g2) = objective(*args), objective(*args)
+        assert np.isfinite(v1) and v1 == v2 and g1.tobytes() == g2.tobytes()
+        assert array_bits(*args) == before
 
 
 def test_box_bounds_validation():
