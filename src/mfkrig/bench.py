@@ -67,8 +67,10 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.benchmark not in ("analytic1d", "park4d"):
             raise InvalidConfig(f"unknown benchmark {self.benchmark!r}")
+        # The fit CLI's minimum of 2 LF and 3 HF rows; Q² needs 2 test points.
+        minimums = {"n_lf": 2, "n_hf": 3, "n_test": 2}
         for name in ("n_lf", "n_hf", "n_test", "n_replications", "n_starts", "max_em_iterations"):
-            check_count(name, getattr(self, name))
+            check_count(name, getattr(self, name), minimums.get(name, 1))
         check_count("seed", self.seed, 0)
         check_positive("noise_sd_lf", self.noise_sd_lf, zero_ok=True)
         check_positive("noise_sd_hf", self.noise_sd_hf, zero_ok=True)
@@ -207,13 +209,17 @@ def run_replication(config: BenchmarkConfig, r: int) -> list[dict]:
 
 
 def worker_count() -> int:
-    """Campaign worker processes: MFKRIG_THREADS if set (an integer), else the core count."""
+    """Campaign worker processes: MFKRIG_THREADS if set (an integer >= 1), else the
+    core count."""
     env = os.environ.get("MFKRIG_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise InvalidConfig(f"MFKRIG_THREADS must be an integer, got {env!r}") from None
+            workers = 0  # refused below
+        if workers < 1:
+            raise InvalidConfig(f"MFKRIG_THREADS must be an integer >= 1, got {env!r}")
+        return workers
     return os.cpu_count() or 1
 
 

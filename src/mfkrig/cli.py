@@ -304,7 +304,7 @@ def predict_cmd(model_path: str, inputs_csv: str, level: str, mode: str, out_pat
             writer = csv.writer(fh)
             writer.writerow([*header, "mean", "sd"])
             for xi, m, s in zip(x, pred.mean, pred.sd):
-                writer.writerow([*(repr(v) for v in xi), repr(float(m)), repr(float(s))])
+                writer.writerow([*(repr(float(v)) for v in xi), repr(float(m)), repr(float(s))])
         click.echo(f"predictions written to {out_path}")
 
     _run(body)

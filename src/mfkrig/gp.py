@@ -18,9 +18,11 @@ from scipy.linalg import lapack
 
 from . import kernels, numerics, optimize
 from .exceptions import (
+    AllStartsFailed,
     DimensionMismatch,
     DomainViolation,
     InvalidConfig,
+    ObjectiveNonFinite,
     RankDeficientBasis,
     SingularNormalEquations,
 )
@@ -280,9 +282,14 @@ def log_space_search(
     positive box of omega = (theta, eta), or theta alone with `fixed_eta`, searched
     in psi = log(omega) by one callback that also applies the chain rule.
 
-    The `n_random` random starts (config.n_starts by default; 0 for none) are
-    uniform in psi, i.e. log-uniform over the box; the raw extra starts come
-    first. Returns the best theta and eta, the value there and the start log.
+    The raw extra starts come first, then `n_random` random starts
+    (config.n_starts by default; 0 for none), uniform in psi, i.e. log-uniform
+    over the box, drawn from config.rng_seed. Every start runs
+    `optimize.minimize_box` with one memo for the whole search, so a point one
+    start evaluated does not reach `evaluate` again. The lowest value wins, ties
+    going to the lowest start index. Returns the best theta and eta, the value
+    there and the start log, in which a start that failed (non-finite at its
+    start point) is marked; raises AllStartsFailed if every start failed.
     """
     log_bounds = BoxBounds(np.log(bounds.lower), np.log(bounds.upper))
     d = bounds.ndim if fixed_eta is not None else bounds.ndim - 1
@@ -295,10 +302,28 @@ def log_space_search(
         value, grad = evaluate(*hyper(omega))
         return value, grad[: omega.size] * omega
 
-    psi, value, start_log = optimize.multi_start_minimize(
-        in_log_space, log_bounds, config, [np.log(s) for s in extra_starts], n_random
-    )
-    return (*hyper(np.exp(psi)), value, start_log)
+    n_random = config.n_starts if n_random is None else n_random
+    rng = np.random.default_rng(config.rng_seed)
+    starts = [np.log(s) for s in extra_starts]
+    starts.extend(rng.uniform(log_bounds.lower, log_bounds.upper, size=(n_random, log_bounds.ndim)))
+
+    seen: dict[bytes, tuple[float, np.ndarray]] = {}
+    log: list[optimize.StartResult] = []
+    for start in starts:
+        try:
+            x, value, converged = optimize.minimize_box(
+                in_log_space, log_bounds, start, config, seen
+            )
+        except ObjectiveNonFinite as exc:
+            log.append(optimize.StartResult(start, start, math.inf, False,
+                                            failed=True, message=str(exc)))
+        else:
+            log.append(optimize.StartResult(start, x, value, converged))
+    finished = [entry for entry in log if not entry.failed]
+    if not finished:
+        raise AllStartsFailed("every start point raised ObjectiveNonFinite")
+    best = min(finished, key=lambda entry: entry.value)  # the first of equal values
+    return (*hyper(np.exp(best.x)), best.value, log)
 
 
 def fit_gp(

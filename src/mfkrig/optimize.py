@@ -1,8 +1,10 @@
-"""Box-constrained smooth minimization with analytic gradients and multi-start.
+"""Box-constrained smooth minimization with analytic gradients.
 
-The single-start routine wraps scipy's L-BFGS-B (limited-memory quasi-Newton
-with gradient projection), which is the algorithm family required here. The
-multi-start layer adds seeded start sampling and a deterministic reduction.
+`minimize_box` runs one start of scipy's L-BFGS-B (limited-memory quasi-Newton
+with gradient projection), which is the algorithm family required here, and
+evaluates each distinct point once per search through the memo its caller
+hands it. The multi-start search itself (seeded starts, one memo per search and
+a deterministic reduction) is `gp.log_space_search`.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import Bounds
 from scipy.optimize import minimize as _scipy_minimize
 
-from .exceptions import AllStartsFailed, DimensionMismatch, InvalidConfig, ObjectiveNonFinite
+from .exceptions import DimensionMismatch, InvalidConfig, ObjectiveNonFinite
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -98,51 +100,53 @@ def minimize_box(
     objective: Objective,
     bounds: BoxBounds,
     start: np.ndarray,
-    max_iterations: int = 200,
-    gradient_tolerance: float = 1e-6,
+    config: MultiStartConfig,
+    seen: dict[bytes, tuple[float, np.ndarray]],
 ) -> tuple[np.ndarray, float, bool]:
-    """Minimize a smooth objective over a box from a feasible start.
+    """Minimize a smooth objective over a box from a feasible start, with
+    config.max_iterations and config.gradient_tolerance.
 
     Returns (argmin, value, converged). The returned value never exceeds the
     value at the start point. Raises ObjectiveNonFinite when the objective is
-    not finite at the start itself, which L-BFGS-B evaluates first. Each
-    distinct point, the start included, is evaluated once per start.
+    not finite at the start itself, which L-BFGS-B evaluates first.
+
+    `seen` is the memo of one search: the objective's (value, gradient) at every
+    point it was evaluated at, keyed by the bits of x, a non-finite value kept as
+    it is and the gradient as a read-only copy (zeros where the value or the
+    gradient is not finite). The starts of one search share it, so each distinct
+    point reaches the objective once per search; a lone start passes {}.
     """
     start = bounds.clip(np.asarray(start, dtype=float))
     best_x, best_f = None, math.inf
-    # Every (value, gradient) handed to scipy, keyed by the bits of x: scipy asks
-    # for the value and then the gradient at each point, and the line search asks
-    # again for points it already holds. The objective is a pure function of x,
-    # so a hit returns what recomputing would. Gradients are stored read-only.
-    seen: dict[bytes, tuple[float, np.ndarray]] = {}
 
+    # scipy asks for the value and then the gradient at each point, and the line
+    # search asks again for points it already holds. The objective is a pure
+    # function of x, so a hit returns what recomputing would; it still counts
+    # toward this start's best point.
     def value(x):
         nonlocal best_x, best_f
         key = x.tobytes()
-        if key in seen:
-            return seen[key][0]
-        f, grad = objective(x)
+        if key not in seen:
+            f, grad = objective(x)
+            f = float(f)
+            # One pass: a sum of finite components overflows only beyond 1e308.
+            if not (math.isfinite(f) and math.isfinite(sum(grad.tolist()))):
+                grad = np.zeros_like(grad)
+            grad = np.array(grad, dtype=float)
+            grad.flags.writeable = False
+            seen[key] = f, grad
+        f = seen[key][0]
         if not math.isfinite(f):
             if best_x is None:
                 raise ObjectiveNonFinite("objective is not finite at the start point")
-            f, grad = _BIG, np.zeros_like(grad)
-        else:
-            f = float(f)
-            if f < best_f:
-                best_x, best_f = x.copy(), f
-            # One pass: a sum of finite components overflows only beyond 1e308.
-            if not math.isfinite(sum(grad.tolist())):
-                grad = np.zeros_like(grad)
-        grad = np.array(grad, dtype=float)
-        grad.flags.writeable = False
-        seen[key] = f, grad
+            return _BIG
+        if f < best_f:
+            best_x, best_f = x.copy(), f
         return f
 
     def gradient(x):
-        key = x.tobytes()
-        if key not in seen:
-            value(x)
-        return seen[key][1]
+        value(x)
+        return seen[x.tobytes()][1]
 
     res = _scipy_minimize(
         value,
@@ -151,8 +155,8 @@ def minimize_box(
         method="L-BFGS-B",
         bounds=Bounds(bounds.lower, bounds.upper),
         options={
-            "maxiter": max_iterations,
-            "gtol": gradient_tolerance,
+            "maxiter": config.max_iterations,
+            "gtol": config.gradient_tolerance,
             "ftol": 1e-14,
             "maxcor": 10,
         },
@@ -162,48 +166,3 @@ def minimize_box(
         x, f = bounds.clip(best_x), best_f
     converged = bool(res.success) and np.isfinite(f)
     return x, f, converged
-
-
-def multi_start_minimize(
-    objective: Objective,
-    bounds: BoxBounds,
-    config: MultiStartConfig,
-    extra_starts: Sequence[np.ndarray] = (),
-    n_random: int | None = None,
-) -> tuple[np.ndarray, float, list[StartResult]]:
-    """Run minimize_box from seeded starts, uniform over the box, plus any
-    caller-provided ones.
-
-    `n_random` overrides config.n_starts as the number of random starts; 0 runs
-    the extra starts alone. Deterministic for a fixed seed; the best value wins,
-    ties broken by the lowest start index (extra starts come first).
-    """
-    n_random = config.n_starts if n_random is None else n_random
-    rng = np.random.default_rng(config.rng_seed)
-    starts = [np.asarray(s, dtype=float) for s in extra_starts]
-    starts.extend(rng.uniform(bounds.lower, bounds.upper, size=(n_random, bounds.ndim)))
-
-    log: list[StartResult] = []
-    best_idx = -1
-    for i, start in enumerate(starts):
-        try:
-            x, f, conv = minimize_box(
-                objective,
-                bounds,
-                start,
-                max_iterations=config.max_iterations,
-                gradient_tolerance=config.gradient_tolerance,
-            )
-        except ObjectiveNonFinite as exc:
-            log.append(
-                StartResult(start=start, x=start, value=np.inf, converged=False,
-                            failed=True, message=str(exc))
-            )
-            continue
-        log.append(StartResult(start=start, x=x, value=f, converged=conv))
-        if best_idx < 0 or f < log[best_idx].value:
-            best_idx = i
-    if best_idx < 0:
-        raise AllStartsFailed("every start point raised ObjectiveNonFinite")
-    winner = log[best_idx]
-    return winner.x, winner.value, log

@@ -101,7 +101,7 @@ def first_search_callback(monkeypatch, run):
     with monkeypatch.context() as patch, pytest.raises(_SearchStarted):
         patch.setattr(gp, "log_space_search", spy)
         patch.setattr(mfgp, "log_space_search", spy)
-        patch.setattr(optimize, "multi_start_minimize", stop)
+        patch.setattr(optimize, "minimize_box", stop)
         run()
     return found["callback"], found.get("evaluate")
 

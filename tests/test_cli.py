@@ -160,8 +160,10 @@ class TestFitPredictCli:
         assert res.exit_code == 0, res.output
         with open(workdir / "pred.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
+        got_x = np.array([[float(r[f"x{j}"]) for j in range(x_hf.shape[1])] for r in rows])
         got_mean = np.array([float(r["mean"]) for r in rows])
         got_sd = np.array([float(r["sd"]) for r in rows])
+        assert got_x.tobytes() == x_hf.tobytes()
         assert np.array_equal(got_mean, expected.mean)
         assert np.array_equal(got_sd, expected.sd)
 
@@ -690,10 +692,11 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_non_integer_worker_count_exit_2(workdir, monkeypatch):
-    monkeypatch.setenv("MFKRIG_THREADS", "two")
-    with pytest.raises(InvalidConfig, match="MFKRIG_THREADS must be an integer"):
-        bench.worker_count()
     TestBenchCli()._config(workdir)
-    res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
-    assert res.exit_code == EXIT_CONFIG_ERROR, res.output
-    assert not (workdir / "results.csv").exists()
+    for value in ("two", "0", "-4"):
+        monkeypatch.setenv("MFKRIG_THREADS", value)
+        with pytest.raises(InvalidConfig, match="MFKRIG_THREADS must be an integer >= 1"):
+            bench.worker_count()
+        res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert not (workdir / "results.csv").exists()

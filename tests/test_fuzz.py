@@ -211,8 +211,9 @@ not_a_real = json_value.filter(lambda v: isinstance(v, bool) or not isinstance(v
 # Config key -> values that are defects there.
 BAD_BENCH_VALUES = {
     "benchmark": json_value.filter(lambda v: v not in ("analytic1d", "park4d")),
-    **{key: st.one_of(st.integers(max_value=0), not_an_int)
-       for key in ("n_lf", "n_hf", "n_test", "n_replications", "n_starts", "max_em_iterations")},
+    **{key: st.one_of(st.just(minimum - 1), st.integers(max_value=minimum - 1), not_an_int)
+       for key, minimum in (("n_lf", 2), ("n_hf", 3), ("n_test", 2), ("n_replications", 1),
+                            ("n_starts", 1), ("max_em_iterations", 1))},
     "seed": st.one_of(st.integers(max_value=-1), not_an_int),
     **{key: st.one_of(st.floats().filter(lambda v: not 0 <= v < math.inf),
                       st.integers(min_value=2**1024), not_a_real)

@@ -219,7 +219,7 @@ class TestFitGp:
         x = design.scale_to_domain(pair, design.lhs(30, 1, seed=1).points)
         fit_gp(Dataset(x, design.eval_testfn(pair, "lf", x)),
                config=MultiStartConfig(n_starts=3, rng_seed=0))
-        assert len(factorization_sizes) == len(evaluations) + 2 == 99
+        assert len(factorization_sizes) == len(evaluations) + 2 == 98
         assert set(factorization_sizes) == {30}
 
     def test_refit_determinism(self, rng):

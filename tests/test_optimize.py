@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +7,9 @@ import scipy.optimize
 
 from mfkrig import design, gp, mfgp, optimize
 from mfkrig.exceptions import AllStartsFailed, InvalidConfig, ObjectiveNonFinite
-from mfkrig.gp import Dataset, fit_gp
+from mfkrig.gp import Dataset, fit_gp, log_space_search
 from mfkrig.kernels import KernelWorkspace
-from mfkrig.optimize import (
-    BoxBounds,
-    MultiStartConfig,
-    minimize_box,
-    multi_start_minimize,
-)
+from mfkrig.optimize import BoxBounds, MultiStartConfig, minimize_box
 
 from conftest import first_search_callback
 
@@ -33,6 +29,15 @@ def scipy_combined(objective, bounds, start):
         bounds=scipy.optimize.Bounds(bounds.lower, bounds.upper),
         options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-14, "maxcor": 10},
     )
+
+
+CONFIG = MultiStartConfig()
+
+
+def raw(objective):
+    """objective(omega) as the evaluate(theta, eta) of a log_space_search with
+    fixed_eta, which hands it theta = omega."""
+    return lambda theta, eta: objective(theta.theta)
 
 
 def recorded(objective, calls):
@@ -62,13 +67,13 @@ class TestMinimizeBox:
     def test_quadratic_bowl(self):
         bounds = BoxBounds(np.full(3, -5.0), np.full(3, 5.0))
         c = np.array([0.3, -1.2, 2.0])
-        x, f, conv = minimize_box(quadratic(c), bounds, np.zeros(3))
+        x, f, conv = minimize_box(quadratic(c), bounds, np.zeros(3), CONFIG, {})
         assert conv
         assert np.allclose(x, c, atol=1e-6)
 
     def test_active_lower_bound(self):
         bounds = BoxBounds(np.ones(4), np.full(4, 2.0))
-        x, f, conv = minimize_box(quadratic(np.zeros(4)), bounds, np.full(4, 1.5))
+        x, f, conv = minimize_box(quadratic(np.zeros(4)), bounds, np.full(4, 1.5), CONFIG, {})
         assert np.allclose(x, np.ones(4), atol=1e-8)
 
     def test_rosenbrock(self):
@@ -82,7 +87,7 @@ class TestMinimizeBox:
 
         bounds = BoxBounds(np.full(2, -2.0), np.full(2, 2.0))
         x, f, conv = minimize_box(
-            rosen, bounds, np.array([-1.2, 1.0]), max_iterations=500
+            rosen, bounds, np.array([-1.2, 1.0]), MultiStartConfig(max_iterations=500), {}
         )
         assert f < 1e-8
 
@@ -90,7 +95,8 @@ class TestMinimizeBox:
         bounds = BoxBounds(np.array([-1.0]), np.array([1.0]))
         start = np.array([0.5])
         f0, _ = quadratic(np.zeros(1))(start)
-        _, f, _ = minimize_box(quadratic(np.zeros(1)), bounds, start, max_iterations=1)
+        config = MultiStartConfig(max_iterations=1)
+        _, f, _ = minimize_box(quadratic(np.zeros(1)), bounds, start, config, {})
         assert f <= f0
 
     def test_nonfinite_at_start(self):
@@ -99,7 +105,7 @@ class TestMinimizeBox:
 
         bounds = BoxBounds(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ObjectiveNonFinite):
-            minimize_box(bad, bounds, np.array([0.5]))
+            minimize_box(bad, bounds, np.array([0.5]), CONFIG, {})
 
     def test_start_evaluated_once(self):
         calls = []
@@ -110,7 +116,7 @@ class TestMinimizeBox:
             return target(x)
 
         bounds = BoxBounds(np.full(2, -1.0), np.full(2, 1.0))
-        minimize_box(f, bounds, np.array([0.9, 1.7]))
+        minimize_box(f, bounds, np.array([0.9, 1.7]), CONFIG, {})
         start = np.array([0.9, 1.0])  # clipped into the box
         assert np.array_equal(calls[0], start)
         assert sum(np.array_equal(c, start) for c in calls) == 1
@@ -126,7 +132,7 @@ class TestMinimizeBox:
         bounds = BoxBounds(np.array([-2.0, -1.0]), np.array([0.5, 2.0]))
         start = np.array([-1.2, 1.0])
         got, want = [], []
-        x, f, conv = minimize_box(recorded(rosen, got), bounds, start)
+        x, f, conv = minimize_box(recorded(rosen, got), bounds, start, CONFIG, {})
         res = scipy_combined(recorded(rosen, want), bounds, start)
         assert len(got) > 10 and got == first_occurrences(want)
         assert np.array_equal(x, res.x) and f == res.fun and conv == res.success
@@ -144,7 +150,7 @@ class TestMinimizeBox:
         bounds = BoxBounds(np.log(box.lower), np.log(box.upper))
         start = np.random.default_rng(0).uniform(bounds.lower, bounds.upper)
         got, want = [], []
-        x_min, f, conv = minimize_box(recorded(callback, got), bounds, start)
+        x_min, f, conv = minimize_box(recorded(callback, got), bounds, start, CONFIG, {})
         res = scipy_combined(recorded(callback, want), bounds, start)
         assert len(first_occurrences(want)) < len(want)
         assert got == first_occurrences(want)
@@ -166,7 +172,8 @@ class TestMinimizeBox:
             return value, grad
 
         monkeypatch.setattr(optimize, "_scipy_minimize", spy)
-        minimize_box(bowl, BoxBounds(np.full(2, -1.0), np.full(2, 1.0)), np.array([0.9, 0.4]))
+        bounds = BoxBounds(np.full(2, -1.0), np.full(2, 1.0))
+        minimize_box(bowl, bounds, np.array([0.9, 0.4]), CONFIG, {})
         assert handed and not any(g.flags.writeable for g in handed)
         assert all(g.flags.writeable for g in returned)
 
@@ -178,47 +185,48 @@ class TestMinimizeBox:
 
         bounds = BoxBounds(np.array([-5.0]), np.array([5.0]))
         start = np.array([4.0])
-        x, f, _ = minimize_box(half_plane, bounds, start)
+        x, f, _ = minimize_box(half_plane, bounds, start, CONFIG, {})
         assert x[0] >= 0.0 and f <= half_plane(start)[0]
 
     def test_feasibility(self):
         bounds = BoxBounds(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
-        x, _, _ = minimize_box(quadratic(np.array([3.0, -3.0])), bounds, np.zeros(2))
+        x, _, _ = minimize_box(quadratic(np.array([3.0, -3.0])), bounds, np.zeros(2), CONFIG, {})
         assert np.all(x >= bounds.lower) and np.all(x <= bounds.upper)
 
 
 class TestMultiStart:
     def test_convex_all_agree(self):
-        bounds = BoxBounds(np.full(2, -3.0), np.full(2, 3.0))
-        c = np.array([0.7, -0.2])
-        x, f, log = multi_start_minimize(
-            quadratic(c), bounds, MultiStartConfig(n_starts=5, rng_seed=1)
+        bounds = BoxBounds(np.full(2, 0.1), np.full(2, 3.0))
+        c = np.array([0.7, 0.2])
+        theta, eta, f, log = log_space_search(
+            raw(quadratic(c)), bounds, MultiStartConfig(n_starts=5, rng_seed=1), fixed_eta=0.0
         )
-        assert np.allclose(x, c, atol=1e-5)
+        assert np.allclose(theta.theta, c, atol=1e-5)
         for entry in log:
-            assert np.allclose(entry.x, c, atol=1e-5)
+            assert np.allclose(np.exp(entry.x), c, atol=1e-5)
 
     def test_double_well(self):
         def f(x):
-            v = (x[0] ** 2 - 1.0) ** 2
-            g = np.array([4.0 * x[0] * (x[0] ** 2 - 1.0)])
+            v = ((x[0] - 2.0) ** 2 - 1.0) ** 2
+            g = np.array([4.0 * (x[0] - 2.0) * ((x[0] - 2.0) ** 2 - 1.0)])
             return float(v), g
 
-        bounds = BoxBounds(np.array([-2.0]), np.array([2.0]))
-        x, val, _ = multi_start_minimize(
-            f, bounds, MultiStartConfig(n_starts=6, rng_seed=3)
+        bounds = BoxBounds(np.array([0.1]), np.array([4.0]))
+        theta, _, val, _ = log_space_search(
+            raw(f), bounds, MultiStartConfig(n_starts=6, rng_seed=3), fixed_eta=0.0
         )
         assert val < 1e-10
-        assert np.isclose(abs(x[0]), 1.0, atol=1e-5)
+        assert np.isclose(abs(theta.theta[0] - 2.0), 1.0, atol=1e-5)
 
     def test_deterministic_for_fixed_seed(self):
-        bounds = BoxBounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+        bounds = BoxBounds(np.array([0.1, 0.1]), np.array([4.0, 4.0]))
         config = MultiStartConfig(n_starts=4, rng_seed=99)
-        c = np.array([1.1, -0.4])
-        x1, f1, _ = multi_start_minimize(quadratic(c), bounds, config)
-        x2, f2, _ = multi_start_minimize(quadratic(c), bounds, config)
-        assert np.array_equal(x1, x2)
+        c = np.array([1.1, 0.4])
+        theta1, _, f1, log1 = log_space_search(raw(quadratic(c)), bounds, config, fixed_eta=0.0)
+        theta2, _, f2, log2 = log_space_search(raw(quadratic(c)), bounds, config, fixed_eta=0.0)
+        assert np.array_equal(theta1.theta, theta2.theta)
         assert f1 == f2
+        assert [e.x.tobytes() for e in log1] == [e.x.tobytes() for e in log2]
 
     def test_best_not_worse_than_any_start(self):
         def f(x):
@@ -226,23 +234,48 @@ class TestMultiStart:
             g = 3 * np.cos(3 * x) + 0.2 * x
             return float(v), g
 
-        bounds = BoxBounds(np.full(2, -4.0), np.full(2, 4.0))
-        _, best, log = multi_start_minimize(
-            f, bounds, MultiStartConfig(n_starts=8, rng_seed=5)
+        bounds = BoxBounds(np.full(2, 0.1), np.full(2, 8.0))
+        _, _, best, log = log_space_search(
+            raw(f), bounds, MultiStartConfig(n_starts=8, rng_seed=5), fixed_eta=0.0
         )
         assert all(best <= entry.value for entry in log)
+        assert len({round(entry.value, 6) for entry in log}) > 1  # more than one basin
 
     def test_all_starts_failed(self):
         def bad(x):
             return np.inf, np.zeros_like(x)
 
-        bounds = BoxBounds(np.array([0.0]), np.array([1.0]))
+        bounds = BoxBounds(np.array([0.1]), np.array([1.0]))
         with pytest.raises(AllStartsFailed):
-            multi_start_minimize(bad, bounds, MultiStartConfig(n_starts=3, rng_seed=0))
+            log_space_search(raw(bad), bounds, MultiStartConfig(n_starts=3, rng_seed=0),
+                             fixed_eta=0.0)
+
+    def test_a_point_reaches_the_objective_once_per_search(self):
+        # Finite only at theta >= 0.6; the search from 4.0 steps past that ledge.
+        calls = []
+
+        def ledge(x):
+            calls.append(x[0])
+            if x[0] < 0.6:
+                return math.inf, np.zeros(1)
+            u = math.log(x[0]) + 1.0
+            return u * u, np.array([2.0 * u / x[0]])
+
+        bounds = BoxBounds(np.array([0.01]), np.array([100.0]))
+        starts = [np.array([4.0]), np.array([0.2]), np.array([0.2]), np.array([4.0])]
+        *_, log = log_space_search(raw(ledge), bounds, MultiStartConfig(n_starts=1),
+                                   extra_starts=starts, n_random=0, fixed_eta=0.0)
+        assert min(calls) < 0.6 and calls.count(0.2) == 1
+        assert len(calls) == len(set(calls))
+        # A start at a cached non-finite point fails alone; a start at a cached
+        # finite point meets the cached non-finite one and still ends where the
+        # first start did, at no more than its start value.
+        assert [entry.failed for entry in log] == [False, True, True, False]
+        assert log[3].x.tobytes() == log[0].x.tobytes() and log[3].value == log[0].value
+        for entry in (log[0], log[3]):
+            assert entry.value <= ledge(np.exp(entry.start))[0]
 
     def test_log_uniform_sampling_for_positive_bounds(self):
-        from mfkrig.gp import log_space_search
-
         def linear(theta, eta):
             return float(np.sum(theta.theta)), np.array([1.0, 0.0])
 
@@ -261,8 +294,6 @@ class TestMultiStart:
         assert 0.35 < frac < 0.65
 
     def test_log_space_search_applies_the_chain_rule(self):
-        from mfkrig.gp import log_space_search
-
         def bowl(theta, eta):
             # Minimum at (theta, eta) = (5, 0.01); raw-space gradient of
             # (log theta - log 5)^2 + (log eta - log 0.01)^2.
@@ -300,7 +331,7 @@ def test_multi_start_config_rejects_bad_value(field, value):
 
 
 def test_objectives_are_pure(linear_rho_mf):
-    # The memo of minimize_box rests on this: two calls at one point give the same
+    # The memo of a search rests on this: two calls at one point give the same
     # bits and leave their arguments as they were.
     model = linear_rho_mf
     lf = model.lf_model
