@@ -180,13 +180,18 @@ def save_model(model: MfModel, path: str) -> None:
         json.dump(doc, fh, indent=1)
 
 
-def load_model(path: str) -> MfModel:
+def _read_json(path: str):
+    """The document in a JSON file; a file that cannot be read, decoded or parsed is
+    a ParseError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: malformed JSON or text encoding
         raise ParseError(f"{path}: {exc}") from exc
-    return model_from_dict(doc)
+
+
+def load_model(path: str) -> MfModel:
+    return model_from_dict(_read_json(path))
 
 
 def fit_configs(config: dict | None) -> tuple[MultiStartConfig, EmConfig]:
@@ -241,12 +246,7 @@ def bench_cmd(config_path: str):
     """Run a replicated benchmark campaign described by a JSON config."""
 
     def body():
-        try:
-            with open(config_path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"{config_path}: {exc}") from exc
-        config = bench.BenchmarkConfig.from_dict(raw)
+        config = bench.BenchmarkConfig.from_dict(_read_json(config_path))
         rows = bench.run_benchmark(config)
         n_failed = sum(int(row.get("failed", 0) or 0) for row in rows)
         summary = f"{len(rows)} rows ({n_failed} failed)"
@@ -267,13 +267,7 @@ def fit_cmd(lf_csv: str, hf_csv: str, config_path: str | None, out_path: str):
     """Fit the bi-fidelity model on two CSV training sets."""
 
     def body():
-        config = None
-        if config_path is not None:
-            try:
-                with open(config_path) as fh:
-                    config = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ParseError(f"{config_path}: {exc}") from exc
+        config = None if config_path is None else _read_json(config_path)
         bench.check_output_path(out_path)
         model = fit_from_csv(lf_csv, hf_csv, config)
         save_model(model, out_path)

@@ -9,16 +9,8 @@ class DimensionMismatch(MfkrigError):
     """Array shapes are inconsistent with each other or with the model."""
 
 
-class NotSymmetric(MfkrigError):
-    """Matrix fails the symmetry tolerance required for an SPD factorization."""
-
-
 class NotPositiveDefinite(MfkrigError):
     """Cholesky factorization failed even after jitter escalation."""
-
-
-class FactorizationFailure(NotPositiveDefinite):
-    """A covariance matrix required by a model could not be factorized."""
 
 
 class RankDeficientBasis(MfkrigError):

@@ -28,7 +28,7 @@ from .exceptions import (
 )
 from .kernels import KernelParams, LengthScales
 from .numerics import SpdFactorization
-from .optimize import BoxBounds, MultiStartConfig
+from .optimize import BoxBounds, MultiStartConfig, check_finite
 
 LATENT = "latent"
 NOISY = "noisy"
@@ -109,7 +109,9 @@ class GpHyper:
     kernel: KernelParams
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        beta = np.asarray(self.beta, dtype=float)
+        check_finite("beta", beta)
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def profiled_gls(
     """The profiled generalized-least-squares step of both levels at fixed (theta, eta).
 
     Builds R~ = R(theta) + eta I from the fit's workspace, factorizes it by
-    `numerics.chol_core` (R~ is exactly symmetric, and finite because `Dataset`,
+    `numerics.chol_factor` (R~ is exactly symmetric, and finite because `Dataset`,
     `LengthScales` and the search box are), inverts it, solves
     (H^T R~^-1 H + T) beta = H^T R~^-1 z by LAPACK dgesv and, with r = z - H beta,
     returns beta, sigma2 = (r^T R~^-1 r + beta^T T beta) / n, R~, the factor, R~^-1
@@ -189,7 +191,7 @@ def profiled_gls(
     """
     n = len(z)
     r_tilde = ws.corr(theta, eta)
-    fact = numerics.chol_core(r_tilde)
+    fact = numerics.chol_factor(r_tilde)
     rt_inv = numerics.inv_spd(fact)
     ri_h = np.dot(rt_inv, h)
     normal = np.dot(h.T, ri_h)

@@ -18,10 +18,8 @@ import numpy as np
 from . import kernels, numerics
 from .exceptions import (
     DimensionMismatch,
-    FactorizationFailure,
     InvalidConfig,
     NonMonotoneEM,
-    NotPositiveDefinite,
 )
 from .gp import (
     _SIGMA2_FLOOR,
@@ -50,7 +48,7 @@ from .gp import (
     query_points,
 )
 from .kernels import LengthScales
-from .optimize import check_count, check_positive
+from .optimize import check_count, check_finite, check_positive
 
 LF = "lf"
 HF = "hf"
@@ -88,8 +86,10 @@ class HfParams:
     eta_h: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_rho", np.atleast_1d(np.asarray(self.beta_rho, float)))
-        object.__setattr__(self, "beta_h", np.atleast_1d(np.asarray(self.beta_h, float)))
+        for name in ("beta_rho", "beta_h"):
+            beta = np.atleast_1d(np.asarray(getattr(self, name), float))
+            check_finite(name, beta)
+            object.__setattr__(self, name, beta)
         check_positive("sigma2_h", self.sigma2_h)
         check_positive("eta_h", self.eta_h, zero_ok=True)
 
@@ -202,10 +202,7 @@ def ar_marginal(hf: HfWorkspace, params: HfParams) -> ArMarginal:
     cov = np.outer(rho, rho) * hf.lf_cov + params.sigma2_h * hf.ws.corr(
         params.theta_h, params.eta_h
     )
-    try:
-        fact = numerics.chol_factor(cov)
-    except NotPositiveDefinite as exc:
-        raise FactorizationFailure(str(exc)) from exc
+    fact = numerics.chol_factor(cov)
     resid = hf.data.z - rho * hf.lf_mean - hf.f_matrix @ params.beta_h
     return ArMarginal(hf, rho, resid, fact, numerics.solve_spd(fact, resid))
 

@@ -15,12 +15,10 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import blas, cho_solve, lapack
 
-from .exceptions import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from .exceptions import DimensionMismatch, NotPositiveDefinite
 
 # Jitter multipliers applied to mean(diag(M)) when the bare factorization fails.
 JITTER_SCHEDULE = (1e-10, 1e-8, 1e-6)
-
-SYMMETRY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,39 +46,26 @@ class SpdFactorization:
 
 
 def chol_factor(m: np.ndarray) -> SpdFactorization:
-    """Cholesky-factorize a symmetric matrix, escalating diagonal jitter on failure.
+    """Cholesky factor of the symmetric matrix whose lower triangle is m's lower
+    triangle, escalating diagonal jitter on failure. The upper triangle is never
+    read, and no O(N^2) validation pass runs on success: every R~ = R + eta I of a
+    fit and every assembled covariance is symmetric and finite by construction.
 
-    The validating front of `chol_core`, for public callers and model assembly:
-    raises DimensionMismatch for a non-square matrix, NotPositiveDefinite if an
-    entry is not finite and NotSymmetric if the symmetric mismatch exceeds the
-    relative tolerance, then factorizes by `chol_core`.
+    LAPACK dpotrf factors the lower triangle and zeroes the upper one; a nonzero
+    `info` means the leading minor of that order is not positive definite. Only
+    then is the lower triangle checked for a NaN or an infinity, before the jitter
+    scale mean(diag(M)) is computed. DimensionMismatch for a non-square matrix;
+    NotPositiveDefinite if every jitter level fails, or if the lower triangle holds
+    a non-finite entry, which reaches the factor's diagonal if dpotrf passes it.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    hi, lo = m.max(), m.min()  # NaN propagates to both
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise NotPositiveDefinite("matrix has a non-finite entry")
-    # M - M^T is exactly antisymmetric, so its max is its largest absolute entry.
-    if (m - m.T).max() > SYMMETRY_RTOL * max(hi, -lo, 1.0):
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    return chol_core(m)
-
-
-def chol_core(m: np.ndarray) -> SpdFactorization:
-    """Cholesky factor of a float matrix from its lower triangle, escalating
-    diagonal jitter on failure, with no O(N^2) validation pass: for matrices that
-    are symmetric by construction, such as every R~ = R + eta I of a fit.
-
-    LAPACK dpotrf factors the lower triangle and zeroes the upper one; a nonzero
-    `info` means the leading minor of that order is not positive definite. The
-    jitter scale mean(diag(M)) is computed only when the bare factorization fails.
-    NotPositiveDefinite if every jitter level fails, or if the lower triangle
-    holds a NaN or an infinity, which reaches the factor's diagonal if it passes.
-    """
     lower, info = lapack.dpotrf(m, lower=1, clean=1)
     jitter = 0.0
     if info != 0:
+        if not np.isfinite(np.tril(m)).all():
+            raise NotPositiveDefinite("matrix has a non-finite entry")
         mean_diag = float(np.mean(np.diag(m)))
         for level in JITTER_SCHEDULE:
             jitter = level * mean_diag

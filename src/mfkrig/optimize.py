@@ -72,6 +72,12 @@ def check_positive(name: str, value, zero_ok: bool = False) -> None:
         raise InvalidConfig(f"{name} must be a finite number {bound}, got {value!r}")
 
 
+def check_finite(name: str, values: np.ndarray) -> None:
+    """Mean or scaling coefficients must be finite."""
+    if not np.isfinite(values).all():
+        raise InvalidConfig(f"{name} must be finite, got {values}")
+
+
 @dataclass(frozen=True)
 class MultiStartConfig:
     n_starts: int = 10

@@ -47,18 +47,17 @@ def rng():
 def factorization_sizes(monkeypatch):
     """The dimension of every matrix factorized during the test, in call order.
 
-    Every factorization runs `numerics.chol_core`: the fit's evaluations call it
-    through the module attribute, and the validating `chol_factor` through its
-    module global, so wrapping it there sees every factorization of a fit.
+    Every factorization calls `numerics.chol_factor` through the module attribute,
+    so wrapping it there sees every factorization of a fit.
     """
     sizes: list[int] = []
-    chol_core = numerics.chol_core
+    chol_factor = numerics.chol_factor
 
-    def recording_chol_core(m):
+    def recording_chol_factor(m):
         sizes.append(np.shape(m)[0])
-        return chol_core(m)
+        return chol_factor(m)
 
-    monkeypatch.setattr(numerics, "chol_core", recording_chol_core)
+    monkeypatch.setattr(numerics, "chol_factor", recording_chol_factor)
     return sizes
 
 

@@ -399,6 +399,20 @@ class TestFitConfig:
         assert not (workdir / "model.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["fit", "--lf", "lf.csv", "--hf", "hf.csv", "--config", "cfg.json", "--out", "model.json"],
+    ["bench", "--config", "cfg.json"],
+], ids=["fit", "bench"])
+def test_undecodable_config_exit_2(workdir, command):
+    # A UTF-16 byte-order mark, which is not UTF-8 text.
+    _training_csvs(workdir)
+    (workdir / "cfg.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    res = CliRunner().invoke(main, command)
+    assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+    assert res.output.startswith("error: cfg.json:")
+    assert not (workdir / "model.json").exists()
+
+
 class TestModelJson:
     def _predict(self, workdir, doc):
         (workdir / "m.json").write_text(json.dumps(doc))

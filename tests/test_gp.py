@@ -12,13 +12,14 @@ from mfkrig.exceptions import (
 from mfkrig.gp import (
     BasisSpec,
     Dataset,
+    GpHyper,
     MultiStartConfig,
     constant_basis,
     fit_gp,
     posterior_cross_cov,
     predict_gp,
 )
-from mfkrig.kernels import KernelWorkspace, LengthScales
+from mfkrig.kernels import KernelParams, KernelWorkspace, LengthScales
 from mfkrig.metrics import q2
 
 from conftest import central_differences, count_calls, first_search_callback
@@ -169,6 +170,12 @@ class TestDataset:
             Dataset(rng.random((8, 2, 2)), rng.random(8))
 
 
+@pytest.mark.parametrize("beta", [[np.nan], [0.0, np.inf], [-np.inf]])
+def test_gp_hyper_rejects_non_finite_beta(beta):
+    with pytest.raises(InvalidConfig, match="beta must be finite"):
+        GpHyper(beta, KernelParams(LengthScales([0.3]), 1.0, 1e-6))
+
+
 class TestFitGp:
     def test_noise_free_interpolation(self):
         pair = design.ANALYTIC_1D
@@ -194,13 +201,13 @@ class TestFitGp:
         # Only prediction reads the inverse factor; the thousands of
         # factorizations of a fit must not pay for it.
         made = []
-        chol_core = numerics.chol_core
+        chol_factor = numerics.chol_factor
 
-        def recording_chol_core(m):
-            made.append(chol_core(m))
+        def recording_chol_factor(m):
+            made.append(chol_factor(m))
             return made[-1]
 
-        monkeypatch.setattr(numerics, "chol_core", recording_chol_core)
+        monkeypatch.setattr(numerics, "chol_factor", recording_chol_factor)
         x = rng.uniform(size=(15, 2))
         z = np.sin(3 * x[:, 0]) + x[:, 1] + rng.normal(scale=0.1, size=15)
         model = fit_gp(Dataset(x, z), config=MultiStartConfig(n_starts=2))

@@ -521,7 +521,8 @@ def fitted_mf():
 @pytest.mark.parametrize(
     "field, value",
     [("sigma2_h", -1.0), ("sigma2_h", 0.0), ("sigma2_h", np.nan), ("sigma2_h", np.inf),
-     ("eta_h", -1e-12), ("eta_h", np.nan), ("eta_h", np.inf)],
+     ("eta_h", -1e-12), ("eta_h", np.nan), ("eta_h", np.inf),
+     ("beta_rho", [np.nan]), ("beta_rho", [-np.inf]), ("beta_h", [np.nan]), ("beta_h", [np.inf])],
 )
 def test_hf_params_reject_bad_values(field, value):
     kwargs = dict(beta_rho=[1.0], beta_h=[0.0], sigma2_h=1.0,
@@ -1255,30 +1256,23 @@ class TestMStepSearchCallback:
                                rtol=1e-5, atol=1e-5 * np.max(np.abs(grad)))
 
 
-def test_validating_factorization_runs_only_at_assembly(park_em_case, monkeypatch):
-    # The fit's evaluations factorize through the core alone; the validating
-    # front runs once per assembled model (fit_gp) or AR(1) marginal (EM iterate).
-    counts = {"front": 0, "core": 0}
-    front, core = numerics.chol_factor, numerics.chol_core
-
-    def counting_front(m):
-        counts["front"] += 1
-        return front(m)
-
-    def counting_core(m):
-        counts["core"] += 1
-        return core(m)
-
-    monkeypatch.setattr(numerics, "chol_factor", counting_front)
-    monkeypatch.setattr(numerics, "chol_core", counting_core)
+def test_every_factorization_goes_through_chol_factor(park_em_case, monkeypatch):
+    # One entry point. fit_gp factorizes once per evaluation, once for the closed
+    # forms at the optimum and once for its model; em_fit_hf once per evaluation,
+    # once for its initial AR(1) marginal and, per iteration, once for the M-step
+    # closed forms and once for the new marginal.
+    factorizations = count_calls(monkeypatch, numerics, "chol_factor")
+    lf_evaluations = count_calls(monkeypatch, gp, "profiled_nll_and_grad")
+    hf_evaluations = count_calls(monkeypatch, mfgp, "q_tilde_and_grad")
     data, lf = park_em_case
     fit_gp(data.hf, config=MultiStartConfig(n_starts=10, rng_seed=0))
-    assert counts["front"] == 1 and counts["core"] > 100
-    counts.update(front=0, core=0)
+    assert len(lf_evaluations) > 100
+    assert len(factorizations) == len(lf_evaluations) + 2
+    factorizations.clear()
     _, em_log = em_fit_hf(data, lf, config=MultiStartConfig(n_starts=3, rng_seed=1),
                           em_config=EmConfig(max_em_iterations=3))
-    assert counts["front"] == len(em_log)
-    assert counts["core"] > 10 * counts["front"]
+    assert len(hf_evaluations) > 10
+    assert len(factorizations) == len(hf_evaluations) + 1 + 2 * (len(em_log) - 1)
 
 
 def test_fit_mf_factorization_count(monkeypatch, factorization_sizes):

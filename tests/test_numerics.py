@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
 from mfkrig import numerics
-from mfkrig.exceptions import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from mfkrig.exceptions import DimensionMismatch, NotPositiveDefinite
 
 from conftest import det_cofactor, random_spd
 
@@ -28,11 +28,6 @@ class TestCholFactor:
         f = numerics.chol_factor(random_spd(rng, 7))
         assert np.all(np.diag(f.lower_factor) > 0)
 
-    def test_not_symmetric(self):
-        m = np.array([[1.0, 0.5], [0.3, 1.0]])
-        with pytest.raises(NotSymmetric):
-            numerics.chol_factor(m)
-
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             numerics.chol_factor(-np.eye(3))
@@ -47,6 +42,7 @@ class TestCholFactor:
         with pytest.raises(DimensionMismatch):
             numerics.chol_factor(np.ones((2, 3)))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
     def test_non_finite_entry_rejected(self, bad, where):
@@ -55,32 +51,25 @@ class TestCholFactor:
         with pytest.raises(NotPositiveDefinite, match="non-finite"):
             numerics.chol_factor(m)
 
-
-class TestCholCore:
-    def test_same_bits_as_the_validating_front(self, rng):
-        for m in (random_spd(rng, 9), np.ones((4, 4))):
-            core, front = numerics.chol_core(m), numerics.chol_factor(m)
-            assert np.array_equal(core.lower_factor, front.lower_factor)
-            assert core.jitter_used == front.jitter_used
-
     def test_reads_only_the_lower_triangle(self, rng):
         m = random_spd(rng, 6)
         garbled = m.copy()
         garbled[np.triu_indices(6, 1)] = np.nan
         assert np.array_equal(
-            numerics.chol_core(garbled).lower_factor, numerics.chol_core(m).lower_factor
+            numerics.chol_factor(garbled).lower_factor, numerics.chol_factor(m).lower_factor
         )
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [5, 100])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_lower_entry_rejected(self, rng, n, bad):
         # OpenBLAS's dpotrf returns info = 0 on some of these (a NaN pivot passes
-        # its positivity test), so the core checks the factor's diagonal.
+        # its positivity test), so the factor's diagonal is checked too.
         for where in [(0, 0), (n - 1, n - 1), (1, 0), (n - 1, 0), (n - 1, n - 2), (n // 2, 1)]:
             m = random_spd(rng, n)
             m[where] = bad
-            with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite):
-                numerics.chol_core(m)
+            with pytest.raises(NotPositiveDefinite, match="non-finite"):
+                numerics.chol_factor(m)
 
 
 class TestSolveSpd:

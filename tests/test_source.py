@@ -199,3 +199,57 @@ def test_detector_finds_an_unfrozen_dataclass():
 def test_every_dataclass_is_frozen(path):
     """Records are immutable: a model's construction-time caches stay true to its fields."""
     assert unfrozen_dataclasses(path.read_text()) == []
+
+
+# A name, attribute or import that reaches a Cholesky factorization routine.
+CHOLESKY_ROUTINE = re.compile(r"potrf|cholesky|cho_factor")
+
+
+def cholesky_uses(source: str) -> list[str]:
+    """Every name, attribute or imported name matching CHOLESKY_ROUTINE, as
+    "<innermost enclosing function> (line n)", or "<module> (line n)" outside any."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        found.extend(f"{owner} (line {node.lineno})" for n in names if CHOLESKY_ROUTINE.search(n))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detector_finds_a_cholesky_use():
+    source = (
+        "import numpy as np\n"
+        "from scipy.linalg import cho_factor, lapack\n"
+        "def chol_factor(m):\n"
+        "    '''The cholesky factor, by dpotrf.'''\n"
+        "    return lapack.dpotrf(m)\n"
+        "def other(m):\n"
+        "    def inner():\n"
+        "        return np.linalg.cholesky(m)\n"
+        "    return inner\n"
+    )
+    assert cholesky_uses(source) == [
+        "<module> (line 2)", "chol_factor (line 5)", "inner (line 8)"
+    ]
+
+
+def test_one_cholesky_entry_point():
+    """Every factorization goes through `numerics.chol_factor`, so its jitter
+    escalation and non-finite checks, and a trace of it, see them all."""
+    uses = [f"{p.name}: {use}" for p in sorted(SRC.glob("*.py"))
+            for use in cholesky_uses(p.read_text())]
+    inside = [use for use in uses if use.startswith("numerics.py: chol_factor (")]
+    assert inside and uses == inside
