@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,9 @@ import numpy as np
 from . import design, metrics, mfgp
 from .design import HF, LF
 from .exceptions import InvalidConfig, MfkrigError
-from .gp import DIAGONAL, LATENT, Dataset, MultiStartConfig, fit_gp, predict_gp
+from .gp import (
+    DIAGONAL, LATENT, Dataset, MultiStartConfig, fit_gp, predict_gp, worker_count,
+)
 from .mfgp import EmConfig, MfData, fit_mf, predict_mf
 from .optimize import check_count, check_positive
 
@@ -208,19 +210,11 @@ def run_replication(config: BenchmarkConfig, r: int) -> list[dict]:
     return rows
 
 
-def worker_count() -> int:
-    """Campaign worker processes: MFKRIG_THREADS if set (an integer >= 1), else the
-    core count."""
-    env = os.environ.get("MFKRIG_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0  # refused below
-        if workers < 1:
-            raise InvalidConfig(f"MFKRIG_THREADS must be an integer >= 1, got {env!r}")
-        return workers
-    return os.cpu_count() or 1
+def split_budget(budget: int, workers: int) -> None:
+    """Pool initializer: a forked worker's core budget (MFKRIG_THREADS) is its share,
+    max(1, budget // workers), of the campaign's, so the row-block threads of the
+    workers' predictions (`gp.in_blocks`) together stay within the campaign's."""
+    os.environ["MFKRIG_THREADS"] = str(max(1, budget // workers))
 
 
 def check_output_path(path: str) -> None:
@@ -246,11 +240,14 @@ def run_benchmark(config: BenchmarkConfig) -> list[dict]:
     an unwritable output path is refused before the first replication."""
     if config.output_path:
         check_output_path(config.output_path)
-    workers = min(worker_count(), config.n_replications)
+    budget = worker_count()
+    workers = min(budget, config.n_replications)
     if workers <= 1:
         results = [run_replication(config, r) for r in range(config.n_replications)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=split_budget, initargs=(budget, workers)
+        ) as pool:
             results = list(
                 pool.map(run_replication, [config] * config.n_replications,
                          range(config.n_replications))

@@ -22,7 +22,7 @@ from .exceptions import (
     MfkrigError,
     ParseError,
 )
-from .gp import Dataset, GpHyper, MultiStartConfig, TrainedGp, constant_basis
+from .gp import Dataset, GpHyper, MultiStartConfig, TrainedGp, constant_basis, worker_count
 from .kernels import KernelParams, LengthScales
 from .mfgp import EmConfig, HfParams, MfData, MfModel, fit_mf, predict_mf
 
@@ -286,6 +286,7 @@ def predict_cmd(model_path: str, inputs_csv: str, level: str, mode: str, out_pat
     """Predict mean and sd at the input rows of a CSV file."""
 
     def body():
+        worker_count()  # a bad MFKRIG_THREADS is refused before any work
         model = load_model(model_path)
         header, x = _read_csv(inputs_csv)
         if x.shape[1] != model.data.hf.d:

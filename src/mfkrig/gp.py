@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,10 +40,11 @@ DIAGONAL = "diagonal"
 # Below this, the profiled variance is treated as degenerate and the NLL is +inf.
 _SIGMA2_FLOOR = 1e-300
 
-# Query rows per block of a diagonal-covariance prediction. A block's
-# cross-correlations (rows x N) stay in cache across the steps that read them:
-# a 10^4-point predict_mf call at N_L = 100 ran within 5 % at 500 to 2,000 rows
-# and 30 to 50 % slower at 5,000 or 10^4.
+# Query rows per block of a diagonal-covariance prediction, and its unit of work
+# on threads (`in_blocks`). A block's cross-correlations (rows x N) stay in cache
+# across the steps that read them: a 10^4-point predict_mf call at N_L = 100 ran
+# within 5 % at 500 to 2,000 rows and 30 to 50 % slower at 5,000 or 10^4. On two
+# threads of a 2-vCPU VM, 500-row blocks took about 20 % longer than 1,000-row ones.
 PREDICT_BLOCK_ROWS = 1000
 
 
@@ -399,21 +402,52 @@ def predictive(mean: np.ndarray, spread: np.ndarray, noise: float) -> Predictive
     return PredictiveDistribution(mean=mean, variance=np.clip(spread, 0.0, None) + noise)
 
 
+def worker_count() -> int:
+    """How many cores one mfkrig process may use: MFKRIG_THREADS if set (an integer
+    >= 1), else the core count. A campaign splits it among its worker processes
+    (`bench.run_benchmark`), and a prediction runs its row blocks on up to that
+    many threads (`in_blocks`)."""
+    env = os.environ.get("MFKRIG_THREADS")
+    if env:
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0  # refused below
+        if workers < 1:
+            raise InvalidConfig(f"MFKRIG_THREADS must be an integer >= 1, got {env!r}")
+        return workers
+    return os.cpu_count() or 1
+
+
 def in_blocks(
     predict_block: Callable[[np.ndarray], PredictiveDistribution], x_star: np.ndarray, cov: str
 ) -> PredictiveDistribution:
-    """predict_block over row blocks of PREDICT_BLOCK_ROWS query points, concatenated.
+    """predict_block over row blocks of PREDICT_BLOCK_ROWS query points, concatenated
+    in block order.
 
     Rows of a diagonal prediction are independent, so blocking changes no formula.
-    A full covariance couples every pair of points, so it and a batch of at most
-    one block run as a single call.
+    The blocks run on t = min(blocks, worker_count()) threads: the calling thread
+    takes blocks 0, t, 2t, ... and each of t - 1 helper threads, started and joined
+    within this call, the next residue class. A block's result does not depend on
+    the thread that computes it, so every output bit is the serial one for any t.
+    An error raised in a block, on any thread, reaches the caller. A full
+    covariance couples every pair of points, so it and a batch of at most one
+    block run as a single call.
     """
     n = x_star.shape[0]
     if cov == FULL or n <= PREDICT_BLOCK_ROWS:
         return predict_block(x_star)
-    parts = [
-        predict_block(x_star[i : i + PREDICT_BLOCK_ROWS]) for i in range(0, n, PREDICT_BLOCK_ROWS)
-    ]
+    starts = range(0, n, PREDICT_BLOCK_ROWS)
+    t = min(len(starts), worker_count())
+
+    def residue_class(k: int) -> list[PredictiveDistribution]:
+        return [predict_block(x_star[i : i + PREDICT_BLOCK_ROWS]) for i in starts[k::t]]
+
+    # A pool starts its threads on submit, so with t = 1 no thread starts.
+    with futures.ThreadPoolExecutor(max_workers=max(t - 1, 1)) as pool:
+        helpers = [pool.submit(residue_class, k) for k in range(1, t)]
+        classes = [residue_class(0)] + [helper.result() for helper in helpers]
+    parts = [classes[b % t][b // t] for b in range(len(starts))]
     return PredictiveDistribution(
         mean=np.concatenate([p.mean for p in parts]),
         variance=np.concatenate([p.variance for p in parts]),

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import os
 
@@ -240,6 +241,19 @@ class TestFitPredictCli:
         )
         assert res.exit_code == EXIT_CONFIG_ERROR, res.output
         assert res.output.startswith("error: cannot write missing/p.csv")
+
+    @pytest.mark.parametrize("value", ["0", "-4", "abc"])
+    def test_bad_thread_budget_predict_exit_2(self, workdir, monkeypatch, value):
+        _saved_model(workdir)
+        _write_csv(workdir / "in.csv", np.zeros((2, 1)))
+        monkeypatch.setenv("MFKRIG_THREADS", value)
+        res = CliRunner().invoke(
+            main,
+            ["predict", "--model", "m.json", "--inputs", "in.csv", "--out", "p.csv"],
+        )
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert res.output == f"error: MFKRIG_THREADS must be an integer >= 1, got {value!r}\n"
+        assert not os.path.exists(workdir / "p.csv")
 
     def test_predict_inputs_wrong_width_exit_2(self, workdir):
         _saved_model(workdir)
@@ -703,6 +717,26 @@ def test_worker_count_env(monkeypatch):
     assert bench.worker_count() == 3
     monkeypatch.delenv("MFKRIG_THREADS")
     assert bench.worker_count() >= 1
+
+
+@pytest.mark.parametrize("budget, workers, share", [(2, 2, 1), (8, 2, 4), (3, 2, 1)])
+def test_split_budget(monkeypatch, budget, workers, share):
+    monkeypatch.setenv("MFKRIG_THREADS", "1")
+    bench.split_budget(budget, workers)
+    assert bench.worker_count() == share
+
+
+def test_pool_workers_get_their_share_of_the_budget(monkeypatch):
+    @functools.wraps(bench.run_replication)  # the pool pickles it by this name
+    def report_budget(config, r):
+        return [{"pid": os.getpid(), "budget": bench.worker_count()}]
+
+    monkeypatch.setattr(bench, "run_replication", report_budget)
+    monkeypatch.setenv("MFKRIG_THREADS", "4")
+    rows = bench.run_benchmark(BenchmarkConfig(benchmark="analytic1d", n_replications=2))
+    assert [row["budget"] for row in rows] == [2, 2]
+    assert os.getpid() not in {row["pid"] for row in rows}
+    assert os.environ["MFKRIG_THREADS"] == "4"
 
 
 def test_non_integer_worker_count_exit_2(workdir, monkeypatch):

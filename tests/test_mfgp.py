@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mfkrig.gp import (
 from mfkrig.exceptions import (
     DomainViolation,
     InvalidConfig,
+    NotPositiveDefinite,
     RankDeficientBasis,
     SingularNormalEquations,
 )
@@ -1059,15 +1061,52 @@ class TestPredictMf:
 
     @pytest.mark.parametrize("dim", [1, 4])
     @pytest.mark.parametrize("level", ["hf", "lf"])
-    def test_blocks_equal_predicting_them_alone(self, fitted_mf, dim, level):
+    def test_blocks_equal_predicting_them_alone(self, fitted_mf, monkeypatch, dim, level):
+        # A block of at most PREDICT_BLOCK_ROWS rows runs as one call on the calling
+        # thread, so "alone" is the serial result; level "lf" is predict_gp. With 2
+        # threads, 3B + 7 rows (4 blocks) catch a block placed out of order.
         model = fitted_mf if dim == 1 else _park_model()
         b = PREDICT_BLOCK_ROWS
-        x = np.random.default_rng(dim).uniform(0, 1, size=(2 * b + 7, dim))
-        pred = predict_mf(model, x, level=level)
-        for rows in (slice(0, b), slice(2 * b, None)):
-            alone = predict_mf(model, x[rows], level=level)
-            assert np.array_equal(pred.mean[rows], alone.mean)
-            assert np.array_equal(pred.variance[rows], alone.variance)
+        for n in (b + 1, 2 * b + 7, 3 * b + 7):
+            x = np.random.default_rng(n + dim).uniform(0, 1, size=(n, dim))
+            for mode in ("latent", "noisy"):
+                alone = [predict_mf(model, x[i : i + b], level=level, mode=mode)
+                         for i in range(0, n, b)]
+                for threads in ("1", "2", "3"):
+                    monkeypatch.setenv("MFKRIG_THREADS", threads)
+                    pred = predict_mf(model, x, level=level, mode=mode)
+                    assert np.array_equal(pred.mean, np.concatenate([a.mean for a in alone]))
+                    assert np.array_equal(
+                        pred.variance, np.concatenate([a.variance for a in alone])
+                    )
+
+    @pytest.mark.parametrize("level", ["hf", "lf"])
+    def test_block_error_on_a_helper_thread_reaches_the_caller(
+        self, fitted_mf, monkeypatch, level
+    ):
+        b = PREDICT_BLOCK_ROWS
+        x = np.random.default_rng(0).uniform(0, 2, size=(3 * b + 7, 1))
+        real_corr = kernels.corr_matrix
+        on_main = []
+
+        def corr_matrix(xa, xb, theta):
+            if xa.shape[0] <= b and np.array_equal(xa[0], x[b]):  # block 1: a helper's
+                on_main.append(threading.current_thread() is threading.main_thread())
+                if failing:
+                    raise NotPositiveDefinite("block 1 failed")
+            return real_corr(xa, xb, theta)
+
+        monkeypatch.setattr(kernels, "corr_matrix", corr_matrix)
+        monkeypatch.setenv("MFKRIG_THREADS", "2")
+        before = threading.active_count()
+        failing = True
+        with pytest.raises(NotPositiveDefinite, match="^block 1 failed$"):
+            predict_mf(fitted_mf, x, level=level)
+        assert threading.active_count() == before
+        failing = False
+        assert np.all(np.isfinite(predict_mf(fitted_mf, x, level=level).variance))
+        assert threading.active_count() == before
+        assert on_main and not any(on_main)
 
     def test_cached_lf_cross_solve_equals_a_fresh_solve(self, fitted_mf, tmp_path):
         save_model(fitted_mf, str(tmp_path / "m.json"))

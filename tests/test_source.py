@@ -203,10 +203,13 @@ def test_every_dataclass_is_frozen(path):
 
 # A name, attribute or import that reaches a Cholesky factorization routine.
 CHOLESKY_ROUTINE = re.compile(r"potrf|cholesky|cho_factor")
+# A name, attribute or import that starts threads, or worker processes.
+THREAD_START = re.compile(r"^(Thread|ThreadPoolExecutor)$")
+PROCESS_POOL = re.compile(r"^ProcessPoolExecutor$")
 
 
-def cholesky_uses(source: str) -> list[str]:
-    """Every name, attribute or imported name matching CHOLESKY_ROUTINE, as
+def name_uses(source: str, pattern: re.Pattern) -> list[str]:
+    """Every name, attribute or imported name matching `pattern`, as
     "<innermost enclosing function> (line n)", or "<module> (line n)" outside any."""
     found = []
 
@@ -221,12 +224,18 @@ def cholesky_uses(source: str) -> list[str]:
             names = [alias.name for alias in node.names]
         else:
             names = []
-        found.extend(f"{owner} (line {node.lineno})" for n in names if CHOLESKY_ROUTINE.search(n))
+        found.extend(f"{owner} (line {node.lineno})" for n in names if pattern.search(n))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def package_uses(pattern: re.Pattern) -> list[str]:
+    """`name_uses` of every package module, each prefixed by its file name."""
+    return [f"{p.name}: {use}" for p in sorted(SRC.glob("*.py"))
+            for use in name_uses(p.read_text(), pattern)]
 
 
 def test_detector_finds_a_cholesky_use():
@@ -241,7 +250,7 @@ def test_detector_finds_a_cholesky_use():
         "        return np.linalg.cholesky(m)\n"
         "    return inner\n"
     )
-    assert cholesky_uses(source) == [
+    assert name_uses(source, CHOLESKY_ROUTINE) == [
         "<module> (line 2)", "chol_factor (line 5)", "inner (line 8)"
     ]
 
@@ -249,7 +258,33 @@ def test_detector_finds_a_cholesky_use():
 def test_one_cholesky_entry_point():
     """Every factorization goes through `numerics.chol_factor`, so its jitter
     escalation and non-finite checks, and a trace of it, see them all."""
-    uses = [f"{p.name}: {use}" for p in sorted(SRC.glob("*.py"))
-            for use in cholesky_uses(p.read_text())]
+    uses = package_uses(CHOLESKY_ROUTINE)
     inside = [use for use in uses if use.startswith("numerics.py: chol_factor (")]
     assert inside and uses == inside
+
+
+def test_detector_finds_thread_and_process_starts():
+    source = (
+        "import threading\n"
+        "from concurrent import futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "def in_blocks():\n"
+        "    with futures.ThreadPoolExecutor(2) as pool:\n"
+        "        return threading.Thread, threading.Lock, pool\n"
+        "def run():\n"
+        "    return futures.ProcessPoolExecutor(max_workers=2)\n"
+    )
+    assert name_uses(source, THREAD_START) == [
+        "<module> (line 3)", "in_blocks (line 5)", "in_blocks (line 6)"
+    ]
+    assert name_uses(source, PROCESS_POOL) == ["run (line 8)"]
+
+
+def test_pools_live_only_inside_one_call():
+    """Threads start only inside `gp.in_blocks` and worker processes only inside
+    `bench.run_benchmark`, each pool shut down before its call returns, so no
+    thread is alive when a campaign forks its workers."""
+    threads = package_uses(THREAD_START)
+    assert threads and all(use.startswith("gp.py: in_blocks (") for use in threads)
+    processes = package_uses(PROCESS_POOL)
+    assert processes and all(use.startswith("bench.py: run_benchmark (") for use in processes)
