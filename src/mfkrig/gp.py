@@ -44,7 +44,9 @@ _SIGMA2_FLOOR = 1e-300
 # on threads (`in_blocks`). A block's cross-correlations (rows x N) stay in cache
 # across the steps that read them: a 10^4-point predict_mf call at N_L = 100 ran
 # within 5 % at 500 to 2,000 rows and 30 to 50 % slower at 5,000 or 10^4. On two
-# threads of a 2-vCPU VM, 500-row blocks took about 20 % longer than 1,000-row ones.
+# threads of a 2-vCPU VM, with the whitening off the GIL, 500-row blocks took 20 to
+# 24 % longer than 1,000-row ones, and 2,000-row blocks (5 blocks on 2 threads)
+# 4 and 10 % longer in two of three runs and 7 % shorter in the third.
 PREDICT_BLOCK_ROWS = 1000
 
 

@@ -8,17 +8,47 @@ from one triangular product with the inverse factor, computed on first use.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, lapack
+from scipy.linalg import cho_solve, cython_blas, lapack
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite
 
 # Jitter multipliers applied to mean(diag(M)) when the bare factorization fails.
 JITTER_SCHEDULE = (1e-10, 1e-8, 1e-6)
+
+
+def _cython_blas_routine(name: str, n_args: int):
+    """scipy's BLAS routine `name`, through the function pointer that
+    scipy.linalg.cython_blas exports, as a ctypes function of `n_args` pointers
+    (every Fortran argument is one).
+
+    It is the routine `scipy.linalg.blas` wraps, but ctypes releases the GIL for the
+    length of the call, where the f2py wrapper holds it, so threads that call it
+    run at the same time. A capsule's name is its C signature, which
+    PyCapsule_GetPointer must be given back.
+    """
+    capsule = cython_blas.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
+# dtrmm(side, uplo, transa, diag, m, n, alpha, A, lda, B, ldb): B := alpha op(A) B.
+_DTRMM = _cython_blas_routine("dtrmm", 11)
+# The arguments that never change, built once.
+_LEFT = _LOWER = ctypes.byref(ctypes.c_char(b"L"))
+_NO = ctypes.byref(ctypes.c_char(b"N"))
+_ONE = ctypes.byref(ctypes.c_double(1.0))
+_SHAPE = ctypes.c_int * 2
 
 
 @dataclass(frozen=True)
@@ -104,9 +134,21 @@ def whiten(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
     triangular L^-1 would multiply; the inverse costs one dtrtri per factorization.
     Its rounding grows with the condition number of L, so full and cross
     covariances take B_a^T times a solve (`solve_spd`) instead of U_a^T U_b.
+
+    dtrmm is scipy's, called through ctypes so that the GIL is released while it
+    runs: the row blocks of a prediction whiten on several threads at once. The
+    product is the one `scipy.linalg.blas.dtrmm(1.0, L^-1, B, lower=1)` returns,
+    bit for bit, in the Fortran-ordered copy of B that wrapper makes.
     """
     b = _check_rows(f, b)
-    u = blas.dtrmm(1.0, f.lower_inverse, b[:, None] if b.ndim == 1 else b, lower=1)
+    u = np.array(b[:, None] if b.ndim == 1 else b, order="F")
+    if u.size:  # an empty product is a no-op, and from_buffer refuses an empty buffer
+        a = np.asarray(f.lower_inverse, dtype=float, order="F")  # no copy: dtrtri's own
+        shape = _SHAPE(*u.shape)
+        m, n = ctypes.byref(shape), ctypes.byref(shape, 4)
+        # from_buffer takes a C-ordered buffer; u.T is one, on u's memory.
+        out = ctypes.byref(ctypes.c_char.from_buffer(u.T))
+        _DTRMM(_LEFT, _LOWER, _NO, _NO, m, n, _ONE, a.ctypes.data, m, out, m)
     return u.reshape(b.shape)
 
 

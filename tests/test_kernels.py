@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from mfkrig import gp, kernels, numerics
 from mfkrig.exceptions import DimensionMismatch, InvalidConfig
@@ -59,11 +60,31 @@ class TestCorrMatrix:
         assert np.isclose(r[0, 1], np.exp(-0.5))
 
     def test_symmetry_and_unit_diagonal(self, rng):
-        x = rng.uniform(size=(5, 3))
-        th = LengthScales(np.array([0.5, 1.0, 2.0]))
-        r = kernels.corr_matrix(x, x, th)
-        assert np.array_equal(r, r.T)
-        assert np.all(np.diag(r) == 1.0)
+        # D = 1 takes NumPy's outer difference, D >= 2 cdist: both exactly symmetric.
+        for theta in ([0.7], [0.5, 1.0, 2.0], [0.5, 1.0, 2.0, 0.3]):
+            th = LengthScales(np.array(theta))
+            for n in (1, 5, 40):
+                x = rng.uniform(-3.0, 3.0, size=(n, th.ndim))
+                r = kernels.corr_matrix(x, x, th)
+                assert np.array_equal(r, r.T)
+                assert np.all(np.diag(r) == 1.0)
+
+    @pytest.mark.parametrize("case", ["random", "coincident", "negative", "large"])
+    def test_one_dimension_equals_cdist(self, rng, case):
+        """The D = 1 branch gives cdist's bits, including where differences cancel
+        exactly and where rounding of large inputs shows."""
+        x, x2 = rng.uniform(size=300), rng.uniform(size=70)
+        if case == "coincident":
+            x2 = np.concatenate([x[:40], x[:30]])
+        elif case == "negative":
+            x, x2 = -5.0 * x - 1.0, 3.0 * x2 - 2.5
+        elif case == "large":
+            x, x2 = 1e6 + 50.0 * x, 1e6 * (1.0 + x2)
+        for theta in (0.013, 0.4, 3.0, 2.5e5):
+            th = LengthScales(np.array([theta]))
+            expected = cdist_corr(x, x2, th)
+            assert np.array_equal(kernels.corr_matrix(x, x2, th), expected)
+            assert np.array_equal(kernels.corr_matrix(x[:, None], x2[:, None], th), expected)
 
     def test_spd_with_nugget(self, rng):
         for seed in range(5):
@@ -71,6 +92,17 @@ class TestCorrMatrix:
             r = kernels.corr_matrix(x, x, LengthScales(np.array([0.4, 0.4])))
             f = numerics.chol_factor(r + 1e-6 * np.eye(20))
             assert f.jitter_used == 0.0
+
+
+def cdist_corr(x, x2, theta):
+    """corr_matrix by cdist's squared Euclidean distances at any D: the oracle
+    of the one-dimensional branch."""
+    d = theta.ndim
+    r = cdist(
+        np.reshape(x, (-1, d)) / theta.theta, np.reshape(x2, (-1, d)) / theta.theta, "sqeuclidean"
+    )
+    r *= -0.5
+    return np.exp(r, out=r)
 
 
 def dense_grad_stack(x, theta, r):

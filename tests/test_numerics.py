@@ -1,6 +1,9 @@
+import threading
+import time
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import blas, cho_solve, solve_triangular
 
 from mfkrig import numerics
 from mfkrig.exceptions import DimensionMismatch, NotPositiveDefinite
@@ -181,6 +184,7 @@ class TestWhiten:
     @staticmethod
     def _check(f, b):
         u = numerics.whiten(f, b)
+        assert np.array_equal(u, blas.dtrmm(1.0, f.lower_inverse, b, lower=1))
         assert np.allclose(f.lower_factor @ u, b, atol=1e-12)
         ref = solve_triangular(f.lower_factor, b, lower=True)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -200,7 +204,9 @@ class TestWhiten:
     def test_vector_right_hand_side(self, rng):
         f = numerics.chol_factor(random_spd(rng, 6))
         b = rng.normal(size=6)
-        assert np.array_equal(numerics.whiten(f, b), numerics.whiten(f, b[:, None])[:, 0])
+        u = numerics.whiten(f, b)
+        assert u.shape == (6,) and np.array_equal(u, numerics.whiten(f, b[:, None])[:, 0])
+        assert np.array_equal(u, blas.dtrmm(1.0, f.lower_inverse, b[:, None], lower=1)[:, 0])
 
     def test_dimension_mismatch(self):
         f = numerics.chol_factor(np.eye(3))
@@ -214,3 +220,47 @@ class TestWhiten:
         f = numerics.chol_factor(m)
         assert f.jitter_used > 0
         self._check(f, np.eye(6))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, m", [(12, 30), (50, 3), (7, 1), (5, 0), (100, 1000)])
+    def test_equals_scipy_dtrmm_bit_for_bit(self, rng, order, n, m):
+        f = numerics.chol_factor(random_spd(rng, n))
+        b = np.asarray(rng.normal(size=(n, m)), order=order)
+        before = b.copy()
+        u = numerics.whiten(f, b)
+        assert u.shape == (n, m)
+        assert np.array_equal(u, blas.dtrmm(1.0, f.lower_inverse, b, lower=1))
+        # The product is formed in a copy: an F-ordered B is not overwritten.
+        assert np.array_equal(b, before) and not np.shares_memory(u, b)
+
+    def test_releases_the_gil(self):
+        # A helper thread whitens for about 0.2 s while this thread stamps the clock
+        # in a Python loop. A call that held the GIL through its product would stall
+        # the loop for that product, about half the call (NumPy's copy of B releases
+        # the GIL); released, the loop's gaps are scheduler gaps of a few ms. The
+        # 10x margin keeps those from failing the test on a loaded machine.
+        n, m = 1500, 3000
+        rng = np.random.default_rng(0)
+        f = numerics.SpdFactorization(np.tril(rng.uniform(size=(n, n))) + n * np.eye(n), 0.0)
+        f.lower_inverse
+        b = rng.normal(size=(n, m))
+        done, call_s = threading.Event(), []
+
+        def helper():
+            try:
+                start = time.perf_counter()
+                numerics.whiten(f, b)
+                call_s.append(time.perf_counter() - start)
+            finally:
+                done.set()
+
+        thread = threading.Thread(target=helper)
+        last, gap = time.perf_counter(), 0.0
+        deadline = last + 60.0
+        thread.start()
+        while not done.is_set() and last < deadline:
+            now = time.perf_counter()
+            gap, last = max(gap, now - last), now
+        thread.join(timeout=60.0)
+        assert not thread.is_alive() and call_s, "the helper's call did not complete"
+        assert gap < call_s[0] / 10, f"loop stalled {gap:.3f} s in a {call_s[0]:.3f} s call"

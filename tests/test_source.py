@@ -288,3 +288,41 @@ def test_pools_live_only_inside_one_call():
     assert threads and all(use.startswith("gp.py: in_blocks (") for use in threads)
     processes = package_uses(PROCESS_POOL)
     assert processes and all(use.startswith("bench.py: run_benchmark (") for use in processes)
+
+
+def imports_of(source: str, module: str) -> list[str]:
+    """Every import statement, at any depth, of `module` or of one of its
+    submodules, as "line n"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_detector_finds_a_ctypes_import():
+    source = (
+        "import ctypes\n"
+        "import ctypeslib, os\n"
+        "import sys, ctypes.util as cu\n"
+        "from ctypes import CDLL\n"
+        "from . import ctypes_helpers\n"
+        "def f():\n"
+        "    from ctypes.util import find_library\n"
+        "    return ctypes, cu, CDLL, find_library\n"
+    )
+    assert imports_of(source, "ctypes") == ["line 1", "line 3", "line 4", "line 7"]
+
+
+def test_one_foreign_call_boundary():
+    """Only `numerics` calls native code through ctypes (scipy's BLAS, with the GIL
+    released), so the package has one place where a wrong pointer or argument
+    type can corrupt memory instead of raising."""
+    importers = [p.name for p in sorted(SRC.glob("*.py")) if imports_of(p.read_text(), "ctypes")]
+    assert importers == ["numerics.py"]
