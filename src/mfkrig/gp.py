@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import kernels, numerics, optimize
 from .exceptions import (
@@ -189,16 +189,29 @@ def profiled_gls(
     returns beta, sigma2 = (r^T R~^-1 r + beta^T T beta) / n, R~, the factor, R~^-1
     and R~^-1 r. R~ differs from R only on the diagonal, which the length-scale
     gradient never reads: the workspace's squared differences are exactly 0 there.
-    T = 0 for a single-fidelity fit. The HF M-step passes `latent = (G, Sigma_{Y|Z})`:
-    its scaling rho = G beta_rho multiplies uncertain latent LF values, so T's
-    leading block is G^T (R~^-1 o Sigma) G (Le Gratiet & Garnier 2014). Products
-    use np.dot: the BLAS calls of `@` without its per-call overhead at these sizes.
+
+    T = 0 for a single-fidelity fit, whose R~^-1 stays the upper triangle
+    `numerics.inv_spd` returns, multiplied by BLAS dsymv. The HF M-step passes
+    `latent = (G, Sigma_{Y|Z})`: its scaling rho = G beta_rho multiplies uncertain
+    latent LF values, so T's leading block is G^T (R~^-1 o Sigma) G (Le Gratiet &
+    Garnier 2014). Its Hadamard product and matrix products need the full R~^-1,
+    mirrored from the triangle exactly once, and use np.dot: the BLAS calls of `@`
+    without its per-call overhead at these sizes.
     """
     n = len(z)
     r_tilde = ws.corr(theta, eta)
     fact = numerics.chol_factor(r_tilde)
     rt_inv = numerics.inv_spd(fact)
-    ri_h = np.dot(rt_inv, h)
+    if latent is None:
+        ri_h = np.empty(h.shape)
+        for j in range(h.shape[1]):
+            ri_h[:, j] = blas.dsymv(1.0, rt_inv, h[:, j])
+    else:
+        # Exact and exactly symmetric: each off-diagonal entry is added to a zero.
+        full = rt_inv + rt_inv.T
+        full.ravel(order="K")[:: n + 1] = rt_inv.diagonal()  # a view: full is contiguous
+        rt_inv = full
+        ri_h = np.dot(rt_inv, h)
     normal = np.dot(h.T, ri_h)
     if latent is not None:
         g, sigma = latent
@@ -209,7 +222,7 @@ def profiled_gls(
     if info > 0:
         raise SingularNormalEquations("normal equations of the GLS step are singular")
     resid = z - np.dot(h, beta)
-    ri_resid = np.dot(rt_inv, resid)
+    ri_resid = blas.dsymv(1.0, rt_inv, resid) if latent is None else np.dot(rt_inv, resid)
     sigma2 = float(np.dot(resid, ri_resid))
     if latent is not None:
         sigma2 += float(np.dot(np.dot(beta[:q], t_block), beta[:q]))
@@ -221,51 +234,43 @@ def profiled_objective(
     eta: float, latent: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Negative profiled log-likelihood of the `profiled_gls` step and its raw-space
-    gradient in (theta, eta), one contraction with A = R~^-1 - kappa kappa^T - W / sigma2.
+    gradient in (theta, eta), whose derivative along any perturbation dR~ of R~ is
+    tr(A dR~) / 2 with A = R~^-1 - kappa kappa^T - W / sigma2 and
+    kappa = R~^-1 r / sqrt(sigma2) (Rasmussen & Williams 2006, sec. 5.4.1); dR~/deta = I.
 
     With `latent` it is the negated EM objective of the HF M-step, and
-    W = R~^-1 (rho rho^T o Sigma) R~^-1 carries its Hadamard term; without it W = 0.
-    A is built in the buffer of R~^-1, which is not read afterwards. The gradient
-    contracts A with R~ in place of R, which gives the same bits: the diagonal,
-    where they differ, is multiplied by squared differences that are exactly 0.
+    W = R~^-1 (rho rho^T o Sigma) R~^-1 carries its Hadamard term; without it W = 0,
+    and A is the rank-1 update (BLAS dsyr) of the upper triangle of R~^-1. A is built
+    in the buffer of R~^-1, which is not read afterwards. The length-scale gradient
+    contracts A with the partials of R (`kernels.corr_matrix_grad`), passed R~ in
+    place of R: the diagonal, where they differ, is multiplied by squared differences
+    that are exactly 0. So the contraction of the upper triangle of the symmetric A
+    is half that of A, and the eta component is A's trace either way.
     A degenerate profiled variance yields (+inf, zeros) so the optimizer retreats.
     """
     beta, sigma2, r_tilde, fact, rt_inv, ri_resid = profiled_gls(ws, z, h, theta, eta, latent)
     if sigma2 < _SIGMA2_FLOOR:
         return np.inf, np.zeros(theta.ndim + 1)
-    kappa = ri_resid / math.sqrt(sigma2)
-    w = None
-    if latent is not None:
+    grad = np.empty(theta.ndim + 1)
+    if latent is None:
+        a = blas.dsyr(-1.0 / sigma2, ri_resid, a=rt_inv, overwrite_a=1)
+        # The triangle's contraction is half of A's, so the gradient's 1/2 cancels.
+        # a.T, the triangle transposed, is C-ordered like R~: a contiguous product.
+        grad[:-1] = kernels.corr_matrix_grad(ws, theta, r_tilde, a.T)
+    else:
         g, sigma = latent
-        rho = np.dot(g, beta[: g.shape[1]])
-        w = rho[:, None] * rho
-        w *= sigma
-        w = np.dot(np.dot(rt_inv, w), rt_inv)
-        w /= sigma2
-    a = rt_inv
-    a -= kappa[:, None] * kappa
-    if w is not None:
+        # W / sigma2 = B Sigma B^T with B = R~^-1 diag(rho) / sqrt(sigma2).
+        b = rt_inv * (np.dot(g, beta[: g.shape[1]]) / math.sqrt(sigma2))
+        w = np.dot(np.dot(b, sigma), b.T)
+        a = rt_inv
+        # In place: a.T is the F-ordered view of the symmetric a.
+        blas.dger(-1.0 / sigma2, ri_resid, ri_resid, a=a.T, overwrite_a=1)
         a -= w
+        grad[:-1] = 0.5 * kernels.corr_matrix_grad(ws, theta, r_tilde, a)
+    grad[-1] = 0.5 * a.trace()
     n = len(z)
     value = 0.5 * n * math.log(sigma2) + 0.5 * numerics.logdet_spd(fact)
-    return value + 0.5 * n * (1.0 + math.log(2.0 * math.pi)), contracted_grad(ws, theta, r_tilde, a)
-
-
-def contracted_grad(
-    ws: kernels.KernelWorkspace, theta: LengthScales, r: np.ndarray, a: np.ndarray
-) -> np.ndarray:
-    """Gradient in (theta, eta) of an objective whose derivative along any
-    perturbation dR~ of R~ = R + eta I is tr(A dR~) / 2.
-
-    The length-scale components are the contraction of A with the partials of R
-    (Rasmussen & Williams 2006, sec. 5.4.1); `r` may be R or R~, whose diagonals
-    the contraction does not read. dR~/deta = I.
-    """
-    grad = np.empty(theta.ndim + 1)
-    grad[:-1] = kernels.corr_matrix_grad(ws, theta, r, a)
-    grad[-1] = a.trace()
-    grad *= 0.5
-    return grad
+    return value + 0.5 * n * (1.0 + math.log(2.0 * math.pi)), grad
 
 
 def profiled_nll_and_grad(

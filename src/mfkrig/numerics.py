@@ -1,7 +1,8 @@
 """SPD linear algebra: Cholesky factorization with jitter escalation, solves, log-determinants.
 
 Likelihood and prediction code consumes :class:`SpdFactorization` objects; the
-likelihood gradients also take the explicit inverse from the cached factor.
+likelihood gradients also take one triangle of the explicit inverse from the
+cached factor.
 Prediction takes full and cross covariances from solves, and diagonal variances
 from one triangular product with the inverse factor, computed on first use.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cython_blas, lapack
+from scipy.linalg import blas, cho_solve, cython_blas, lapack
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite
 
@@ -153,20 +154,22 @@ def whiten(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
 
 
 def inv_spd(f: SpdFactorization) -> np.ndarray:
-    """Explicit symmetric inverse of (M + jitter_used * I) from the cached factor.
+    """The upper triangle of the symmetric inverse of (M + jitter_used * I), from the
+    cached factor: an N x N Fortran-ordered array holding (M + jitter_used * I)^-1 on
+    and above its diagonal and exact zeros below it. Callers read that one triangle.
 
-    LAPACK dtrtri inverts the factor, passed as its Fortran-ordered upper
-    transpose L^T (no copy); the inverse is then L^-T L^-1 = U^-1 U^-T, which
-    NumPy forms as one symmetric rank-k update, so the result is exactly
-    symmetric. This is what dpotri computes, but OpenBLAS runs dpotri
-    multi-threaded at every size, and at these sizes its thread synchronization
-    costs milliseconds per call once the cores are shared (as in a process-pool
-    campaign); dtrtri stays on one thread for small factors.
+    LAPACK dtrtri inverts the factor, passed as its upper transpose U = L^T, and
+    BLAS dsyrk forms the upper triangle of U^-1 U^-T, which skips the mirror of a
+    full product. LAPACK dlauum would form it from the triangular U^-1 in 70 % of
+    dsyrk's time at N = 100 on one thread, but OpenBLAS runs dlauum (and dpotri,
+    which is dtrtri + dlauum) on all its threads at every size: unpinned it took
+    5 to 8 times as long at N <= 75, and its result bits depended on the thread
+    count from N = 10 on, where dsyrk's and dtrtri's did not up to N = 100.
     """
     upper_inv, info = lapack.dtrtri(f.lower_factor.T, lower=0)
     if info != 0:
         raise NotPositiveDefinite(f"dtrtri failed to invert the factor (info={info})")
-    return np.dot(upper_inv, upper_inv.T)
+    return blas.dsyrk(1.0, upper_inv)
 
 
 def logdet_spd(f: SpdFactorization) -> float:

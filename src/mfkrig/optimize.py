@@ -113,8 +113,10 @@ def minimize_box(
     config.max_iterations and config.gradient_tolerance.
 
     Returns (argmin, value, converged). The returned value never exceeds the
-    value at the start point. Raises ObjectiveNonFinite when the objective is
-    not finite at the start itself, which L-BFGS-B evaluates first.
+    value at the start point. A start that met a non-finite value and ends at its
+    start point is converged only if its projected gradient there is within the
+    tolerance. Raises ObjectiveNonFinite when the objective is not finite at the
+    start itself, which L-BFGS-B evaluates first.
 
     `seen` is the memo of one search: the objective's (value, gradient) at every
     point it was evaluated at, keyed by the bits of x, a non-finite value kept as
@@ -124,13 +126,14 @@ def minimize_box(
     """
     start = bounds.clip(np.asarray(start, dtype=float))
     best_x, best_f = None, math.inf
+    retreated = False
 
     # scipy asks for the value and then the gradient at each point, and the line
     # search asks again for points it already holds. The objective is a pure
     # function of x, so a hit returns what recomputing would; it still counts
     # toward this start's best point.
     def value(x):
-        nonlocal best_x, best_f
+        nonlocal best_x, best_f, retreated
         key = x.tobytes()
         if key not in seen:
             f, grad = objective(x)
@@ -145,6 +148,7 @@ def minimize_box(
         if not math.isfinite(f):
             if best_x is None:
                 raise ObjectiveNonFinite("objective is not finite at the start point")
+            retreated = True
             return _BIG
         if f < best_f:
             best_x, best_f = x.copy(), f
@@ -171,4 +175,9 @@ def minimize_box(
     if best_x is not None and best_f < f:
         x, f = bounds.clip(best_x), best_f
     converged = bool(res.success) and np.isfinite(f)
+    if retreated and np.array_equal(x, start):
+        # scipy may report success at the start after a non-finite trial point sent
+        # it back there; converged then needs L-BFGS-B's own test at the start.
+        projected = bounds.clip(start - seen[start.tobytes()][1]) - start
+        converged = converged and float(np.max(np.abs(projected))) <= config.gradient_tolerance
     return x, f, converged

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mfkrig import bench, cli, design, numerics
+from mfkrig import bench, cli, design, mfgp, numerics
 from mfkrig.bench import BenchmarkConfig
 from mfkrig.cli import (
     EXIT_CONFIG_ERROR,
@@ -28,6 +28,8 @@ from mfkrig.gp import (
 )
 from mfkrig.kernels import KernelParams, LengthScales
 from mfkrig.mfgp import HfParams, MfData, MfModel, predict_mf
+
+from conftest import count_calls
 
 
 def _read_rows(path):
@@ -710,6 +712,26 @@ def test_campaign_rows_independent_of_worker_count(monkeypatch):
         assert [row["failed"] for row in rows] == [0] * 4
         tables.append([{k: v for k, v in row.items() if k != "fit_seconds"} for row in rows])
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("models", [("mf", "lf_only"), ("lf_only", "mf")])
+def test_mf_and_lf_only_share_one_lf_fit(monkeypatch, models):
+    # Both fit the LF data with the same config, so one fit serves both: the rows
+    # equal those of separate campaigns in every column but fit_seconds.
+    settings = dict(benchmark="analytic1d", n_lf=20, n_hf=8, n_test=200, seed=5,
+                    n_starts=2, max_em_iterations=2)
+
+    def rows(models):
+        config = BenchmarkConfig(models=models, **settings)
+        return [{k: v for k, v in row.items() if k != "fit_seconds"}
+                for row in bench.run_replication(config, 0)]
+
+    separate = [rows((name,))[0] for name in models]
+    fits = [count_calls(monkeypatch, module, "fit_gp") for module in (bench, mfgp)]
+    joint = rows(models)
+    assert [row["failed"] for row in joint] == [0, 0]
+    assert joint == separate
+    assert sum(len(calls) for calls in fits) == 1
 
 
 def test_worker_count_env(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 from mfkrig import gp, kernels, numerics
@@ -208,7 +209,7 @@ def dense_profiled_objective(x, z, h, theta, eta, latent=None):
     n, d = len(z), theta.ndim
     r = kernels.corr_matrix(x, x, theta)
     fact = numerics.chol_factor(r + eta * np.eye(n))
-    rt_inv = numerics.inv_spd(fact)
+    rt_inv = cho_solve((fact.lower_factor, True), np.eye(n))
     t_mat = np.zeros((h.shape[1], h.shape[1]))
     if latent is not None:
         g, sigma = latent

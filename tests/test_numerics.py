@@ -130,10 +130,13 @@ class TestLogdetSpd:
 class TestInvSpd:
     @staticmethod
     def _check(f):
+        # One Fortran-ordered triangle: the inverse on and above the diagonal,
+        # exact zeros below it.
         inv = numerics.inv_spd(f)
         ref = cho_solve((f.lower_factor, True), np.eye(f.n))
-        assert np.array_equal(inv, inv.T)
-        assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert inv.shape == (f.n, f.n) and inv.flags.f_contiguous
+        assert np.all(np.tril(inv, -1) == 0.0)
+        assert np.max(np.abs(inv - np.triu(ref))) <= 1e-12 * np.max(np.abs(ref))
 
     def test_matches_solve_against_identity(self, rng):
         f = numerics.chol_factor(random_spd(rng, 15))
@@ -148,7 +151,8 @@ class TestInvSpd:
         assert f.jitter_used > 0
         self._check(f)
         # M + jitter * I has condition number ~1e10, hence the loose tolerance.
-        recon = numerics.inv_spd(f) @ (m + f.jitter_used * np.eye(6))
+        upper = numerics.inv_spd(f)
+        recon = (upper + np.triu(upper, 1).T) @ (m + f.jitter_used * np.eye(6))
         assert np.allclose(recon, np.eye(6), atol=1e-4)
 
     def test_zero_pivot_raises(self):

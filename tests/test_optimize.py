@@ -149,12 +149,22 @@ class TestMinimizeBox:
         box = gp.default_bounds(data)
         bounds = BoxBounds(np.log(box.lower), np.log(box.upper))
         start = np.random.default_rng(0).uniform(bounds.lower, bounds.upper)
-        got, want = [], []
+        got, want, values = [], [], []
+
+        def valued(x):
+            value, grad = callback(x)
+            values.append(value)
+            return value, grad
+
         x_min, f, conv = minimize_box(recorded(callback, got), bounds, start, CONFIG, {})
-        res = scipy_combined(recorded(callback, want), bounds, start)
+        res = scipy_combined(recorded(valued, want), bounds, start)
         assert len(first_occurrences(want)) < len(want)
         assert got == first_occurrences(want)
-        assert np.array_equal(x_min, res.x) and f == res.fun and conv == res.success
+        # minimize_box returns the best point it evaluated (the first of equal
+        # values), which can lie before the point where scipy's search stops.
+        best = int(np.argmin(values))
+        assert x_min.tobytes() == want[best] and f == values[best]
+        assert conv == res.success
 
     def test_gradients_handed_to_scipy_are_read_only_copies(self, monkeypatch):
         handed, returned = [], []
@@ -187,6 +197,22 @@ class TestMinimizeBox:
         start = np.array([4.0])
         x, f, _ = minimize_box(half_plane, bounds, start, CONFIG, {})
         assert x[0] >= 0.0 and f <= half_plane(start)[0]
+
+    def test_retreat_to_the_start_is_not_convergence(self):
+        # A first trial point where the objective is not finite sends the search
+        # back to its start, where the gradient is far from 0. The start keeps its
+        # value (the best it evaluated) but must not report convergence.
+        def floored(psi):
+            if math.exp(psi[0]) < 0.6:
+                return np.inf, np.zeros(1)
+            return float((psi[0] + 1.0) ** 2), np.array([2.0 * (psi[0] + 1.0)])
+
+        bounds = BoxBounds(np.log([0.01]), np.log([100.0]))
+        start = np.log([4.0])
+        x, f, converged = minimize_box(floored, bounds, start, CONFIG, {})
+        assert np.array_equal(x, start) and f == floored(start)[0]
+        assert f > floored(np.log([0.6]))[0]
+        assert not converged
 
     def test_feasibility(self):
         bounds = BoxBounds(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))

@@ -203,6 +203,7 @@ def test_every_dataclass_is_frozen(path):
 
 # A name, attribute or import that reaches a Cholesky factorization routine.
 CHOLESKY_ROUTINE = re.compile(r"potrf|cholesky|cho_factor")
+INVERSE_ROUTINE = re.compile(r"trtri|lauum|potri")
 # A name, attribute or import that starts threads, or worker processes.
 THREAD_START = re.compile(r"^(Thread|ThreadPoolExecutor)$")
 PROCESS_POOL = re.compile(r"^ProcessPoolExecutor$")
@@ -261,6 +262,29 @@ def test_one_cholesky_entry_point():
     uses = package_uses(CHOLESKY_ROUTINE)
     inside = [use for use in uses if use.startswith("numerics.py: chol_factor (")]
     assert inside and uses == inside
+
+
+def test_detector_finds_an_inverse_routine():
+    source = (
+        "from scipy.linalg.lapack import dpotri\n"
+        "from scipy.linalg import lapack\n"
+        "def inv_spd(f):\n"
+        "    u, info = lapack.dtrtri(f.T, lower=0)\n"
+        "    return lapack.dlauum(u)\n"
+        "def solve(f, b):\n"
+        "    return lapack.dpotrs(f, b)\n"
+    )
+    assert name_uses(source, INVERSE_ROUTINE) == [
+        "<module> (line 1)", "inv_spd (line 4)", "inv_spd (line 5)"
+    ]
+
+
+def test_one_inverse_module():
+    """Triangular and SPD inverses are formed only in `numerics`, so the package
+    has one place that decides which triangle of an inverse is stored and how the
+    LAPACK error codes are checked."""
+    uses = package_uses(INVERSE_ROUTINE)
+    assert uses and all(use.startswith("numerics.py: ") for use in uses)
 
 
 def test_detector_finds_thread_and_process_starts():
