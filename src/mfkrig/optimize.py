@@ -1,10 +1,23 @@
 """Box-constrained smooth minimization with analytic gradients.
 
 `minimize_box` runs one start of scipy's L-BFGS-B (limited-memory quasi-Newton
-with gradient projection), which is the algorithm family required here, and
-evaluates each distinct point once per search through the memo its caller
-hands it. The multi-start search itself (seeded starts, one memo per search and
-a deterministic reduction) is `gp.log_space_search`.
+with gradient projection; Byrd, Lu, Nocedal & Zhu 1995), which is the algorithm
+family required here, and evaluates each distinct point once per search through
+the memo its caller hands it. The multi-start search itself (seeded starts, one
+memo per search and a deterministic reduction) is `gp.log_space_search`.
+
+A start reaches L-BFGS-B in one of two ways, chosen once at import:
+
+- scipy's compiled core, `scipy.optimize._lbfgsb.setulb`, driven here by the
+  reverse-communication loop of scipy's own `_minimize_lbfgsb`, when the core
+  reports the signature of scipy 1.17.1 (`_SETULB_SIGNATURE`). The loop asks
+  for the value and gradient at a point (`FG`) and reports each new iterate
+  (`NEW_X`), where the iteration and evaluation caps apply. It takes the same
+  steps as `scipy.optimize.minimize` would, bit for bit, without its
+  per-start set-up and per-evaluation wrapper;
+- `scipy.optimize.minimize(method="L-BFGS-B")` with the same options, for any
+  other core (scipy 1.13-1.14's Fortran one, a later change of the signature)
+  or when the private module cannot be imported.
 """
 
 from __future__ import annotations
@@ -21,11 +34,35 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .exceptions import DimensionMismatch, InvalidConfig, ObjectiveNonFinite
 
+try:
+    from scipy.optimize import _lbfgsb
+except ImportError:
+    _lbfgsb = None
+
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
-# Finite stand-in for +inf objective values: keeps the Fortran line search sane
-# while still forcing a retreat.
+# Finite stand-in for +inf objective values: keeps the line search sane while
+# still forcing a retreat.
 _BIG = 1e25
+
+# L-BFGS-B's settings: scipy's defaults but for ftol.
+_FTOL = 1e-14
+_MAXCOR = 10
+_MAXLS = 20
+_MAXFUN = 15000
+
+# The core driven directly, as its docstring states its signature; any other
+# signature runs through scipy.optimize.minimize.
+_SETULB_SIGNATURE = (
+    "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+)
+_setulb = getattr(_lbfgsb, "setulb", None)
+if (getattr(_setulb, "__doc__", None) or "").split("\n")[0] != _SETULB_SIGNATURE:
+    _setulb = None
+
+# The core's task codes (task[0]; task[1] gives the reason).
+_FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
 @dataclass(frozen=True)
@@ -34,8 +71,9 @@ class BoxBounds:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        # Contiguous vectors: the L-BFGS-B core reads them as raw buffers.
+        lower = np.ascontiguousarray(self.lower, dtype=float)
+        upper = np.ascontiguousarray(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise DimensionMismatch("bounds must be two vectors of equal length")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
@@ -128,11 +166,11 @@ def minimize_box(
     best_x, best_f = None, math.inf
     retreated = False
 
-    # scipy asks for the value and then the gradient at each point, and the line
+    # L-BFGS-B asks for the value and the gradient at each point, and the line
     # search asks again for points it already holds. The objective is a pure
     # function of x, so a hit returns what recomputing would; it still counts
     # toward this start's best point.
-    def value(x):
+    def evaluate(x):
         nonlocal best_x, best_f, retreated
         key = x.tobytes()
         if key not in seen:
@@ -144,40 +182,90 @@ def minimize_box(
             grad = np.array(grad, dtype=float)
             grad.flags.writeable = False
             seen[key] = f, grad
-        f = seen[key][0]
+        f, grad = seen[key]
         if not math.isfinite(f):
             if best_x is None:
                 raise ObjectiveNonFinite("objective is not finite at the start point")
             retreated = True
-            return _BIG
+            return _BIG, grad
         if f < best_f:
             best_x, best_f = x.copy(), f
-        return f
+        return f, grad
 
-    def gradient(x):
-        value(x)
-        return seen[x.tobytes()][1]
-
-    res = _scipy_minimize(
-        value,
-        start,
-        jac=gradient,
-        method="L-BFGS-B",
-        bounds=Bounds(bounds.lower, bounds.upper),
-        options={
-            "maxiter": config.max_iterations,
-            "gtol": config.gradient_tolerance,
-            "ftol": 1e-14,
-            "maxcor": 10,
-        },
-    )
-    x, f = bounds.clip(res.x), float(res.fun)
+    if _setulb is None:
+        res = _scipy_minimize(
+            lambda x: evaluate(x)[0],
+            start,
+            jac=lambda x: evaluate(x)[1],
+            method="L-BFGS-B",
+            bounds=Bounds(bounds.lower, bounds.upper),
+            options={
+                "maxiter": config.max_iterations,
+                "gtol": config.gradient_tolerance,
+                "ftol": _FTOL,
+                "maxcor": _MAXCOR,
+            },
+        )
+        x, f, success = res.x, res.fun, res.success
+    else:
+        x, f, success = _run_setulb(evaluate, bounds, start, config)
+    x, f = bounds.clip(x), float(f)
     if best_x is not None and best_f < f:
         x, f = bounds.clip(best_x), best_f
-    converged = bool(res.success) and np.isfinite(f)
+    converged = bool(success) and np.isfinite(f)
     if retreated and np.array_equal(x, start):
-        # scipy may report success at the start after a non-finite trial point sent
-        # it back there; converged then needs L-BFGS-B's own test at the start.
+        # L-BFGS-B may report success at the start after a non-finite trial point
+        # sent it back there; converged then needs its own test at the start.
         projected = bounds.clip(start - seen[start.tobytes()][1]) - start
         converged = converged and float(np.max(np.abs(projected))) <= config.gradient_tolerance
     return x, f, converged
+
+
+def _run_setulb(
+    evaluate: Objective, bounds: BoxBounds, start: np.ndarray, config: MultiStartConfig
+) -> tuple[np.ndarray, float, bool]:
+    """scipy's `_minimize_lbfgsb` loop over the core, for a finite box and an
+    analytic gradient: returns the core's x, the last value it was handed and
+    whether it stopped on CONVERGENCE.
+
+    As in scipy, the start is evaluated before the core's first call, and an
+    evaluation counts toward `_MAXFUN` unless it repeats the last point.
+    """
+    n = start.size
+    m = _MAXCOR
+    factr = _FTOL / np.finfo(float).eps
+    nbd = np.full(n, 2, dtype=np.int32)  # both bounds finite
+    x = start.copy()
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+
+    last_x = start.copy()
+    last = evaluate(last_x)
+    n_evaluations, n_iterations = 1, 0
+    while True:
+        # The core reads and writes its arrays as raw buffers, whatever their
+        # flags: it gets a float64 copy of the memo's read-only gradient.
+        g = g.astype(np.float64)
+        _setulb(m, x, bounds.lower, bounds.upper, nbd, f, g, factr,
+                config.gradient_tolerance, wa, iwa, task, lsave, isave, dsave,
+                _MAXLS, ln_task)
+        if task[0] == _FG:
+            if not (x == last_x).all():  # np.array_equal, as scipy tests a repeat
+                last_x = x.copy()
+                last = evaluate(last_x)
+                n_evaluations += 1
+            f, g = last
+        elif task[0] == _NEW_X:
+            n_iterations += 1
+            if n_iterations >= config.max_iterations:
+                task[:] = _STOP, _STOP_MAXITER
+            elif n_evaluations > _MAXFUN:
+                task[:] = _STOP, _STOP_MAXFUN
+        else:
+            return x, f, task[0] == _CONVERGENCE

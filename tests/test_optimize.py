@@ -21,13 +21,13 @@ def quadratic(center):
     return f
 
 
-def scipy_combined(objective, bounds, start):
+def scipy_combined(objective, bounds, start, max_iterations=200):
     """Oracle: scipy memoizing one (value, gradient) callback itself (jac=True),
     with minimize_box's options."""
     return scipy.optimize.minimize(
         objective, start, jac=True, method="L-BFGS-B",
         bounds=scipy.optimize.Bounds(bounds.lower, bounds.upper),
-        options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-14, "maxcor": 10},
+        options={"maxiter": max_iterations, "gtol": 1e-6, "ftol": 1e-14, "maxcor": 10},
     )
 
 
@@ -50,6 +50,17 @@ def recorded(objective, calls):
 
 def first_occurrences(items):
     return list(dict.fromkeys(items))
+
+
+def each_core(monkeypatch):
+    """Yield the name of each path by which minimize_box reaches L-BFGS-B, with that
+    path in force: scipy's core driven directly (where this scipy's core has the
+    supported signature), then scipy.optimize.minimize, forced by hiding the core."""
+    if optimize._setulb is not None:
+        yield "setulb"
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_setulb", None)
+        yield "minimize"
 
 
 def array_bits(*objects):
@@ -91,13 +102,21 @@ class TestMinimizeBox:
         )
         assert f < 1e-8
 
-    def test_value_never_exceeds_start(self):
+    def test_value_never_exceeds_start(self, monkeypatch):
         bounds = BoxBounds(np.array([-1.0]), np.array([1.0]))
         start = np.array([0.5])
         f0, _ = quadratic(np.zeros(1))(start)
         config = MultiStartConfig(max_iterations=1)
-        _, f, _ = minimize_box(quadratic(np.zeros(1)), bounds, start, config, {})
-        assert f <= f0
+        want = []
+        res = scipy_combined(recorded(quadratic(np.zeros(1)), want), bounds, start,
+                             max_iterations=1)
+        for core in each_core(monkeypatch):
+            got = []
+            x, f, conv = minimize_box(recorded(quadratic(np.zeros(1)), got), bounds, start,
+                                      config, {})
+            assert f <= f0, core
+            assert got == first_occurrences(want), core
+            assert (x.tobytes(), f, conv) == (res.x.tobytes(), res.fun, res.success), core
 
     def test_nonfinite_at_start(self):
         def bad(x):
@@ -121,7 +140,7 @@ class TestMinimizeBox:
         assert np.array_equal(calls[0], start)
         assert sum(np.array_equal(c, start) for c in calls) == 1
 
-    def test_evaluations_match_a_combined_value_and_gradient_call(self):
+    def test_evaluations_match_a_combined_value_and_gradient_call(self, monkeypatch):
         # On a box whose minimum is on a bound.
         def rosen(x):
             a, b = x
@@ -131,11 +150,13 @@ class TestMinimizeBox:
 
         bounds = BoxBounds(np.array([-2.0, -1.0]), np.array([0.5, 2.0]))
         start = np.array([-1.2, 1.0])
-        got, want = [], []
-        x, f, conv = minimize_box(recorded(rosen, got), bounds, start, CONFIG, {})
+        want = []
         res = scipy_combined(recorded(rosen, want), bounds, start)
-        assert len(got) > 10 and got == first_occurrences(want)
-        assert np.array_equal(x, res.x) and f == res.fun and conv == res.success
+        for core in each_core(monkeypatch):
+            got = []
+            x, f, conv = minimize_box(recorded(rosen, got), bounds, start, CONFIG, {})
+            assert len(got) > 10 and got == first_occurrences(want), core
+            assert np.array_equal(x, res.x) and f == res.fun and conv == res.success, core
 
     def test_each_distinct_point_reaches_the_objective_once(self, monkeypatch):
         # The noise-free analytic1d LF objective in log space: eta goes to its lower
@@ -149,45 +170,65 @@ class TestMinimizeBox:
         box = gp.default_bounds(data)
         bounds = BoxBounds(np.log(box.lower), np.log(box.upper))
         start = np.random.default_rng(0).uniform(bounds.lower, bounds.upper)
-        got, want, values = [], [], []
+        want, values = [], []
 
         def valued(x):
             value, grad = callback(x)
             values.append(value)
             return value, grad
 
-        x_min, f, conv = minimize_box(recorded(callback, got), bounds, start, CONFIG, {})
         res = scipy_combined(recorded(valued, want), bounds, start)
         assert len(first_occurrences(want)) < len(want)
-        assert got == first_occurrences(want)
         # minimize_box returns the best point it evaluated (the first of equal
         # values), which can lie before the point where scipy's search stops.
         best = int(np.argmin(values))
-        assert x_min.tobytes() == want[best] and f == values[best]
-        assert conv == res.success
+        for core in each_core(monkeypatch):
+            got = []
+            x_min, f, conv = minimize_box(recorded(callback, got), bounds, start, CONFIG, {})
+            assert got == first_occurrences(want), core
+            assert x_min.tobytes() == want[best] and f == values[best], core
+            assert conv == res.success, core
 
     def test_gradients_handed_to_scipy_are_read_only_copies(self, monkeypatch):
-        handed, returned = [], []
-        scipy_minimize = optimize._scipy_minimize
+        # The memo keeps read-only copies of the objective's gradients.
+        # scipy.optimize.minimize is handed those; the core, which writes through
+        # raw buffers whatever the flags, is handed copies of them.
+        scipy_minimize, setulb = optimize._scipy_minimize, optimize._setulb
+        handed = []
 
-        def spy(fun, x0, jac, **kwargs):
+        def minimize_spy(fun, x0, jac, **kwargs):
             def gradient(x):
                 handed.append(jac(x))
                 return handed[-1]
             return scipy_minimize(fun, x0, jac=gradient, **kwargs)
 
-        def bowl(x):
-            value, grad = quadratic(np.array([0.3, -0.2]))(x)
-            returned.append(grad)
-            return value, grad
+        def setulb_spy(m, x, lower, upper, nbd, f, g, *rest):
+            handed.append(g)
+            return setulb(m, x, lower, upper, nbd, f, g, *rest)
 
-        monkeypatch.setattr(optimize, "_scipy_minimize", spy)
+        monkeypatch.setattr(optimize, "_scipy_minimize", minimize_spy)
+        if setulb is not None:
+            monkeypatch.setattr(optimize, "_setulb", setulb_spy)
         bounds = BoxBounds(np.full(2, -1.0), np.full(2, 1.0))
-        minimize_box(bowl, bounds, np.array([0.9, 0.4]), CONFIG, {})
-        assert handed and not any(g.flags.writeable for g in handed)
-        assert all(g.flags.writeable for g in returned)
+        for core in each_core(monkeypatch):
+            handed.clear()
+            returned, seen = [], {}
 
-    def test_nonfinite_away_from_start_is_a_retreat(self):
+            def bowl(x):
+                value, grad = quadratic(np.array([0.3, -0.2]))(x)
+                returned.append(grad)
+                return value, grad
+
+            minimize_box(bowl, bounds, np.array([0.9, 0.4]), CONFIG, seen)
+            memo = [grad for _, grad in seen.values()]
+            assert handed and not any(g.flags.writeable for g in memo), core
+            if core == "minimize":
+                assert not any(g.flags.writeable for g in handed)
+            else:
+                assert not any(np.shares_memory(g, kept) for g in handed for kept in memo)
+            assert all(g.flags.writeable for g in returned), core
+
+    def test_nonfinite_away_from_start_is_a_retreat(self, monkeypatch):
         def half_plane(x):
             if x[0] < 0.0:
                 return np.inf, np.zeros_like(x)
@@ -195,10 +236,14 @@ class TestMinimizeBox:
 
         bounds = BoxBounds(np.array([-5.0]), np.array([5.0]))
         start = np.array([4.0])
-        x, f, _ = minimize_box(half_plane, bounds, start, CONFIG, {})
-        assert x[0] >= 0.0 and f <= half_plane(start)[0]
+        results = []
+        for core in each_core(monkeypatch):
+            x, f, conv = minimize_box(half_plane, bounds, start, CONFIG, {})
+            assert x[0] >= 0.0 and f <= half_plane(start)[0], core
+            results.append((x.tobytes(), f, conv))
+        assert len(set(results)) == 1
 
-    def test_retreat_to_the_start_is_not_convergence(self):
+    def test_retreat_to_the_start_is_not_convergence(self, monkeypatch):
         # A first trial point where the objective is not finite sends the search
         # back to its start, where the gradient is far from 0. The start keeps its
         # value (the best it evaluated) but must not report convergence.
@@ -209,10 +254,11 @@ class TestMinimizeBox:
 
         bounds = BoxBounds(np.log([0.01]), np.log([100.0]))
         start = np.log([4.0])
-        x, f, converged = minimize_box(floored, bounds, start, CONFIG, {})
-        assert np.array_equal(x, start) and f == floored(start)[0]
-        assert f > floored(np.log([0.6]))[0]
-        assert not converged
+        for core in each_core(monkeypatch):
+            x, f, converged = minimize_box(floored, bounds, start, CONFIG, {})
+            assert np.array_equal(x, start) and f == floored(start)[0], core
+            assert f > floored(np.log([0.6]))[0]
+            assert not converged, core
 
     def test_feasibility(self):
         bounds = BoxBounds(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
@@ -380,3 +426,39 @@ def test_box_bounds_validation():
         BoxBounds(np.array([1.0]), np.array([1.0]))
     with pytest.raises(InvalidConfig):
         BoxBounds(np.array([0.0]), np.array([np.inf]))
+    # Strided vectors are stored contiguous, as the L-BFGS-B core reads them.
+    strided = BoxBounds(np.zeros(4)[::2], np.ones(4)[::2])
+    assert strided.lower.flags.c_contiguous and strided.upper.flags.c_contiguous
+    x, _, converged = minimize_box(quadratic(np.full(2, 0.5)), strided, np.zeros(2), CONFIG, {})
+    assert converged and np.allclose(x, 0.5)
+
+
+def test_campaign_fits_match_on_both_cores(monkeypatch):
+    # An analytic1d LF fit and HF EM fit at the acceptance sizes (N_L = 100
+    # noise-free, N_H = 50 with noise sd 0.166) give the same bits by either path
+    # to L-BFGS-B: every search's theta, eta, value and start log, and em_log.
+    pair = design.ANALYTIC_1D
+    x_lf = design.scale_to_domain(pair, design.lhs(100, 1, seed=21).points)
+    x_hf = design.scale_to_domain(pair, design.lhs(50, 1, seed=22).points)
+    z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 0.166**2, seed=23)
+    data = mfgp.MfData(Dataset(x_lf, design.eval_testfn(pair, "lf", x_lf)), Dataset(x_hf, z_hf))
+    searches = []
+    search = gp.log_space_search
+
+    def spy(*args, **kwargs):
+        theta, eta, value, log = search(*args, **kwargs)
+        searches.append((theta.theta.tobytes(), eta, value, [
+            (e.start.tobytes(), e.x.tobytes(), e.value, e.converged, e.failed) for e in log
+        ]))
+        return theta, eta, value, log
+
+    monkeypatch.setattr(gp, "log_space_search", spy)
+    monkeypatch.setattr(mfgp, "log_space_search", spy)
+    fits = {}
+    for core in each_core(monkeypatch):
+        searches.clear()
+        lf_model = fit_gp(data.lf, config=MultiStartConfig(rng_seed=31))
+        params, em_log = mfgp.em_fit_hf(data, lf_model, config=MultiStartConfig(rng_seed=32))
+        fits[core] = (list(searches), em_log, array_bits(params))
+        assert len(searches) > 2, core  # the LF search and at least two M-steps
+    assert len(fits) == 1 or fits["setulb"] == fits["minimize"]

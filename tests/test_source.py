@@ -350,3 +350,34 @@ def test_one_foreign_call_boundary():
     type can corrupt memory instead of raising."""
     importers = [p.name for p in sorted(SRC.glob("*.py")) if imports_of(p.read_text(), "ctypes")]
     assert importers == ["numerics.py"]
+
+
+# scipy's private L-BFGS-B modules and their reverse-communication core.
+PRIVATE_LBFGSB = re.compile(r"_lbfgsb|setulb")
+
+
+def text_mentions(source: str, pattern: re.Pattern) -> list[str]:
+    """Every line of `source` on which `pattern` matches anywhere, code, string or
+    comment, as "line n": a plain text search, so a name built by `getattr` or
+    `importlib` from a string is found too."""
+    return [f"line {i}" for i, line in enumerate(source.splitlines(), 1) if pattern.search(line)]
+
+
+def test_detector_finds_a_private_lbfgsb_use():
+    source = (
+        "import importlib\n"
+        "from scipy.optimize import minimize, _lbfgsb\n"
+        "core = importlib.import_module('scipy.optimize._lbfgsb_py')\n"
+        "def run(x):\n"
+        "    '''One L-BFGS-B start through minimize.'''\n"
+        "    return getattr(core, 'setulb')(x)\n"
+    )
+    assert text_mentions(source, PRIVATE_LBFGSB) == ["line 2", "line 3", "line 6"]
+
+
+def test_one_lbfgsb_core_driver():
+    """Only `optimize` reaches scipy's private L-BFGS-B core, whose signature may
+    change in any scipy release, so one module checks that signature and falls
+    back to `scipy.optimize.minimize` when it differs."""
+    users = [p.name for p in CALLERS if text_mentions(p.read_text(), PRIVATE_LBFGSB)]
+    assert users == ["optimize.py"]
