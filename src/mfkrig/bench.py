@@ -118,7 +118,7 @@ def _sample_training(config: BenchmarkConfig, pair, seed_lf: int, seed_hf: int):
 def _test_inputs(config: BenchmarkConfig, pair, seed_test: int) -> np.ndarray:
     if config.benchmark == "analytic1d":
         lo, hi = pair.domain_lower[0], pair.domain_upper[0]
-        return np.linspace(lo, hi, config.n_test).reshape(-1, 1)
+        return np.linspace(lo, hi, config.n_test)[:, None]
     # Desk-scale choice: a plain LHS test set; maximin over 1e4 points is
     # prohibitively slow and does not move replication means.
     unit = design.lhs(config.n_test, pair.input_dim, seed=seed_test).points

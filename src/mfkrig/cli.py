@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 
 import click
@@ -25,6 +24,7 @@ from .exceptions import (
 from .gp import Dataset, GpHyper, MultiStartConfig, TrainedGp, constant_basis, worker_count
 from .kernels import KernelParams, LengthScales
 from .mfgp import EmConfig, HfParams, MfData, MfModel, fit_mf, predict_mf
+from .optimize import is_finite_real
 
 MODEL_FORMAT_VERSION = 1
 
@@ -115,19 +115,12 @@ def _number(value, name: str, vector: bool = False):
     """`value`, the model document's `name`: a finite, non-boolean number, or a list
     of them when `vector`; anything else is a ParseError naming it."""
     items = value if vector else [value]
-    if not (isinstance(items, list) and all(_is_finite_number(v) for v in items)):
+    if not (isinstance(items, list) and all(is_finite_real(v) for v in items)):
         kind = "a list of finite numbers" if vector else "a finite number"
         raise ParseError(
             f"model document has an ill-typed value: {name} must be {kind}, got {value!r}"
         )
     return np.asarray(items, float) if vector else float(value)
-
-
-def _is_finite_number(v) -> bool:
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def model_from_dict(doc: dict) -> MfModel:
@@ -142,7 +135,7 @@ def model_from_dict(doc: dict) -> MfModel:
         raise ParseError(f"unsupported model format version: {version!r}")
     try:
         lf = doc["lf"]
-        lf_data = Dataset(x=np.asarray(lf["x"], float), z=np.asarray(lf["z"], float))
+        lf_data = Dataset(x=lf["x"], z=lf["z"])
         lf_kernel = KernelParams(
             theta=LengthScales(_number(lf["theta"], "lf.theta", vector=True)),
             sigma2=_number(lf["sigma2"], "lf.sigma2"),
@@ -150,7 +143,7 @@ def model_from_dict(doc: dict) -> MfModel:
         )
         lf_beta = _number(lf["beta"], "lf.beta", vector=True)
         hf = doc["hf"]
-        hf_data = Dataset(x=np.asarray(hf["x"], float), z=np.asarray(hf["z"], float))
+        hf_data = Dataset(x=hf["x"], z=hf["z"])
         params = HfParams(
             beta_rho=_number(hf["beta_rho"], "hf.beta_rho", vector=True),
             beta_h=_number(hf["beta_h"], "hf.beta_h", vector=True),

@@ -9,7 +9,8 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .exceptions import DomainViolation, InvalidConfig
+from .exceptions import DimensionMismatch, DomainViolation, InvalidConfig
+from .optimize import as_points
 
 LF = "lf"
 HF = "hf"
@@ -127,13 +128,10 @@ def scale_to_domain(pair: TestFunctionPair, unit_points: np.ndarray) -> np.ndarr
 
 def eval_testfn(pair: TestFunctionPair, level: str, x: np.ndarray) -> np.ndarray:
     """Evaluate one fidelity level of a pair on an (N, D) input array."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, pair.input_dim)
-    if x.shape[1] != pair.input_dim:
-        raise DomainViolation(
-            f"{pair.name} expects {pair.input_dim}-dimensional inputs, got {x.shape[1]}"
-        )
+    try:
+        x = as_points("x", x, pair.input_dim)
+    except DimensionMismatch as exc:
+        raise DomainViolation(f"{pair.name} inputs: {exc}") from None
     slack = 1e-12
     if np.any(x < pair.domain_lower - slack) or np.any(x > pair.domain_upper + slack):
         raise DomainViolation(f"inputs outside the {pair.name} domain")

@@ -30,7 +30,7 @@ from .exceptions import (
 )
 from .kernels import KernelParams, LengthScales
 from .numerics import SpdFactorization
-from .optimize import BoxBounds, MultiStartConfig, check_finite
+from .optimize import BoxBounds, MultiStartConfig, as_points, as_vector, check_finite
 
 LATENT = "latent"
 NOISY = "noisy"
@@ -58,12 +58,8 @@ class Dataset:
     z: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        if x.ndim != 2:
-            raise DimensionMismatch(f"training inputs must be an N x D array, got shape {x.shape}")
-        z = np.asarray(self.z, dtype=float).ravel()
+        x = as_points("training inputs", self.x)
+        z = as_vector("training outputs", self.z)
         if x.shape[0] != z.shape[0]:
             raise DimensionMismatch("inputs and outputs have different lengths")
         if x.size == 0:
@@ -93,10 +89,10 @@ class BasisSpec:
         return len(self.functions)
 
     def design_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        cols = [np.asarray(f(x), dtype=float).ravel() for f in self.functions]
+        x = as_points("basis inputs", x)
+        cols = [as_vector("basis function values", f(x)) for f in self.functions]
+        if any(col.size != x.shape[0] for col in cols):
+            raise DimensionMismatch(f"each basis function must return {x.shape[0]} values")
         return np.column_stack(cols)
 
 
@@ -114,7 +110,7 @@ class GpHyper:
     kernel: KernelParams
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
+        beta = as_vector("beta", self.beta)
         check_finite("beta", beta)
         object.__setattr__(self, "beta", beta)
 
@@ -152,6 +148,8 @@ class TrainedGp:
 
     def __post_init__(self):
         k, x = self.hyper.kernel, self.data.x
+        if self.hyper.beta.size != self.basis.p:
+            raise DimensionMismatch(f"beta must have one entry per basis function ({self.basis.p})")
         fact = numerics.chol_factor(kernels.KernelWorkspace(x).corr(k.theta, k.eta))
         resid = self.data.z - self.basis.design_matrix(x) @ self.hyper.beta
         object.__setattr__(self, "factorization", fact)
@@ -326,9 +324,8 @@ def log_space_search(
             x, value, converged = optimize.minimize_box(
                 in_log_space, log_bounds, start, config, seen
             )
-        except ObjectiveNonFinite as exc:
-            log.append(optimize.StartResult(start, start, math.inf, False,
-                                            failed=True, message=str(exc)))
+        except ObjectiveNonFinite:
+            log.append(optimize.StartResult(start, start, math.inf, False, failed=True))
         else:
             log.append(optimize.StartResult(start, x, value, converged))
     finished = [entry for entry in log if not entry.failed]
@@ -366,11 +363,7 @@ def fit_gp(
 
 def query_points(x_star: np.ndarray, d: int) -> np.ndarray:
     """Prediction inputs as a finite (n, d) array."""
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.ndim == 1:
-        x_star = x_star.reshape(-1, d)
-    if x_star.shape[1] != d:
-        raise DimensionMismatch("prediction inputs have the wrong dimension")
+    x_star = as_points("prediction inputs", x_star, d)
     if not np.all(np.isfinite(x_star)):
         raise DomainViolation("prediction inputs must be finite")
     return x_star

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .exceptions import DimensionMismatch, InvalidConfig
-from .optimize import check_positive
+from .optimize import as_points, as_vector, check_positive
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,8 @@ class LengthScales:
     theta: np.ndarray
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=float, ndmin=1, copy=None)
-        if theta.ndim != 1 or theta.size == 0:
+        theta = as_vector("length scales", self.theta)
+        if theta.size == 0:
             raise DimensionMismatch("length scales must be a non-empty vector")
         # One pass over Python floats: the fit builds these on every evaluation.
         if not all([0.0 < t < math.inf for t in theta.tolist()]):
@@ -50,15 +50,6 @@ class KernelParams:
         return self.eta * self.sigma2
 
 
-def _as_2d(x: np.ndarray, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, d) if d == 1 else x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != d:
-        raise DimensionMismatch(f"expected points of dimension {d}, got shape {x.shape}")
-    return x
-
-
 def corr_matrix(x: np.ndarray, x2: np.ndarray, theta: LengthScales) -> np.ndarray:
     """Cross-correlation matrix, entries exp(-0.5 sum_d ((x_i^(d) - x2_j^(d)) / theta_d)^2).
 
@@ -68,8 +59,8 @@ def corr_matrix(x: np.ndarray, x2: np.ndarray, theta: LengthScales) -> np.ndarra
     in about 60 % of its time (1,000 x 100 points). From two dimensions on cdist
     is the faster, as NumPy would make a pass per dimension."""
     d = theta.ndim
-    xs = _as_2d(x, d) / theta.theta
-    xs2 = _as_2d(x2, d) / theta.theta
+    xs = as_points("x", x, d) / theta.theta
+    xs2 = as_points("x2", x2, d) / theta.theta
     if d == 1:
         r = np.subtract.outer(xs.ravel(), xs2.ravel())
         r *= r
@@ -93,9 +84,7 @@ class KernelWorkspace:
     d2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
+        x = as_points("kernel inputs", self.x)
         diff = x.T[:, :, None] - x.T[:, None, :]
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "d2", (diff * diff).reshape(x.shape[1], -1))

@@ -9,6 +9,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import ConstantTruth, DimensionMismatch, DomainViolation, EmptyGrid
+from .optimize import as_vector
 
 DEFAULT_ALPHA_GRID = np.round(np.arange(1, 100) / 100.0, 2)
 
@@ -33,8 +34,8 @@ class CalibrationReport:
 
 def q2(y_true: np.ndarray, mean_pred: np.ndarray) -> float:
     """Predictivity coefficient: 1 - SSE / SST about the test-set mean."""
-    y_true = np.asarray(y_true, dtype=float).ravel()
-    mean_pred = np.asarray(mean_pred, dtype=float).ravel()
+    y_true = as_vector("y_true", y_true)
+    mean_pred = as_vector("mean_pred", mean_pred)
     if y_true.shape != mean_pred.shape or y_true.size < 2:
         raise DimensionMismatch("need two same-length vectors of at least 2 entries")
     sst = float(np.sum((y_true - y_true.mean()) ** 2))
@@ -66,17 +67,17 @@ def coverage_report(
     fresh noisy draw per test point generated with the true noise variance.
     Interval membership is closed (boundaries count as covered).
     """
-    alpha = (
-        DEFAULT_ALPHA_GRID if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
-    )
+    alpha = DEFAULT_ALPHA_GRID if alpha_grid is None else as_vector("alpha_grid", alpha_grid)
     if alpha.size == 0 or np.any(alpha <= 0) or np.any(alpha >= 1):
         raise EmptyGrid("alpha grid must be non-empty with levels in (0, 1)")
     if alpha.size > 1 and np.any(np.diff(alpha) <= 0):
         raise EmptyGrid("alpha grid must be strictly increasing")
-    y_true = np.asarray(y_true, dtype=float).ravel()
-    z_noisy = np.asarray(z_noisy, dtype=float).ravel()
-    mean_pred = np.asarray(mean_pred, dtype=float).ravel()
-    latent_sd = np.asarray(latent_sd, dtype=float).ravel()
+    y_true = as_vector("y_true", y_true)
+    z_noisy = as_vector("z_noisy", z_noisy)
+    mean_pred = as_vector("mean_pred", mean_pred)
+    latent_sd = as_vector("latent_sd", latent_sd)
+    if not y_true.size == z_noisy.size == mean_pred.size == latent_sd.size:
+        raise DimensionMismatch("y_true, z_noisy, mean_pred and latent_sd differ in length")
     if np.any(latent_sd < 0):
         raise DomainViolation("latent sd must be non-negative")
     if noise_variance_hat < 0:

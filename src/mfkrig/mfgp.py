@@ -48,7 +48,7 @@ from .gp import (
     query_points,
 )
 from .kernels import LengthScales
-from .optimize import check_count, check_finite, check_positive
+from .optimize import as_vector, check_count, check_finite, check_positive
 
 LF = "lf"
 HF = "hf"
@@ -87,7 +87,7 @@ class HfParams:
 
     def __post_init__(self):
         for name in ("beta_rho", "beta_h"):
-            beta = np.atleast_1d(np.asarray(getattr(self, name), float))
+            beta = as_vector(name, getattr(self, name))
             check_finite(name, beta)
             object.__setattr__(self, name, beta)
         check_positive("sigma2_h", self.sigma2_h)
@@ -163,7 +163,9 @@ class MfModel:
     lf_cross_solve: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lf = self.lf_model
+        lf, params = self.lf_model, self.hf_params
+        if params.beta_rho.size != self.rho_basis.p or params.beta_h.size != self.hf_basis.p:
+            raise DimensionMismatch("beta_rho and beta_h must have one entry per basis function")
         if not (np.array_equal(self.data.lf.x, lf.data.x)
                 and np.array_equal(self.data.lf.z, lf.data.z)):
             raise InvalidConfig("data.lf must equal the LF model's training data")

@@ -72,9 +72,9 @@ class BoxBounds:
 
     def __post_init__(self):
         # Contiguous vectors: the L-BFGS-B core reads them as raw buffers.
-        lower = np.ascontiguousarray(self.lower, dtype=float)
-        upper = np.ascontiguousarray(self.upper, dtype=float)
-        if lower.shape != upper.shape or lower.ndim != 1:
+        lower = np.ascontiguousarray(as_vector("lower bounds", self.lower))
+        upper = np.ascontiguousarray(as_vector("upper bounds", self.upper))
+        if lower.shape != upper.shape:
             raise DimensionMismatch("bounds must be two vectors of equal length")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise InvalidConfig("bounds must be finite")
@@ -97,15 +97,16 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def is_finite_real(value) -> bool:
+    """A finite real number, not a bool; an int beyond the float range is not finite."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and -sys.float_info.max <= value <= sys.float_info.max
+
+
 def check_positive(name: str, value, zero_ok: bool = False) -> None:
     """A tolerance, variance or noise ratio must be a finite real number (not a bool)
     above 0, or at least 0 when `zero_ok`."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not 0 <= value <= sys.float_info.max  # also an int too large for a float
-        or (value == 0 and not zero_ok)
-    ):
+    if not is_finite_real(value) or value < 0 or (value == 0 and not zero_ok):
         bound = ">= 0" if zero_ok else "> 0"
         raise InvalidConfig(f"{name} must be a finite number {bound}, got {value!r}")
 
@@ -114,6 +115,37 @@ def check_finite(name: str, values: np.ndarray) -> None:
     """Mean or scaling coefficients must be finite."""
     if not np.isfinite(values).all():
         raise InvalidConfig(f"{name} must be finite, got {values}")
+
+
+def _floats(name: str, values) -> np.ndarray:
+    """`values` as a float array; entries that are not numbers raise InvalidConfig."""
+    try:
+        return np.asarray(values).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError):  # entries that are not numbers, or ragged nesting
+        raise InvalidConfig(f"{name} must be a rectangular array of numbers") from None
+
+
+def as_vector(name: str, values) -> np.ndarray:
+    """`values` as a 1-D float array: a number is one entry, and an array with at
+    most one axis longer than 1 is read along that axis. Entries that are not
+    numbers raise InvalidConfig, and any other shape DimensionMismatch."""
+    vector = _floats(name, values)
+    if vector.ndim > 1 and sum(n > 1 for n in vector.shape) > 1:
+        raise DimensionMismatch(f"{name} must be a vector, got shape {vector.shape}")
+    return vector if vector.ndim == 1 else vector.reshape(-1)
+
+
+def as_points(name: str, x, d: int | None = None) -> np.ndarray:
+    """`x` as an (N, d) float array of N points, of any width when `d` is None. A
+    1-D `x` lists its points' coordinates one after another: one each when `d` is
+    None or 1, otherwise d each. Entries that are not numbers raise InvalidConfig,
+    and any other shape DimensionMismatch."""
+    points = _floats(name, x)
+    if points.ndim == 1 and points.size % (d or 1) == 0:
+        points = points.reshape(-1, d or 1)
+    if points.ndim != 2 or d not in (None, points.shape[1]):
+        raise DimensionMismatch(f"{name} must be an N x {d or 'D'} array, got shape {points.shape}")
+    return points
 
 
 @dataclass(frozen=True)
@@ -137,7 +169,6 @@ class StartResult:
     value: float
     converged: bool
     failed: bool = False
-    message: str = ""
 
 
 def minimize_box(

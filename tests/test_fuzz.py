@@ -1,7 +1,10 @@
 """Property-based tests of the command-line boundary: malformed CSV training data,
 malformed model JSON and malformed bench configs end in exit code 2 or 3 with a
 one-line message, never in a traceback. Every generated input carries at least
-one defect, so no example may succeed."""
+one defect, so no example may succeed.
+
+And of the library boundary: any array-like handed to a public type or function
+either is read or raises an MfkrigError, never a bare NumPy or LAPACK error."""
 
 import csv
 import io
@@ -14,16 +17,21 @@ from click.testing import CliRunner
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mfkrig.bench import MODEL_NAMES
 from mfkrig.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_ERROR, main, model_to_dict
-from mfkrig.gp import Dataset, GpHyper, TrainedGp, constant_basis
+from mfkrig.exceptions import MfkrigError
+from mfkrig.gp import Dataset, GpHyper, TrainedGp, constant_basis, predict_gp
 from mfkrig.kernels import KernelParams, LengthScales
-from mfkrig.mfgp import HfParams, MfData, MfModel
+from mfkrig.metrics import coverage_report, q2
+from mfkrig.mfgp import HfParams, MfData, MfModel, predict_mf
+from mfkrig.optimize import BoxBounds
 
 FIT_EXAMPLES = 60
 PREDICT_EXAMPLES = 80
 BENCH_EXAMPLES = 25
+LIBRARY_EXAMPLES = 60
 
 
 def _assert_clean_failure(res):
@@ -105,23 +113,25 @@ def test_fit_rejects_defective_csv(d, lf_bad, data):
     _assert_clean_failure(res)
 
 
-def _model_document() -> dict:
-    """The JSON document of a small 1D model assembled from fixed hyperparameters."""
-    x_lf = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
+def _fixed_model(x_lf: np.ndarray) -> MfModel:
+    """A small model assembled from fixed hyperparameters on the LF inputs x_lf,
+    with every other one of them as the HF inputs."""
+    d = x_lf.shape[1]
     x_hf = x_lf[::2]
-    lf_data = Dataset(x_lf, np.sin(4 * x_lf[:, 0]))
+    lf_data = Dataset(x_lf, np.sin(4 * x_lf.sum(axis=1)))
     lf_model = TrainedGp(lf_data, constant_basis(), GpHyper(
         np.array([0.0]),
-        KernelParams(theta=LengthScales(np.array([0.3])), sigma2=1.0, eta=1e-3),
+        KernelParams(theta=LengthScales(np.full(d, 0.3)), sigma2=1.0, eta=1e-3),
     ))
     params = HfParams(beta_rho=np.array([1.0]), beta_h=np.array([0.1]), sigma2_h=0.5,
-                      theta_h=LengthScales(np.array([0.4])), eta_h=0.01)
-    model = MfModel(lf_model, params, constant_basis(), constant_basis(),
-                    MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf[:, 0]) + 0.1)))
-    return model_to_dict(model)
+                      theta_h=LengthScales(np.full(d, 0.4)), eta_h=0.01)
+    return MfModel(lf_model, params, constant_basis(), constant_basis(),
+                   MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf.sum(axis=1)) + 0.1)))
 
 
-MODEL_DOCUMENT = _model_document()
+MODEL_1D = _fixed_model(np.linspace(0.0, 1.0, 8)[:, None])
+MODEL_4D = _fixed_model(np.random.default_rng(4).random((8, 4)))
+MODEL_DOCUMENT = model_to_dict(MODEL_1D)
 REQUIRED = [("format_version",), ("lf",), ("hf",)] + [
     (part, key) for part in ("lf", "hf") for key in MODEL_DOCUMENT[part]
 ]
@@ -241,3 +251,83 @@ def test_bench_rejects_defective_config(key, data):
         _assert_clean_failure(res)
         assert res.output.count("\n") == 1 and key in res.output, res.output
         assert not os.path.exists("out.csv")
+
+
+# Array-likes of 0 to 3 dimensions: numbers, NumPy arrays (empty ones among them),
+# nested lists that may be ragged, strings and None.
+entry = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf]))
+loose_entry = st.one_of(entry, st.none(), st.text(max_size=2))
+array_like = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    entry,
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=entry),
+    st.lists(loose_entry, max_size=4),
+    st.lists(st.lists(entry, max_size=3), max_size=3),
+    st.lists(st.lists(st.lists(entry, max_size=2), max_size=2), max_size=2),
+)
+KERNEL = KernelParams(theta=LengthScales(np.array([0.3])), sigma2=1.0, eta=1e-3)
+# Target -> a call that reads the two drawn array-likes a and b.
+LIBRARY_TARGETS = {
+    "Dataset": lambda a, b: Dataset(a, b),
+    "LengthScales": lambda a, b: LengthScales(a),
+    "GpHyper": lambda a, b: GpHyper(a, KERNEL),
+    "HfParams": lambda a, b: HfParams(a, b, 0.5, LengthScales(np.array([0.4])), 0.01),
+    "BoxBounds": lambda a, b: BoxBounds(a, b),
+    "predict_gp_1d": lambda a, b: predict_gp(MODEL_1D.lf_model, a),
+    "predict_gp_4d": lambda a, b: predict_gp(MODEL_4D.lf_model, a),
+    "predict_mf_1d": lambda a, b: predict_mf(MODEL_1D, a),
+    "predict_mf_4d": lambda a, b: predict_mf(MODEL_4D, a),
+    "q2": lambda a, b: q2(a, b),
+    "coverage_report": lambda a, b: coverage_report(a, b, a, np.full(3, 0.5), 0.01),
+    "TrainedGp_beta": lambda a, b: TrainedGp(MODEL_1D.lf_model.data, constant_basis(),
+                                             GpHyper(a, KERNEL)),
+    "MfModel_beta": lambda a, b: MfModel(
+        MODEL_1D.lf_model, HfParams(a, b, 0.5, LengthScales(np.array([0.4])), 0.01),
+        constant_basis(), constant_basis(), MODEL_1D.data),
+}
+
+
+@pytest.mark.parametrize("target", sorted(LIBRARY_TARGETS))
+@given(a=array_like, b=array_like)
+@settings(max_examples=LIBRARY_EXAMPLES, deadline=None)
+def test_library_reads_or_raises_package_errors(target, a, b):
+    try:
+        LIBRARY_TARGETS[target](a, b)
+    except MfkrigError:
+        pass
+
+
+def _gp_4d(x) -> np.ndarray:
+    pred = predict_gp(MODEL_4D.lf_model, x)
+    return np.concatenate([pred.mean, pred.variance])
+
+
+def _mf_4d(x) -> np.ndarray:
+    pred = predict_mf(MODEL_4D, x)
+    return np.concatenate([pred.mean, pred.variance])
+
+
+QUERIES_4D = np.random.default_rng(9).random((3, 4))
+X_3 = np.array([[0.1], [0.5], [0.9]])
+Z_3 = np.array([1.0, 2.0, 0.5])
+# Reading -> (a call that relies on it, the same call on canonical arrays).
+VALID_READINGS = {
+    "1-D x at D = 1 is N points": (lambda: Dataset(X_3[:, 0], Z_3).x, lambda: X_3),
+    "(N, 1) z is N outputs": (lambda: Dataset(X_3, Z_3[:, None]).z, lambda: Z_3),
+    "predict_gp: 1-D query of length D at D = 4 is one point": (
+        lambda: _gp_4d(QUERIES_4D[0]), lambda: _gp_4d(QUERIES_4D[:1])),
+    "predict_gp: 1-D query of length 3 D at D = 4 is three points": (
+        lambda: _gp_4d(QUERIES_4D.ravel()), lambda: _gp_4d(QUERIES_4D)),
+    "predict_mf: 1-D query of length D at D = 4 is one point": (
+        lambda: _mf_4d(QUERIES_4D[0]), lambda: _mf_4d(QUERIES_4D[:1])),
+    "predict_mf: 1-D query of length 3 D at D = 4 is three points": (
+        lambda: _mf_4d(QUERIES_4D.ravel()), lambda: _mf_4d(QUERIES_4D)),
+}
+
+
+@pytest.mark.parametrize("reading", sorted(VALID_READINGS))
+def test_valid_array_readings(reading):
+    read, canonical = VALID_READINGS[reading]
+    assert np.array_equal(read(), canonical())

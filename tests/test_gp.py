@@ -169,6 +169,17 @@ class TestDataset:
         with pytest.raises(DimensionMismatch, match="N x D"):
             Dataset(rng.random((8, 2, 2)), rng.random(8))
 
+    def test_rejects_outputs_that_are_a_matrix(self):
+        # (N,) and (N, 1) outputs are N values; a (2, 2) array is not flattened.
+        with pytest.raises(DimensionMismatch, match="training outputs"):
+            Dataset(np.zeros((4, 1)), np.zeros((2, 2)))
+
+
+def test_basis_function_of_the_wrong_length_is_refused(rng):
+    data = Dataset(rng.random((12, 2)), rng.random(12))
+    with pytest.raises(DimensionMismatch, match="12 values"):
+        fit_gp(data, BasisSpec((lambda x: np.ones(3),)), MultiStartConfig(n_starts=1))
+
 
 @pytest.mark.parametrize("beta", [[np.nan], [0.0, np.inf], [-np.inf]])
 def test_gp_hyper_rejects_non_finite_beta(beta):

@@ -24,6 +24,7 @@ from mfkrig.gp import (
     predict_gp,
 )
 from mfkrig.exceptions import (
+    DimensionMismatch,
     DomainViolation,
     InvalidConfig,
     NotPositiveDefinite,
@@ -531,6 +532,14 @@ def test_hf_params_reject_bad_values(field, value):
                   theta_h=LengthScales(np.array([0.5])), eta_h=0.1)
     with pytest.raises(InvalidConfig, match=field):
         HfParams(**{**kwargs, field: value})
+
+
+@pytest.mark.parametrize("field", ["beta_rho", "beta_h"])
+def test_hf_params_refuse_a_matrix_of_coefficients(field):
+    kwargs = dict(beta_rho=[1.0], beta_h=[0.0], sigma2_h=1.0,
+                  theta_h=LengthScales(np.array([0.5])), eta_h=0.1)
+    with pytest.raises(DimensionMismatch, match=field):
+        HfParams(**{**kwargs, field: np.ones((2, 2))})
 
 
 class TestEmConfig:

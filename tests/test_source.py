@@ -381,3 +381,28 @@ def test_one_lbfgsb_core_driver():
     back to `scipy.optimize.minimize` when it differs."""
     users = [p.name for p in CALLERS if text_mentions(p.read_text(), PRIVATE_LBFGSB)]
     assert users == ["optimize.py"]
+
+
+# Shape rules for array inputs: making a vector of a number, or reading a 1-D
+# array as points.
+SHAPE_RULE = re.compile(r"atleast_1d|\.reshape\(-1,|\.reshape\(1, -1\)")
+
+
+def test_detector_finds_a_shape_rule():
+    source = (
+        "import numpy as np\n"
+        "def read(x, beta):\n"
+        "    '''Points as rows: x.reshape(1, -1) for one point.'''\n"
+        "    x = x.reshape(-1, 2) if x.ndim == 1 else x\n"
+        "    grid = np.linspace(0, 1, 5)[:, None]\n"
+        "    return x, np.atleast_1d(beta), grid.reshape(-1), x.reshape(x.shape[1], -1)\n"
+    )
+    assert text_mentions(source, SHAPE_RULE) == ["line 3", "line 4", "line 6"]
+
+
+def test_one_array_reader_module():
+    """Only `optimize`, home of `as_points` and `as_vector`, decides what a number
+    or a 1-D array means as points or as a vector, so every public boundary reads
+    array inputs by the same rule and refuses the same shapes."""
+    users = [p.name for p in sorted(SRC.glob("*.py")) if text_mentions(p.read_text(), SHAPE_RULE)]
+    assert users == ["optimize.py"]
