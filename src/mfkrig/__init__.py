@@ -11,7 +11,7 @@ from .gp import (
     predict_gp,
 )
 from .kernels import KernelParams, LengthScales
-from .metrics import CalibrationReport, coverage_report, gauss_quantile, q2
+from .metrics import CalibrationReport, coverage_report, q2
 from .mfgp import EmConfig, HfParams, MfData, MfModel, fit_mf, predict_mf
 from .optimize import BoxBounds, MultiStartConfig
 
@@ -34,7 +34,6 @@ __all__ = [
     "coverage_report",
     "fit_gp",
     "fit_mf",
-    "gauss_quantile",
     "predict_gp",
     "predict_mf",
     "q2",

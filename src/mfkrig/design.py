@@ -14,6 +14,7 @@ from .optimize import as_points
 
 LF = "lf"
 HF = "hf"
+MAXIMIN_RESTARTS = 100
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,12 @@ def lhs(n: int, d: int, seed: int) -> Design:
     return Design(points=points)
 
 
-def maximin_lhs(n: int, d: int, restarts: int = 100, seed: int = 0) -> Design:
-    """Best of `restarts` LHS candidates by the maximin (min pairwise distance)
-    criterion; ties broken by first occurrence."""
+def maximin_lhs(n: int, d: int, seed: int = 0) -> Design:
+    """Best of MAXIMIN_RESTARTS LHS candidates by the maximin (min pairwise
+    distance) criterion; ties broken by first occurrence."""
     if n < 2:
         raise InvalidConfig(f"maximin needs at least 2 points, got {n}")
-    if restarts < 1:
-        raise InvalidConfig(f"restarts must be at least 1, got {restarts}")
-    sub_seeds = np.random.SeedSequence(seed).generate_state(restarts)
+    sub_seeds = np.random.SeedSequence(seed).generate_state(MAXIMIN_RESTARTS)
     best: Design | None = None
     best_dist = -np.inf
     for s in sub_seeds:

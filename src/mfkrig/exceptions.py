@@ -41,10 +41,6 @@ class ConstantTruth(MfkrigError):
     """The test-set ground truth is constant, so the predictivity score is undefined."""
 
 
-class EmptyGrid(MfkrigError):
-    """An interval-level grid is empty or not strictly increasing in (0, 1)."""
-
-
 class ParseError(MfkrigError):
     """A CSV or JSON input could not be parsed."""
 

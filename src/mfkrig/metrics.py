@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .exceptions import ConstantTruth, DimensionMismatch, DomainViolation, EmptyGrid
-from .optimize import as_vector
+from .exceptions import ConstantTruth, DimensionMismatch, DomainViolation, InvalidConfig
+from .optimize import as_vector, is_finite_real
 
 DEFAULT_ALPHA_GRID = np.round(np.arange(1, 100) / 100.0, 2)
 
@@ -32,24 +32,28 @@ class CalibrationReport:
         return float(getattr(self, which)[idx])
 
 
+def _samples(**vectors) -> list[np.ndarray]:
+    """The named arrays as 1-D float vectors of one length, at least 2, with only
+    finite entries: DimensionMismatch for the lengths, DomainViolation naming the
+    first argument with a non-finite entry."""
+    out = [as_vector(name, values) for name, values in vectors.items()]
+    if len({v.size for v in out}) > 1 or out[0].size < 2:
+        names = ", ".join(vectors)
+        raise DimensionMismatch(f"{names} must be same-length vectors of at least 2 entries")
+    for name, v in zip(vectors, out):
+        if not np.isfinite(v).all():
+            raise DomainViolation(f"{name} must be finite")
+    return out
+
+
 def q2(y_true: np.ndarray, mean_pred: np.ndarray) -> float:
     """Predictivity coefficient: 1 - SSE / SST about the test-set mean."""
-    y_true = as_vector("y_true", y_true)
-    mean_pred = as_vector("mean_pred", mean_pred)
-    if y_true.shape != mean_pred.shape or y_true.size < 2:
-        raise DimensionMismatch("need two same-length vectors of at least 2 entries")
+    y_true, mean_pred = _samples(y_true=y_true, mean_pred=mean_pred)
     sst = float(np.sum((y_true - y_true.mean()) ** 2))
     if sst == 0.0:
         raise ConstantTruth("ground truth is constant; predictivity undefined")
     sse = float(np.sum((y_true - mean_pred) ** 2))
     return 1.0 - sse / sst
-
-
-def gauss_quantile(p: float) -> float:
-    """Inverse standard-normal CDF."""
-    if not 0.0 < p < 1.0:
-        raise DomainViolation("probability must lie strictly inside (0, 1)")
-    return float(ndtri(p))
 
 
 def coverage_report(
@@ -58,31 +62,27 @@ def coverage_report(
     mean_pred: np.ndarray,
     latent_sd: np.ndarray,
     noise_variance_hat: float,
-    alpha_grid: np.ndarray | None = None,
 ) -> CalibrationReport:
-    """Coverage, width, and IAE metrics over a grid of interval levels.
+    """Coverage, width, and IAE metrics over the levels of DEFAULT_ALPHA_GRID.
 
     Confidence intervals use the latent predictive sd; prediction intervals
     widen it by the model's noise-variance estimate, while `z_noisy` holds one
     fresh noisy draw per test point generated with the true noise variance.
     Interval membership is closed (boundaries count as covered).
     """
-    alpha = DEFAULT_ALPHA_GRID if alpha_grid is None else as_vector("alpha_grid", alpha_grid)
-    if alpha.size == 0 or np.any(alpha <= 0) or np.any(alpha >= 1):
-        raise EmptyGrid("alpha grid must be non-empty with levels in (0, 1)")
-    if alpha.size > 1 and np.any(np.diff(alpha) <= 0):
-        raise EmptyGrid("alpha grid must be strictly increasing")
-    y_true = as_vector("y_true", y_true)
-    z_noisy = as_vector("z_noisy", z_noisy)
-    mean_pred = as_vector("mean_pred", mean_pred)
-    latent_sd = as_vector("latent_sd", latent_sd)
-    if not y_true.size == z_noisy.size == mean_pred.size == latent_sd.size:
-        raise DimensionMismatch("y_true, z_noisy, mean_pred and latent_sd differ in length")
+    y_true, z_noisy, mean_pred, latent_sd = _samples(
+        y_true=y_true, z_noisy=z_noisy, mean_pred=mean_pred, latent_sd=latent_sd
+    )
     if np.any(latent_sd < 0):
         raise DomainViolation("latent sd must be non-negative")
+    if not is_finite_real(noise_variance_hat):
+        raise InvalidConfig(
+            f"noise variance estimate must be a finite number, got {noise_variance_hat!r}"
+        )
     if noise_variance_hat < 0:
         raise DomainViolation("noise variance estimate must be non-negative")
 
+    alpha = DEFAULT_ALPHA_GRID
     phi = ndtri((1.0 + alpha) / 2.0)  # (K,)
     pi_sd = np.sqrt(latent_sd**2 + noise_variance_hat)
     ci_err = np.abs(y_true - mean_pred)
@@ -94,20 +94,13 @@ def coverage_report(
     ciw = 2.0 * phi * float(np.mean(latent_sd))
     piw = 2.0 * phi * float(np.mean(pi_sd))
 
-    if alpha.size > 1:
-        iae_ci = float(np.trapezoid(np.abs(cicp - alpha), alpha))
-        iae_pi = float(np.trapezoid(np.abs(picp - alpha), alpha))
-    else:
-        iae_ci = float(np.abs(cicp - alpha)[0])
-        iae_pi = float(np.abs(picp - alpha)[0])
-
     return CalibrationReport(
         alpha_grid=alpha,
         cicp=cicp,
         picp=picp,
         ciw=ciw,
         piw=piw,
-        iae_ci=iae_ci,
-        iae_pi=iae_pi,
+        iae_ci=float(np.trapezoid(np.abs(cicp - alpha), alpha)),
+        iae_pi=float(np.trapezoid(np.abs(picp - alpha), alpha)),
         q2=q2(y_true, mean_pred),
     )

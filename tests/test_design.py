@@ -31,27 +31,21 @@ class TestLhs:
 
 
 class TestMaximinLhs:
-    def test_single_restart_is_plain_lhs(self):
-        seed = 5
-        sub = int(np.random.SeedSequence(seed).generate_state(1)[0])
-        a = design.maximin_lhs(10, 2, restarts=1, seed=seed)
-        b = design.lhs(10, 2, seed=sub)
-        assert np.array_equal(a.points, b.points)
-
     def test_two_points_opposite_strata(self):
-        d = design.maximin_lhs(2, 1, restarts=50, seed=1)
+        d = design.maximin_lhs(2, 1, seed=1)
         assert pdist(d.points).min() >= 0.5
 
     def test_beats_every_candidate(self):
-        seed, restarts = 9, 20
-        best = design.maximin_lhs(12, 3, restarts=restarts, seed=seed)
-        best_dist = pdist(best.points).min()
-        for s in np.random.SeedSequence(seed).generate_state(restarts):
-            cand = design.lhs(12, 3, int(s))
-            assert best_dist >= pdist(cand.points).min()
+        seed = 9
+        best = design.maximin_lhs(12, 3, seed=seed)
+        dists = [
+            pdist(design.lhs(12, 3, int(s)).points).min()
+            for s in np.random.SeedSequence(seed).generate_state(design.MAXIMIN_RESTARTS)
+        ]
+        assert pdist(best.points).min() == max(dists)
 
     def test_stratification_preserved(self):
-        d = design.maximin_lhs(15, 2, restarts=10, seed=2)
+        d = design.maximin_lhs(15, 2, seed=2)
         for j in range(2):
             strata = np.floor(d.points[:, j] * 15).astype(int)
             assert sorted(strata) == list(range(15))
@@ -126,11 +120,10 @@ class TestAddNoise:
         lambda: design.lhs(0, 2, seed=0),
         lambda: design.lhs(3, 0, seed=0),
         lambda: design.maximin_lhs(1, 2),
-        lambda: design.maximin_lhs(5, 2, restarts=0),
         lambda: design.get_pair("branin"),
         lambda: design.eval_testfn(design.ANALYTIC_1D, "mf", np.zeros((2, 1))),
     ],
-    ids=["lhs-n", "lhs-d", "maximin-n", "maximin-restarts", "pair", "level"],
+    ids=["lhs-n", "lhs-d", "maximin-n", "pair", "level"],
 )
 def test_bad_arguments_raise_invalid_config(call):
     with pytest.raises(InvalidConfig):

@@ -1,14 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.special import ndtri
 
-from mfkrig.exceptions import ConstantTruth, DimensionMismatch, DomainViolation, EmptyGrid
-from mfkrig.metrics import (
-    DEFAULT_ALPHA_GRID,
-    coverage_report,
-    gauss_quantile,
-    q2,
-)
+from mfkrig.exceptions import ConstantTruth, DimensionMismatch, DomainViolation, InvalidConfig
+from mfkrig.metrics import DEFAULT_ALPHA_GRID, coverage_report, q2
 
 
 class TestQ2:
@@ -44,26 +42,6 @@ class TestQ2:
         assert q2(y, m) <= 1.0
 
 
-class TestGaussQuantile:
-    def test_median(self):
-        assert gauss_quantile(0.5) == 0.0
-
-    def test_standard_table_value(self):
-        assert np.isclose(gauss_quantile(0.975), 1.959964, atol=1e-6)
-
-    def test_round_trip(self):
-        for p in np.linspace(0.001, 0.999, 200):
-            assert abs(norm.cdf(gauss_quantile(p)) - p) < 1e-9
-
-    def test_symmetry(self):
-        assert np.isclose(gauss_quantile(0.3), -gauss_quantile(0.7), atol=1e-12)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
-    def test_domain_violation(self, p):
-        with pytest.raises(DomainViolation):
-            gauss_quantile(p)
-
-
 class TestCoverageReport:
     def test_huge_sd_full_coverage(self, rng):
         n = 200
@@ -95,9 +73,8 @@ class TestCoverageReport:
         y = np.concatenate([np.zeros(n // 2), np.full(n // 2, 100.0)])
         m = np.zeros(n)
         s = np.ones(n)
-        rep = coverage_report(y, y, m, s, 0.0, alpha_grid=np.array([0.5]))
-        assert rep.cicp[0] == 0.5
-        assert rep.iae_ci == 0.0
+        rep = coverage_report(y, y, m, s, 0.0)
+        assert rep.at_level(0.5, "cicp") == 0.5
 
     def test_coverage_monotone_in_alpha(self, rng):
         n = 500
@@ -113,20 +90,18 @@ class TestCoverageReport:
         n = 10
         s = np.full(n, 2.0)
         y = np.arange(float(n))
-        rep = coverage_report(y, y, y, s, 5.0, alpha_grid=np.array([0.95]))
-        phi = gauss_quantile(0.975)
-        assert np.isclose(rep.ciw[0], 2 * phi * 2.0, atol=1e-12)
-        assert np.isclose(rep.piw[0], 2 * phi * 3.0, atol=1e-12)
+        rep = coverage_report(y, y, y, s, 5.0)
+        phi = ndtri(0.975)
+        assert np.isclose(rep.at_level(0.95, "ciw"), 2 * phi * 2.0, atol=1e-12)
+        assert np.isclose(rep.at_level(0.95, "piw"), 2 * phi * 3.0, atol=1e-12)
         assert np.all(rep.piw >= rep.ciw)
 
     def test_closed_interval_boundary_counts(self):
         # |y - m| exactly equals phi * s: the point must count as covered.
-        phi = gauss_quantile((1 + 0.5) / 2)
+        phi = ndtri((1 + 0.5) / 2)
         y = np.array([phi, -phi])
-        rep = coverage_report(
-            y, y, np.zeros(2), np.ones(2), 0.0, alpha_grid=np.array([0.5])
-        )
-        assert rep.cicp[0] == 1.0
+        rep = coverage_report(y, y, np.zeros(2), np.ones(2), 0.0)
+        assert rep.at_level(0.5, "cicp") == 1.0
 
     def test_default_grid(self):
         assert len(DEFAULT_ALPHA_GRID) == 99
@@ -156,11 +131,41 @@ class TestCoverageReport:
         with pytest.raises(DomainViolation, match="non-negative"):
             coverage_report(y, y, y, np.full(4, sd), noise)
 
-    def test_bad_grids(self):
-        y = np.zeros(3) + np.array([0.0, 1.0, 2.0])
-        with pytest.raises(EmptyGrid):
-            coverage_report(y, y, y, np.ones(3), 0.0, alpha_grid=np.array([]))
-        with pytest.raises(EmptyGrid):
-            coverage_report(y, y, y, np.ones(3), 0.0, alpha_grid=np.array([0.2, 0.2]))
-        with pytest.raises(EmptyGrid):
-            coverage_report(y, y, y, np.ones(3), 0.0, alpha_grid=np.array([0.0, 0.5]))
+
+Y4 = np.arange(4.0)
+# Malformed input -> (a call that reads it, the typed error it must end in, a word
+# the message must hold: the argument at fault).
+BAD_INPUTS = {
+    "q2 empty": (lambda: q2([], []), DimensionMismatch, "y_true"),
+    "q2 length 1": (lambda: q2([1.0], [1.0]), DimensionMismatch, "y_true"),
+    "q2 nan truth": (lambda: q2([0.0, 1.0, math.nan], [0.0, 1.0, 2.0]), DomainViolation,
+                     "y_true"),
+    "q2 inf prediction": (lambda: q2(Y4, [0.0, 1.0, math.inf, 3.0]), DomainViolation,
+                          "mean_pred"),
+    "report empty": (lambda: coverage_report([], [], [], [], 0.0), DimensionMismatch,
+                     "latent_sd"),
+    "report length 1": (lambda: coverage_report([1.0], [1.0], [1.0], [1.0], 0.0),
+                        DimensionMismatch, "latent_sd"),
+    "report nan truth": (lambda: coverage_report([math.nan, 1.0, 2.0, 3.0], Y4, Y4,
+                                                 np.ones(4), 0.0), DomainViolation, "y_true"),
+    "report -inf draw": (lambda: coverage_report(Y4, [0.0, -math.inf, 2.0, 3.0], Y4,
+                                                 np.ones(4), 0.0), DomainViolation, "z_noisy"),
+    "report nan prediction": (lambda: coverage_report(Y4, Y4, [0.0, math.nan, 2.0, 3.0],
+                                                      np.ones(4), 0.0), DomainViolation,
+                              "mean_pred"),
+    "report inf sd": (lambda: coverage_report(Y4, Y4, Y4, [1.0, 1.0, math.inf, 1.0], 0.0),
+                      DomainViolation, "latent_sd"),
+    "report string noise variance": (lambda: coverage_report(Y4, Y4, Y4, np.ones(4), "a"),
+                                     InvalidConfig, "noise variance"),
+    "report nan noise variance": (lambda: coverage_report(Y4, Y4, Y4, np.ones(4), math.nan),
+                                  InvalidConfig, "noise variance"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_raise_typed_errors_before_any_warning(case):
+    call, error, word = BAD_INPUTS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=word):
+            call()

@@ -48,15 +48,30 @@ def test_no_unused_module_imports(path):
     assert unused_module_imports(path.read_text()) == []
 
 
+def without_exports(source: str) -> str:
+    """`source` with its import statements and `__all__` assignments blanked out."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            for i in range(node.lineno - 1, node.end_lineno):
+                lines[i] = ""
+    return "\n".join(lines)
+
+
 def unreferenced_defs(source: str, others: str) -> list[str]:
     """Functions and methods defined in `source` whose name, as a whole word, appears
     neither in `source` outside their own `def` line nor in `others`.
 
-    A plain word search: a call, an import, a mention in a docstring and a string
-    in `__all__` all count. Dunders and click commands and groups (decorated with
-    `<name>.command(...)` or `<name>.group(...)`) are exempt.
+    A plain word search: a call and a mention in a docstring count, but an import
+    or a string in `__all__` does not, so a function only re-exported by the
+    package's `__init__` has no caller. Dunders and click commands and groups
+    (decorated with `<name>.command(...)` or `<name>.group(...)`) are exempt.
     """
-    lines = source.splitlines()
+    lines = without_exports(source).splitlines()
+    others = without_exports(others)
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -82,7 +97,6 @@ def test_detector_finds_an_unreferenced_def():
         "import click\n"
         "def used(): pass\n"
         "def unused(): pass\n"
-        "def exported(): pass\n"
         "class A:\n"
         "    def __init__(self): pass\n"
         "    def method(self): return used()\n"
@@ -90,9 +104,24 @@ def test_detector_finds_an_unreferenced_def():
         "def main(): pass\n"
         "@main.command('run')\n"
         "def run_cmd(): pass\n"
-        "__all__ = ['exported']\n"
     )
     assert unreferenced_defs(source, "A().method()") == ["unused (line 3)"]
+
+
+def test_detector_finds_a_def_that_is_only_re_exported():
+    source = "def exported(): pass\ndef called(): pass\n"
+    package_init = (
+        "from .m import (\n"
+        "    called,\n"
+        "    exported,\n"
+        ")\n"
+        "__all__ = [\n"
+        "    'called',\n"
+        "    'exported',\n"
+        "]\n"
+    )
+    others = package_init + "from mfkrig import called\ncalled()\n"
+    assert unreferenced_defs(source, others) == ["exported (line 1)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
