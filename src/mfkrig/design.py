@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .exceptions import DimensionMismatch, DomainViolation, InvalidConfig
-from .optimize import as_points
+from .optimize import as_points, check_count, check_positive
 
 LF = "lf"
 HF = "hf"
@@ -36,8 +36,9 @@ class TestFunctionPair:
 
 def lhs(n: int, d: int, seed: int) -> Design:
     """Latin hypercube sample: one point per stratum [k/n, (k+1)/n) per dimension."""
-    if n < 1 or d < 1:
-        raise InvalidConfig(f"n and d must be at least 1, got n={n}, d={d}")
+    check_count("n", n)
+    check_count("d", d)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     points = np.empty((n, d))
     for j in range(d):
@@ -49,8 +50,8 @@ def lhs(n: int, d: int, seed: int) -> Design:
 def maximin_lhs(n: int, d: int, seed: int = 0) -> Design:
     """Best of MAXIMIN_RESTARTS LHS candidates by the maximin (min pairwise
     distance) criterion; ties broken by first occurrence."""
-    if n < 2:
-        raise InvalidConfig(f"maximin needs at least 2 points, got {n}")
+    check_count("n", n, 2)
+    check_count("seed", seed, 0)
     sub_seeds = np.random.SeedSequence(seed).generate_state(MAXIMIN_RESTARTS)
     best: Design | None = None
     best_dist = -np.inf
@@ -143,8 +144,8 @@ def eval_testfn(pair: TestFunctionPair, level: str, x: np.ndarray) -> np.ndarray
 
 def add_noise(y: np.ndarray, noise_variance: float, seed: int) -> np.ndarray:
     """y plus i.i.d. N(0, noise_variance) noise; a zero variance returns y unchanged."""
-    if noise_variance < 0:
-        raise InvalidConfig(f"noise_variance must be non-negative, got {noise_variance}")
+    check_positive("noise_variance", noise_variance, zero_ok=True)
+    check_count("seed", seed, 0)
     y = np.asarray(y, dtype=float)
     if noise_variance == 0.0:
         return y.copy()

@@ -21,12 +21,8 @@ class SingularNormalEquations(MfkrigError):
     """The normal equations of a generalized least-squares step are singular."""
 
 
-class ObjectiveNonFinite(MfkrigError):
-    """The objective returned NaN/Inf at a feasible point."""
-
-
 class AllStartsFailed(MfkrigError):
-    """Every multi-start optimization attempt raised ObjectiveNonFinite."""
+    """The objective is not finite at any start point of a multi-start search."""
 
 
 class NonMonotoneEM(MfkrigError):

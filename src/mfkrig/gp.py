@@ -24,7 +24,6 @@ from .exceptions import (
     DimensionMismatch,
     DomainViolation,
     InvalidConfig,
-    ObjectiveNonFinite,
     RankDeficientBasis,
     SingularNormalEquations,
 )
@@ -318,20 +317,11 @@ def log_space_search(
     starts.extend(rng.uniform(log_bounds.lower, log_bounds.upper, size=(n_random, log_bounds.ndim)))
 
     seen: dict[bytes, tuple[float, np.ndarray]] = {}
-    log: list[optimize.StartResult] = []
-    for start in starts:
-        try:
-            x, value, converged = optimize.minimize_box(
-                in_log_space, log_bounds, start, config, seen
-            )
-        except ObjectiveNonFinite:
-            log.append(optimize.StartResult(start, start, math.inf, False, failed=True))
-        else:
-            log.append(optimize.StartResult(start, x, value, converged))
-    finished = [entry for entry in log if not entry.failed]
-    if not finished:
-        raise AllStartsFailed("every start point raised ObjectiveNonFinite")
-    best = min(finished, key=lambda entry: entry.value)  # the first of equal values
+    log = [optimize.StartResult(start, *optimize.minimize_box(in_log_space, log_bounds, start,
+                                                              config, seen)) for start in starts]
+    best = min(log, key=lambda entry: entry.value)  # the first of equal values
+    if best.failed:
+        raise AllStartsFailed("the objective is not finite at any start point")
     return (*hyper(np.exp(best.x)), best.value, log)
 
 

@@ -12,6 +12,7 @@ from .exceptions import ConstantTruth, DimensionMismatch, DomainViolation, Inval
 from .optimize import as_vector, is_finite_real
 
 DEFAULT_ALPHA_GRID = np.round(np.arange(1, 100) / 100.0, 2)
+_LEVEL_TABLES = ("cicp", "picp", "ciw", "piw")
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,11 @@ class CalibrationReport:
     q2: float
 
     def at_level(self, alpha: float, which: str = "cicp") -> float:
+        """The `which` table, cicp, picp, ciw or piw, at the grid level `alpha`."""
+        if not (isinstance(which, str) and which in _LEVEL_TABLES):
+            raise InvalidConfig(f"which must be one of {', '.join(_LEVEL_TABLES)}, got {which!r}")
+        if not is_finite_real(alpha):
+            raise InvalidConfig(f"level must be a finite number, got {alpha!r}")
         idx = int(np.argmin(np.abs(self.alpha_grid - alpha)))
         if abs(self.alpha_grid[idx] - alpha) > 1e-9:
             raise DomainViolation(f"level {alpha} not on the grid")

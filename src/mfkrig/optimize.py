@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import Bounds
 from scipy.optimize import minimize as _scipy_minimize
 
-from .exceptions import DimensionMismatch, InvalidConfig, ObjectiveNonFinite
+from .exceptions import DimensionMismatch, InvalidConfig
 
 try:
     from scipy.optimize import _lbfgsb
@@ -168,7 +168,7 @@ class StartResult:
     x: np.ndarray
     value: float
     converged: bool
-    failed: bool = False
+    failed: bool
 
 
 def minimize_box(
@@ -177,15 +177,15 @@ def minimize_box(
     start: np.ndarray,
     config: MultiStartConfig,
     seen: dict[bytes, tuple[float, np.ndarray]],
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[np.ndarray, float, bool, bool]:
     """Minimize a smooth objective over a box from a feasible start, with
     config.max_iterations and config.gradient_tolerance.
 
-    Returns (argmin, value, converged). The returned value never exceeds the
-    value at the start point. A start that met a non-finite value and ends at its
-    start point is converged only if its projected gradient there is within the
-    tolerance. Raises ObjectiveNonFinite when the objective is not finite at the
-    start itself, which L-BFGS-B evaluates first.
+    Returns (argmin, value, converged, failed). A start whose objective is not
+    finite at the start point fails: (start, inf, False, True), and L-BFGS-B does
+    not run. Otherwise the value never exceeds the start's, and a start that met a
+    non-finite value and ends at its start point is converged only if its
+    projected gradient there is within the tolerance.
 
     `seen` is the memo of one search: the objective's (value, gradient) at every
     point it was evaluated at, keyed by the bits of x, a non-finite value kept as
@@ -194,15 +194,12 @@ def minimize_box(
     point reaches the objective once per search; a lone start passes {}.
     """
     start = bounds.clip(np.asarray(start, dtype=float))
-    best_x, best_f = None, math.inf
-    retreated = False
 
     # L-BFGS-B asks for the value and the gradient at each point, and the line
     # search asks again for points it already holds. The objective is a pure
     # function of x, so a hit returns what recomputing would; it still counts
     # toward this start's best point.
-    def evaluate(x):
-        nonlocal best_x, best_f, retreated
+    def lookup(x):
         key = x.tobytes()
         if key not in seen:
             f, grad = objective(x)
@@ -213,10 +210,17 @@ def minimize_box(
             grad = np.array(grad, dtype=float)
             grad.flags.writeable = False
             seen[key] = f, grad
-        f, grad = seen[key]
+        return seen[key]
+
+    best_f, start_grad = lookup(start)
+    if not math.isfinite(best_f):
+        return start, math.inf, False, True
+    best_x, retreated = start, False
+
+    def evaluate(x):
+        nonlocal best_x, best_f, retreated
+        f, grad = lookup(x)
         if not math.isfinite(f):
-            if best_x is None:
-                raise ObjectiveNonFinite("objective is not finite at the start point")
             retreated = True
             return _BIG, grad
         if f < best_f:
@@ -241,15 +245,15 @@ def minimize_box(
     else:
         x, f, success = _run_setulb(evaluate, bounds, start, config)
     x, f = bounds.clip(x), float(f)
-    if best_x is not None and best_f < f:
+    if best_f < f:
         x, f = bounds.clip(best_x), best_f
-    converged = bool(success) and np.isfinite(f)
+    converged = bool(success)
     if retreated and np.array_equal(x, start):
         # L-BFGS-B may report success at the start after a non-finite trial point
         # sent it back there; converged then needs its own test at the start.
-        projected = bounds.clip(start - seen[start.tobytes()][1]) - start
+        projected = bounds.clip(start - start_grad) - start
         converged = converged and float(np.max(np.abs(projected))) <= config.gradient_tolerance
-    return x, f, converged
+    return x, f, converged, False
 
 
 def _run_setulb(

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -122,9 +125,23 @@ class TestAddNoise:
         lambda: design.maximin_lhs(1, 2),
         lambda: design.get_pair("branin"),
         lambda: design.eval_testfn(design.ANALYTIC_1D, "mf", np.zeros((2, 1))),
+        lambda: design.lhs(True, 2, seed=0),
+        lambda: design.lhs(3, 2, seed=1.5),
+        lambda: design.lhs(3, 2, seed=-1),
+        lambda: design.maximin_lhs(5.5, 2),
+        lambda: design.maximin_lhs(5, 2, seed=-1),
+        lambda: design.add_noise([1, 2], 1.0, -3),
+        lambda: design.add_noise([1, 2], "a", 0),
+        lambda: design.add_noise([1, 2], math.nan, 0),
+        lambda: design.add_noise([1, 2], math.inf, 0),
     ],
-    ids=["lhs-n", "lhs-d", "maximin-n", "pair", "level"],
+    ids=["lhs-n", "lhs-d", "maximin-n", "pair", "level", "lhs-bool-n", "lhs-fractional-seed",
+         "lhs-negative-seed", "maximin-fractional-n", "maximin-negative-seed",
+         "noise-negative-seed", "noise-string-variance", "noise-nan-variance",
+         "noise-inf-variance"],
 )
 def test_bad_arguments_raise_invalid_config(call):
-    with pytest.raises(InvalidConfig):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfig):
+            call()

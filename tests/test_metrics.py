@@ -133,6 +133,11 @@ class TestCoverageReport:
 
 
 Y4 = np.arange(4.0)
+
+
+def _report():
+    return coverage_report(Y4, Y4, Y4, np.ones(4), 0.0)
+
 # Malformed input -> (a call that reads it, the typed error it must end in, a word
 # the message must hold: the argument at fault).
 BAD_INPUTS = {
@@ -159,6 +164,12 @@ BAD_INPUTS = {
                                      InvalidConfig, "noise variance"),
     "report nan noise variance": (lambda: coverage_report(Y4, Y4, Y4, np.ones(4), math.nan),
                                   InvalidConfig, "noise variance"),
+    "level of an unknown table": (lambda: _report().at_level(0.9, "cicp_90"), InvalidConfig,
+                                  "cicp, picp, ciw, piw"),
+    "level string": (lambda: _report().at_level("a"), InvalidConfig, "level"),
+    "level of an array of names": (lambda: _report().at_level(0.9, np.array(["cicp"])),
+                                   InvalidConfig, "cicp, picp, ciw, piw"),
+    "level nan": (lambda: _report().at_level(math.nan, "piw"), InvalidConfig, "level"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 
 from mfkrig import design, gp, mfgp, optimize
-from mfkrig.exceptions import AllStartsFailed, InvalidConfig, ObjectiveNonFinite
+from mfkrig.exceptions import AllStartsFailed, InvalidConfig
 from mfkrig.gp import Dataset, fit_gp, log_space_search
 from mfkrig.kernels import KernelWorkspace
 from mfkrig.optimize import BoxBounds, MultiStartConfig, minimize_box
@@ -78,13 +78,13 @@ class TestMinimizeBox:
     def test_quadratic_bowl(self):
         bounds = BoxBounds(np.full(3, -5.0), np.full(3, 5.0))
         c = np.array([0.3, -1.2, 2.0])
-        x, f, conv = minimize_box(quadratic(c), bounds, np.zeros(3), CONFIG, {})
-        assert conv
+        x, f, conv, failed = minimize_box(quadratic(c), bounds, np.zeros(3), CONFIG, {})
+        assert conv and not failed
         assert np.allclose(x, c, atol=1e-6)
 
     def test_active_lower_bound(self):
         bounds = BoxBounds(np.ones(4), np.full(4, 2.0))
-        x, f, conv = minimize_box(quadratic(np.zeros(4)), bounds, np.full(4, 1.5), CONFIG, {})
+        x, _, _, _ = minimize_box(quadratic(np.zeros(4)), bounds, np.full(4, 1.5), CONFIG, {})
         assert np.allclose(x, np.ones(4), atol=1e-8)
 
     def test_rosenbrock(self):
@@ -97,10 +97,10 @@ class TestMinimizeBox:
             return float(val), grad
 
         bounds = BoxBounds(np.full(2, -2.0), np.full(2, 2.0))
-        x, f, conv = minimize_box(
+        _, f, _, failed = minimize_box(
             rosen, bounds, np.array([-1.2, 1.0]), MultiStartConfig(max_iterations=500), {}
         )
-        assert f < 1e-8
+        assert f < 1e-8 and not failed
 
     def test_value_never_exceeds_start(self, monkeypatch):
         bounds = BoxBounds(np.array([-1.0]), np.array([1.0]))
@@ -112,19 +112,46 @@ class TestMinimizeBox:
                              max_iterations=1)
         for core in each_core(monkeypatch):
             got = []
-            x, f, conv = minimize_box(recorded(quadratic(np.zeros(1)), got), bounds, start,
-                                      config, {})
-            assert f <= f0, core
+            x, f, conv, failed = minimize_box(recorded(quadratic(np.zeros(1)), got), bounds,
+                                              start, config, {})
+            assert f <= f0 and not failed, core
             assert got == first_occurrences(want), core
             assert (x.tobytes(), f, conv) == (res.x.tobytes(), res.fun, res.success), core
 
-    def test_nonfinite_at_start(self):
+    def test_nonfinite_at_start(self, monkeypatch):
+        # A start whose objective is not finite at the (clipped) start point fails
+        # there, after one objective call and without running L-BFGS-B.
         def bad(x):
             return np.nan, np.zeros_like(x)
 
+        ran = []
+        monkeypatch.setattr(optimize, "_scipy_minimize", lambda *a, **k: ran.append("minimize"))
+        if optimize._setulb is not None:
+            monkeypatch.setattr(optimize, "_setulb", lambda *a: ran.append("setulb"))
         bounds = BoxBounds(np.array([0.0]), np.array([1.0]))
-        with pytest.raises(ObjectiveNonFinite):
-            minimize_box(bad, bounds, np.array([0.5]), CONFIG, {})
+        for core in each_core(monkeypatch):
+            calls = []
+            x, f, conv, failed = minimize_box(recorded(bad, calls), bounds, np.array([1.5]),
+                                              CONFIG, {})
+            assert (x.tolist(), f, conv, failed) == ([1.0], math.inf, False, True), core
+            assert calls == [np.array([1.0]).tobytes()], core
+        assert ran == []
+
+    def test_nonfinite_start_in_the_memo(self, monkeypatch):
+        # A start at a point the search's memo holds as non-finite fails the same
+        # way, without calling the objective again.
+        def bad(x):
+            return np.inf, np.zeros_like(x)
+
+        bounds = BoxBounds(np.array([0.0]), np.array([1.0]))
+        start = np.array([0.5])
+        for core in each_core(monkeypatch):
+            calls, seen = [], {}
+            first = minimize_box(recorded(bad, calls), bounds, start, CONFIG, seen)
+            again = minimize_box(recorded(bad, calls), bounds, start, CONFIG, seen)
+            for x, f, conv, failed in (first, again):
+                assert (x.tolist(), f, conv, failed) == ([0.5], math.inf, False, True), core
+            assert calls == [start.tobytes()] and list(seen) == [start.tobytes()], core
 
     def test_start_evaluated_once(self):
         calls = []
@@ -154,8 +181,8 @@ class TestMinimizeBox:
         res = scipy_combined(recorded(rosen, want), bounds, start)
         for core in each_core(monkeypatch):
             got = []
-            x, f, conv = minimize_box(recorded(rosen, got), bounds, start, CONFIG, {})
-            assert len(got) > 10 and got == first_occurrences(want), core
+            x, f, conv, failed = minimize_box(recorded(rosen, got), bounds, start, CONFIG, {})
+            assert len(got) > 10 and got == first_occurrences(want) and not failed, core
             assert np.array_equal(x, res.x) and f == res.fun and conv == res.success, core
 
     def test_each_distinct_point_reaches_the_objective_once(self, monkeypatch):
@@ -184,7 +211,7 @@ class TestMinimizeBox:
         best = int(np.argmin(values))
         for core in each_core(monkeypatch):
             got = []
-            x_min, f, conv = minimize_box(recorded(callback, got), bounds, start, CONFIG, {})
+            x_min, f, conv, _ = minimize_box(recorded(callback, got), bounds, start, CONFIG, {})
             assert got == first_occurrences(want), core
             assert x_min.tobytes() == want[best] and f == values[best], core
             assert conv == res.success, core
@@ -238,8 +265,8 @@ class TestMinimizeBox:
         start = np.array([4.0])
         results = []
         for core in each_core(monkeypatch):
-            x, f, conv = minimize_box(half_plane, bounds, start, CONFIG, {})
-            assert x[0] >= 0.0 and f <= half_plane(start)[0], core
+            x, f, conv, failed = minimize_box(half_plane, bounds, start, CONFIG, {})
+            assert x[0] >= 0.0 and f <= half_plane(start)[0] and not failed, core
             results.append((x.tobytes(), f, conv))
         assert len(set(results)) == 1
 
@@ -255,14 +282,14 @@ class TestMinimizeBox:
         bounds = BoxBounds(np.log([0.01]), np.log([100.0]))
         start = np.log([4.0])
         for core in each_core(monkeypatch):
-            x, f, converged = minimize_box(floored, bounds, start, CONFIG, {})
-            assert np.array_equal(x, start) and f == floored(start)[0], core
+            x, f, converged, failed = minimize_box(floored, bounds, start, CONFIG, {})
+            assert np.array_equal(x, start) and f == floored(start)[0] and not failed, core
             assert f > floored(np.log([0.6]))[0]
             assert not converged, core
 
     def test_feasibility(self):
         bounds = BoxBounds(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
-        x, _, _ = minimize_box(quadratic(np.array([3.0, -3.0])), bounds, np.zeros(2), CONFIG, {})
+        x, _, _, _ = minimize_box(quadratic(np.array([3.0, -3.0])), bounds, np.zeros(2), CONFIG, {})
         assert np.all(x >= bounds.lower) and np.all(x <= bounds.upper)
 
 
@@ -429,7 +456,7 @@ def test_box_bounds_validation():
     # Strided vectors are stored contiguous, as the L-BFGS-B core reads them.
     strided = BoxBounds(np.zeros(4)[::2], np.ones(4)[::2])
     assert strided.lower.flags.c_contiguous and strided.upper.flags.c_contiguous
-    x, _, converged = minimize_box(quadratic(np.full(2, 0.5)), strided, np.zeros(2), CONFIG, {})
+    x, _, converged, _ = minimize_box(quadratic(np.full(2, 0.5)), strided, np.zeros(2), CONFIG, {})
     assert converged and np.allclose(x, 0.5)
 
 

@@ -435,3 +435,77 @@ def test_one_array_reader_module():
     array inputs by the same rule and refuses the same shapes."""
     users = [p.name for p in sorted(SRC.glob("*.py")) if text_mentions(p.read_text(), SHAPE_RULE)]
     assert users == ["optimize.py"]
+
+
+def package_error_classes() -> set[str]:
+    """The names of the classes the package's exceptions module defines."""
+    tree = ast.parse((SRC / "exceptions.py").read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def caught_errors(source: str, errors: set[str]) -> list[str]:
+    """Every `except` clause that names one of `errors`, by name or attribute, alone
+    or in a tuple, as "<innermost enclosing function> (line n)", or "<module>
+    (line n)" outside any."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", "")
+                     for t in types}
+            if names & errors:
+                found.append(f"{owner} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detector_finds_a_caught_package_error():
+    source = (
+        "from . import exceptions\n"
+        "try:\n"
+        "    import fast\n"
+        "except ImportError:\n"
+        "    fast = None\n"
+        "def run(body):\n"
+        "    try:\n"
+        "        body()\n"
+        "    except (ValueError, exceptions.InvalidConfig):\n"
+        "        pass\n"
+        "    except:\n"
+        "        raise\n"
+        "    def inner():\n"
+        "        try:\n"
+        "            body()\n"
+        "        except MfkrigError as exc:\n"
+        "            return exc\n"
+        "    return inner\n"
+    )
+    errors = {"MfkrigError", "InvalidConfig"}
+    assert caught_errors(source, errors) == ["run (line 9)", "inner (line 16)"]
+
+
+# Where a package error may be caught: two boundaries turn one into a failed
+# campaign row or an exit code, and two functions translate one into another.
+PACKAGE_ERROR_CATCHERS = {
+    "bench.py: run_replication",
+    "cli.py: _run",
+    "cli.py: model_from_dict",
+    "design.py: eval_testfn",
+}
+
+
+def test_package_errors_are_not_control_flow():
+    """A package error ends a call: inside the package it is caught only to
+    report it at a boundary or to translate it, never to steer a computation, so an
+    outcome such as a failed optimizer start travels as a value."""
+    errors = package_error_classes()
+    catches = [f"{p.name}: {use}" for p in sorted(SRC.glob("*.py"))
+               for use in caught_errors(p.read_text(), errors)]
+    assert catches
+    assert [c for c in catches if c.split(" (line ")[0] not in PACKAGE_ERROR_CATCHERS] == []
