@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .exceptions import DimensionMismatch, DomainViolation, InvalidConfig
-from .optimize import as_points, check_count, check_positive
+from .optimize import as_points, as_vector, check_count, check_positive
 
 LF = "lf"
 HF = "hf"
@@ -122,7 +122,9 @@ def get_pair(name: str) -> TestFunctionPair:
 
 
 def scale_to_domain(pair: TestFunctionPair, unit_points: np.ndarray) -> np.ndarray:
-    """Affine map from the unit cube to the pair's domain."""
+    """Affine map from the unit cube to the pair's domain, of points read by
+    `as_points` with the pair's input dimension."""
+    unit_points = as_points("unit points", unit_points, pair.input_dim)
     return pair.domain_lower + unit_points * (pair.domain_upper - pair.domain_lower)
 
 
@@ -143,10 +145,11 @@ def eval_testfn(pair: TestFunctionPair, level: str, x: np.ndarray) -> np.ndarray
 
 
 def add_noise(y: np.ndarray, noise_variance: float, seed: int) -> np.ndarray:
-    """y plus i.i.d. N(0, noise_variance) noise; a zero variance returns y unchanged."""
+    """y, read by `as_vector`, plus i.i.d. N(0, noise_variance) noise; a zero
+    variance returns y unchanged."""
     check_positive("noise_variance", noise_variance, zero_ok=True)
     check_count("seed", seed, 0)
-    y = np.asarray(y, dtype=float)
+    y = as_vector("y", y)
     if noise_variance == 0.0:
         return y.copy()
     rng = np.random.default_rng(seed)

@@ -187,9 +187,13 @@ def profiled_gls(
     and R~^-1 r. R~ differs from R only on the diagonal, which the length-scale
     gradient never reads: the workspace's squared differences are exactly 0 there.
 
-    T = 0 for a single-fidelity fit, whose R~^-1 stays the upper triangle
-    `numerics.inv_spd` returns, multiplied by BLAS dsymv. The HF M-step passes
-    `latent = (G, Sigma_{Y|Z})`: its scaling rho = G beta_rho multiplies uncertain
+    T = 0 for a single-fidelity fit, which takes R~^-1 H and R~^-1 r from the
+    factor by `numerics.solve_spd` (Rasmussen & Williams 2006, Alg. 2.1): at the
+    R~ of a noise-free fit (cond(R~) about 3e9), products with the explicit inverse
+    would leave about 1e-6 of rounding noise in the value and the gradient, enough
+    to keep L-BFGS-B searching, and solves about 5e-8. Its R~^-1, the upper triangle
+    `numerics.inv_spd` returns, serves only the gradient's trace terms. The HF M-step
+    passes `latent = (G, Sigma_{Y|Z})`: its scaling rho = G beta_rho multiplies uncertain
     latent LF values, so T's leading block is G^T (R~^-1 o Sigma) G (Le Gratiet &
     Garnier 2014). Its Hadamard product and matrix products need the full R~^-1,
     mirrored from the triangle exactly once, and use np.dot: the BLAS calls of `@`
@@ -200,9 +204,7 @@ def profiled_gls(
     fact = numerics.chol_factor(r_tilde)
     rt_inv = numerics.inv_spd(fact)
     if latent is None:
-        ri_h = np.empty(h.shape)
-        for j in range(h.shape[1]):
-            ri_h[:, j] = blas.dsymv(1.0, rt_inv, h[:, j])
+        ri_h = numerics.solve_spd(fact, h)
     else:
         # Exact and exactly symmetric: each off-diagonal entry is added to a zero.
         full = rt_inv + rt_inv.T
@@ -219,7 +221,7 @@ def profiled_gls(
     if info > 0:
         raise SingularNormalEquations("normal equations of the GLS step are singular")
     resid = z - np.dot(h, beta)
-    ri_resid = blas.dsymv(1.0, rt_inv, resid) if latent is None else np.dot(rt_inv, resid)
+    ri_resid = numerics.solve_spd(fact, resid) if latent is None else np.dot(rt_inv, resid)
     sigma2 = float(np.dot(resid, ri_resid))
     if latent is not None:
         sigma2 += float(np.dot(np.dot(beta[:q], t_block), beta[:q]))
@@ -237,7 +239,8 @@ def profiled_objective(
 
     With `latent` it is the negated EM objective of the HF M-step, and
     W = R~^-1 (rho rho^T o Sigma) R~^-1 carries its Hadamard term; without it W = 0,
-    and A is the rank-1 update (BLAS dsyr) of the upper triangle of R~^-1. A is built
+    and A is the rank-1 update (BLAS dsyr) of the upper triangle of R~^-1 by the
+    solved kappa, so the explicit inverse enters only A's trace terms. A is built
     in the buffer of R~^-1, which is not read afterwards. The length-scale gradient
     contracts A with the partials of R (`kernels.corr_matrix_grad`), passed R~ in
     place of R: the diagonal, where they differ, is multiplied by squared differences

@@ -1,8 +1,9 @@
 """SPD linear algebra: Cholesky factorization with jitter escalation, solves, log-determinants.
 
-Likelihood and prediction code consumes :class:`SpdFactorization` objects; the
-likelihood gradients also take one triangle of the explicit inverse from the
-cached factor.
+Likelihood and prediction code consumes :class:`SpdFactorization` objects. The
+single-fidelity likelihood applies the inverse by solves with the cached factor
+and takes one triangle of the explicit inverse only for its gradient's trace
+terms; the HF M-step takes that triangle for every product.
 Prediction takes full and cross covariances from solves, and diagonal variances
 from one triangular product with the inverse factor, computed on first use.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, cython_blas, lapack
+from scipy.linalg import blas, cython_blas, lapack
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite
 
@@ -121,8 +122,15 @@ def _check_rows(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
 
 
 def solve_spd(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve (M + jitter_used * I) X = B using the cached factorization."""
-    return cho_solve((f.lower_factor, True), _check_rows(f, b))
+    """Solve (M + jitter_used * I) X = B by two triangular solves with the cached
+    lower factor (LAPACK dpotrs), for a 1-D or 2-D B, in a new array of B's shape.
+
+    It is the call `scipy.linalg.cho_solve((L, True), B)` makes, bit for bit,
+    without that wrapper's two finiteness scans: the factor is finite by
+    `chol_factor`, and B is built by the package. dpotrs's `info` is nonzero only
+    for an illegal argument, which the checked shapes rule out.
+    """
+    return lapack.dpotrs(f.lower_factor, _check_rows(f, b), lower=1)[0]
 
 
 def whiten(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
@@ -157,6 +165,9 @@ def inv_spd(f: SpdFactorization) -> np.ndarray:
     """The upper triangle of the symmetric inverse of (M + jitter_used * I), from the
     cached factor: an N x N Fortran-ordered array holding (M + jitter_used * I)^-1 on
     and above its diagonal and exact zeros below it. Callers read that one triangle.
+    The single-fidelity likelihood reads it only for its gradient's trace terms and
+    applies the inverse to vectors by `solve_spd`, whose rounding is far smaller at
+    an ill-conditioned matrix; the HF M-step needs the full inverse and mirrors it.
 
     LAPACK dtrtri inverts the factor, passed as its upper transpose U = L^T, and
     BLAS dsyrk forms the upper triangle of U^-1 U^-T, which skips the mirror of a

@@ -18,26 +18,68 @@ A start reaches L-BFGS-B in one of two ways, chosen once at import:
 - `scipy.optimize.minimize(method="L-BFGS-B")` with the same options, for any
   other core (scipy 1.13-1.14's Fortran one, a later change of the signature)
   or when the private module cannot be imported.
+
+The core is loaded from its extension file, so that importing this module does
+not import scipy.optimize, whose linear-programming and FFT dependencies the
+core never uses and which were most of the package's import time.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import Bounds
-from scipy.optimize import minimize as _scipy_minimize
+import scipy
 
 from .exceptions import DimensionMismatch, InvalidConfig
 
-try:
-    from scipy.optimize import _lbfgsb
-except ImportError:
-    _lbfgsb = None
+_LBFGSB = "scipy.optimize._lbfgsb"
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B module, or None if it cannot be imported.
+
+    When scipy.optimize is not loaded yet, the extension is loaded from its file in
+    scipy's `optimize/` folder, and the entry that loading puts in `sys.modules` is
+    removed, so that a later `import scipy.optimize` runs as it would have. If there
+    is no such file or it does not load, or scipy.optimize is loaded already, the
+    module is imported by name.
+    """
+    if "scipy.optimize" not in sys.modules:
+        folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+        paths = [os.path.join(folder, "_lbfgsb" + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        try:
+            path = next(filter(os.path.isfile, paths))
+            spec = importlib.util.spec_from_file_location(_LBFGSB, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except (StopIteration, ImportError, OSError):  # no such file, or it does not load
+            pass
+        finally:
+            sys.modules.pop(_LBFGSB, None)
+    try:
+        from scipy.optimize import _lbfgsb
+    except ImportError:
+        return None
+    return _lbfgsb
+
+
+def _scipy_minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call: only the path for an
+    unsupported core needs scipy.optimize."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -56,7 +98,7 @@ _MAXFUN = 15000
 _SETULB_SIGNATURE = (
     "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 )
-_setulb = getattr(_lbfgsb, "setulb", None)
+_setulb = getattr(_load_lbfgsb(), "setulb", None)
 if (getattr(_setulb, "__doc__", None) or "").split("\n")[0] != _SETULB_SIGNATURE:
     _setulb = None
 
@@ -228,6 +270,8 @@ def minimize_box(
         return f, grad
 
     if _setulb is None:
+        from scipy.optimize import Bounds
+
         res = _scipy_minimize(
             lambda x: evaluate(x)[0],
             start,

@@ -134,11 +134,15 @@ class TestAddNoise:
         lambda: design.add_noise([1, 2], "a", 0),
         lambda: design.add_noise([1, 2], math.nan, 0),
         lambda: design.add_noise([1, 2], math.inf, 0),
+        lambda: design.add_noise(["a"], 1.0, 0),
+        lambda: design.add_noise([[1], [2, 3]], 1.0, 0),
+        lambda: design.scale_to_domain(design.ANALYTIC_1D, "a"),
     ],
     ids=["lhs-n", "lhs-d", "maximin-n", "pair", "level", "lhs-bool-n", "lhs-fractional-seed",
          "lhs-negative-seed", "maximin-fractional-n", "maximin-negative-seed",
          "noise-negative-seed", "noise-string-variance", "noise-nan-variance",
-         "noise-inf-variance"],
+         "noise-inf-variance", "noise-string-values", "noise-ragged-values",
+         "scale-string-points"],
 )
 def test_bad_arguments_raise_invalid_config(call):
     with warnings.catch_warnings():

@@ -137,6 +137,31 @@ class TestProfiledNll:
         )
         assert value == np.inf
 
+    def test_quiet_at_a_noise_free_optimum(self):
+        # The LF fit of analytic1d acceptance replication 0 (seed 42, N_L = 100, no
+        # noise): eta ends on its 1e-8 bound and cond(R~) is about 3e9. Over 200
+        # relative perturbations of (theta, eta) of size 1e-13, the value and the
+        # log-theta gradient varied with sd 5.1e-8 and 4.3e-8 when R~^-1 is applied
+        # by solves, and 1.1e-6 and 2.1e-6 by products with the explicit inverse.
+        pair = design.ANALYTIC_1D
+        s_lf, _, s_nlf, _, _, _, s_fit, _ = np.random.SeedSequence(
+            entropy=(42, 0)).generate_state(8).tolist()
+        x = design.scale_to_domain(pair, design.lhs(100, 1, seed=s_lf).points)
+        data = Dataset(x, design.add_noise(design.eval_testfn(pair, "lf", x), 0.0, s_nlf))
+        model = fit_gp(data, config=MultiStartConfig(n_starts=10, rng_seed=s_fit))
+        theta, eta = model.hyper.kernel.theta.theta, model.hyper.kernel.eta
+        assert eta == pytest.approx(1e-8)
+        rng = np.random.default_rng(0)
+        values, log_grads = [], []
+        for _ in range(200):
+            e = 1e-13 * rng.standard_normal(2)
+            t = theta * (1.0 + e[0])
+            value, grad = nll_and_grad(data, constant_basis(), LengthScales(t), eta * (1.0 + e[1]))
+            values.append(value)
+            log_grads.append(grad[0] * t[0])
+        assert np.std(values) < 2.5e-7
+        assert np.std(log_grads) < 2.5e-7
+
     def test_output_scaling(self, rng):
         x = rng.uniform(size=(15, 1))
         z = rng.normal(size=15)
@@ -237,7 +262,7 @@ class TestFitGp:
         x = design.scale_to_domain(pair, design.lhs(30, 1, seed=1).points)
         fit_gp(Dataset(x, design.eval_testfn(pair, "lf", x)),
                config=MultiStartConfig(n_starts=3, rng_seed=0))
-        assert len(factorization_sizes) == len(evaluations) + 2 == 98
+        assert len(factorization_sizes) == len(evaluations) + 2 == 119
         assert set(factorization_sizes) == {30}
 
     def test_refit_determinism(self, rng):

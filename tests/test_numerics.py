@@ -97,6 +97,22 @@ class TestSolveSpd:
         with pytest.raises(DimensionMismatch):
             numerics.solve_spd(f, np.ones(4))
 
+    @pytest.mark.parametrize("n", [1, 7, 50, 100])
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (4,), (0,)],
+                             ids=["1d", "1col", "3col", "4col_zero_col", "no_col"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_cho_solve_bit_for_bit(self, rng, n, shape, order):
+        # The one solve path is scipy's cho_solve without its finiteness scans.
+        f = numerics.chol_factor(random_spd(rng, n))
+        b = np.asarray(rng.normal(size=(n, *shape)), order=order)
+        if shape == (4,):
+            b[:, 2] = 0.0
+        x = numerics.solve_spd(f, b)
+        ref = cho_solve((f.lower_factor, True), b)
+        assert x.shape == ref.shape == b.shape
+        assert x.tobytes() == ref.tobytes()
+        assert not np.shares_memory(x, b)
+
 
 class TestLogdetSpd:
     def test_identity(self):

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -489,3 +492,57 @@ def test_campaign_fits_match_on_both_cores(monkeypatch):
         fits[core] = (list(searches), em_log, array_bits(params))
         assert len(searches) > 2, core  # the LF search and at least two M-steps
     assert len(fits) == 1 or fits["setulb"] == fits["minimize"]
+
+
+
+COLD_FIT = """
+import sys
+import numpy as np
+import mfkrig
+from mfkrig import optimize
+x = np.linspace(0.0, 1.0, 12)
+mfkrig.fit_gp(mfkrig.Dataset(x, np.sin(6.0 * x)), config=mfkrig.MultiStartConfig(n_starts=2))
+print('scipy.optimize' in sys.modules, optimize._setulb is not None)
+"""
+
+
+def in_fresh_process(code: str) -> list[str]:
+    """The words `code` prints, run by a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(optimize.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.split()
+
+
+def test_a_fit_does_not_import_scipy_optimize():
+    # The core is loaded from its extension file: a fresh process that imports the
+    # package and fits drives it without importing scipy.optimize.
+    if optimize._setulb is None:
+        pytest.skip("this scipy's L-BFGS-B core has another signature")
+    assert in_fresh_process(COLD_FIT) == ["False", "True"]
+
+
+def test_scipy_optimize_imports_after_the_core_was_loaded():
+    # Loading the core leaves no entry in sys.modules, so a later import of
+    # scipy.optimize runs as before, and its L-BFGS-B works.
+    words = in_fresh_process(COLD_FIT + """
+import scipy.optimize
+res = scipy.optimize.minimize(lambda v: float(((v - 1.0) ** 2).sum()), np.zeros(3),
+                              method="L-BFGS-B")
+print(bool(res.success), np.allclose(res.x, 1.0))
+""")
+    assert words[-2:] == ["True", "True"]
+
+
+def test_a_core_that_cannot_be_loaded_from_its_file_is_imported_by_name():
+    # With the extension file hidden, the loader falls back to importing
+    # scipy.optimize, and the core it finds there is driven as before.
+    if optimize._setulb is None:
+        pytest.skip("this scipy's L-BFGS-B core has another signature")
+    hide = """
+import os
+isfile = os.path.isfile
+os.path.isfile = lambda path: "_lbfgsb" not in os.path.basename(path) and isfile(path)
+"""
+    assert in_fresh_process(hide + COLD_FIT) == ["True", "True"]

@@ -233,6 +233,7 @@ def test_every_dataclass_is_frozen(path):
 # A name, attribute or import that reaches a Cholesky factorization routine.
 CHOLESKY_ROUTINE = re.compile(r"potrf|cholesky|cho_factor")
 INVERSE_ROUTINE = re.compile(r"trtri|lauum|potri")
+SOLVE_ROUTINE = re.compile(r"potrs|cho_solve|trtrs|solve_triangular")
 # A name, attribute or import that starts threads, or worker processes.
 THREAD_START = re.compile(r"^(Thread|ThreadPoolExecutor)$")
 PROCESS_POOL = re.compile(r"^ProcessPoolExecutor$")
@@ -313,6 +314,28 @@ def test_one_inverse_module():
     has one place that decides which triangle of an inverse is stored and how the
     LAPACK error codes are checked."""
     uses = package_uses(INVERSE_ROUTINE)
+    assert uses and all(use.startswith("numerics.py: ") for use in uses)
+
+
+def test_detector_finds_a_solve_routine():
+    source = (
+        "from scipy.linalg import cho_solve, lapack\n"
+        "import scipy.linalg as sl\n"
+        "def solve_spd(f, b):\n"
+        "    '''Two triangular solves, as cho_solve makes them.'''\n"
+        "    return lapack.dpotrs(f, b, lower=1)[0]\n"
+        "def whiten(f, b):\n"
+        "    return sl.solve_triangular(f, b, lower=True), lapack.dtrtrs(f, b)\n"
+    )
+    assert name_uses(source, SOLVE_ROUTINE) == [
+        "<module> (line 1)", "solve_spd (line 5)", "whiten (line 7)", "whiten (line 7)"
+    ]
+
+
+def test_one_solve_module():
+    """Linear systems with a cached factor are solved only in `numerics`, so every
+    solve of the package takes one routine, with the same bits and shape checks."""
+    uses = package_uses(SOLVE_ROUTINE)
     assert uses and all(use.startswith("numerics.py: ") for use in uses)
 
 
