@@ -96,8 +96,8 @@ def model_to_dict(model: MfModel) -> dict:
         "format_version": MODEL_FORMAT_VERSION,
         "lf": _gp_to_dict(model.lf_model),
         "hf": {
-            "x": model.data.hf.x.tolist(),
-            "z": model.data.hf.z.tolist(),
+            "x": model.hf_data.x.tolist(),
+            "z": model.hf_data.z.tolist(),
             "beta_rho": p.beta_rho.tolist(),
             "beta_h": p.beta_h.tolist(),
             "sigma2_h": p.sigma2_h,
@@ -123,10 +123,18 @@ def _number(value, name: str, vector: bool = False):
     return np.asarray(items, float) if vector else float(value)
 
 
+def _training_set(section: dict, level: str) -> Dataset:
+    """The training set in the model document's `level` section, each entry read by
+    `_number`, which refuses a boolean that an array of numbers would read as 1.0."""
+    x = [_number(row, f"{level}.x", vector=isinstance(row, list)) for row in section["x"]]
+    return Dataset(x=x, z=_number(section["z"], f"{level}.z", vector=True))
+
+
 def model_from_dict(doc: dict) -> MfModel:
     """Rebuild a model from its JSON document; a missing or ill-typed key is a ParseError.
 
-    Every hyperparameter is checked to be a finite number before any factorization.
+    Every hyperparameter and training value is checked to be a finite number before
+    any factorization.
     The optional `fit_info` reloads too: `lf_nll` a finite number or null, `em_log`
     a list of finite numbers.
     """
@@ -135,7 +143,7 @@ def model_from_dict(doc: dict) -> MfModel:
         raise ParseError(f"unsupported model format version: {version!r}")
     try:
         lf = doc["lf"]
-        lf_data = Dataset(x=lf["x"], z=lf["z"])
+        lf_data = _training_set(lf, "lf")
         lf_kernel = KernelParams(
             theta=LengthScales(_number(lf["theta"], "lf.theta", vector=True)),
             sigma2=_number(lf["sigma2"], "lf.sigma2"),
@@ -143,7 +151,7 @@ def model_from_dict(doc: dict) -> MfModel:
         )
         lf_beta = _number(lf["beta"], "lf.beta", vector=True)
         hf = doc["hf"]
-        hf_data = Dataset(x=hf["x"], z=hf["z"])
+        hf_data = _training_set(hf, "hf")
         params = HfParams(
             beta_rho=_number(hf["beta_rho"], "hf.beta_rho", vector=True),
             beta_h=_number(hf["beta_h"], "hf.beta_h", vector=True),
@@ -156,10 +164,7 @@ def model_from_dict(doc: dict) -> MfModel:
         fit_log = {} if lf_nll is None else {"nll": _number(lf_nll, "fit_info.lf_nll")}
         em_log = _number(info.get("em_log", []), "fit_info.em_log", vector=True).tolist()
         lf_model = TrainedGp(lf_data, constant_basis(), GpHyper(lf_beta, lf_kernel), fit_log)
-        return MfModel(
-            lf_model, params, constant_basis(), constant_basis(),
-            MfData(lf=lf_data, hf=hf_data), em_log,
-        )
+        return MfModel(lf_model, params, constant_basis(), constant_basis(), hf_data, em_log)
     except KeyError as exc:
         raise ParseError(f"model document is missing key {exc}") from None
     except (TypeError, ValueError, IndexError, AttributeError, OverflowError,
@@ -282,9 +287,9 @@ def predict_cmd(model_path: str, inputs_csv: str, level: str, mode: str, out_pat
         worker_count()  # a bad MFKRIG_THREADS is refused before any work
         model = load_model(model_path)
         header, x = _read_csv(inputs_csv)
-        if x.shape[1] != model.data.hf.d:
+        if x.shape[1] != model.hf_data.d:
             raise ParseError(
-                f"{inputs_csv}: model expects {model.data.hf.d} input columns, "
+                f"{inputs_csv}: model expects {model.hf_data.d} input columns, "
                 f"got {x.shape[1]}"
             )
         pred = predict_mf(model, x, level=level, mode=mode, cov="diagonal")

@@ -79,9 +79,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Ordered feature maps f_j: (N, D) array -> (N,) vector for the prior mean."""
+    """At least one ordered feature map f_j: (N, D) array -> (N,) vector for the prior mean."""
 
     functions: tuple[Callable[[np.ndarray], np.ndarray], ...]
+
+    def __post_init__(self):
+        if not self.functions:
+            raise InvalidConfig("a basis needs at least one function")
 
     @property
     def p(self) -> int:

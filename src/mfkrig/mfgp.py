@@ -147,17 +147,17 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class MfModel:
-    """The fitted co-kriging model: the LF GP, the HF parameters and bases, and the
-    data, whose LF set must equal the LF GP's by value (InvalidConfig otherwise).
-    Construction builds what every HF prediction reads: the AR(1) marginal of the
-    HF observations at `hf_params` (`ar_marginal`, with its factor and solve) and
-    the LF solve R~_L^-1 R_L(X_L, X_H)."""
+    """The fitted co-kriging model: the LF GP, which holds the LF training set, the
+    HF parameters and bases, and the HF training set (DimensionMismatch if its inputs
+    are not the LF GP's width). Construction builds what every HF prediction reads:
+    the AR(1) marginal of the HF observations at `hf_params` (`ar_marginal`, with its
+    factor and solve) and the LF solve R~_L^-1 R_L(X_L, X_H)."""
 
     lf_model: TrainedGp
     hf_params: HfParams
     hf_basis: BasisSpec
     rho_basis: BasisSpec
-    data: MfData
+    hf_data: Dataset
     em_log: list[float] = field(default_factory=list, compare=False)
     ar: ArMarginal = field(init=False, repr=False, compare=False)
     lf_cross_solve: np.ndarray = field(init=False, repr=False, compare=False)
@@ -166,25 +166,22 @@ class MfModel:
         lf, params = self.lf_model, self.hf_params
         if params.beta_rho.size != self.rho_basis.p or params.beta_h.size != self.hf_basis.p:
             raise DimensionMismatch("beta_rho and beta_h must have one entry per basis function")
-        if not (np.array_equal(self.data.lf.x, lf.data.x)
-                and np.array_equal(self.data.lf.z, lf.data.z)):
-            raise InvalidConfig("data.lf must equal the LF model's training data")
-        hf = hf_workspace(self.data, lf, self.hf_basis, self.rho_basis)
+        hf = hf_workspace(self.hf_data, lf, self.hf_basis, self.rho_basis)
         object.__setattr__(self, "ar", ar_marginal(hf, self.hf_params))
-        r_lh = kernels.corr_matrix(lf.data.x, self.data.hf.x, lf.hyper.kernel.theta)
+        r_lh = kernels.corr_matrix(lf.data.x, self.hf_data.x, lf.hyper.kernel.theta)
         object.__setattr__(self, "lf_cross_solve", numerics.solve_spd(lf.factorization, r_lh))
 
 
 def hf_workspace(
-    data: MfData, lf_model: TrainedGp, hf_basis: BasisSpec, rho_basis: BasisSpec
+    hf_data: Dataset, lf_model: TrainedGp, hf_basis: BasisSpec, rho_basis: BasisSpec
 ) -> HfWorkspace:
     """Build the HF workspace. Its LF posterior moments at X_H, from one full-covariance
     LF prediction (the covariance by `gp.posterior_cross_cov`), are the only path by
     which the HF stage sees LF information."""
-    x_h = data.hf.x
+    x_h = hf_data.x
     lf_post = predict_gp(lf_model, x_h, mode=LATENT, cov=FULL)
     return HfWorkspace(
-        data=data.hf,
+        data=hf_data,
         ws=kernels.KernelWorkspace(x_h),
         g_matrix=rho_basis.design_matrix(x_h),
         f_matrix=hf_basis.design_matrix(x_h),
@@ -270,7 +267,7 @@ def _initial_params(hf: HfWorkspace) -> HfParams:
 
 
 def em_fit_hf(
-    data: MfData,
+    hf_data: Dataset,
     lf_model: TrainedGp,
     hf_basis: BasisSpec = constant_basis(),
     rho_basis: BasisSpec = constant_basis(),
@@ -296,12 +293,12 @@ def em_fit_hf(
     (RankDeficientBasis otherwise).
     """
     q, p_h = rho_basis.p, hf_basis.p
-    if data.hf.n < q + p_h + 1:
+    if hf_data.n < q + p_h + 1:
         raise InvalidConfig(
-            f"need at least {q + p_h + 1} high-fidelity points, got {data.hf.n}"
+            f"need at least {q + p_h + 1} high-fidelity points, got {hf_data.n}"
         )
-    bounds = default_bounds(data.hf)
-    hf = hf_workspace(data, lf_model, hf_basis, rho_basis)
+    bounds = default_bounds(hf_data)
+    hf = hf_workspace(hf_data, lf_model, hf_basis, rho_basis)
     check_rank(hf.g_matrix, "HF scaling (rho) basis")
     check_rank(hf.f_matrix, "HF basis")
     check_rank(hf.g_matrix * hf.lf_mean[:, None], "LF-mean-scaled HF scaling (rho)")
@@ -358,9 +355,9 @@ def fit_mf(
     """Fit the full model: LF by profiled MLE on LF data alone, then HF by EM."""
     lf_model = fit_gp(data.lf, config=lf_config)
     params, em_log = em_fit_hf(
-        data, lf_model, hf_basis, rho_basis, config=hf_config, em_config=em_config
+        data.hf, lf_model, hf_basis, rho_basis, config=hf_config, em_config=em_config
     )
-    return MfModel(lf_model, params, hf_basis, rho_basis, data, em_log)
+    return MfModel(lf_model, params, hf_basis, rho_basis, data.hf, em_log)
 
 
 def predict_mf(
@@ -384,8 +381,8 @@ def predict_mf(
     if level != HF:
         raise InvalidConfig(f"level must be {LF!r} or {HF!r}, got {level!r}")
     check_predict_options(mode, cov)
-    x_star = query_points(x_star, model.data.hf.d)
-    lf, params, x_h = model.lf_model, model.hf_params, model.data.hf.x
+    x_star = query_points(x_star, model.hf_data.d)
+    lf, params, x_h = model.lf_model, model.hf_params, model.hf_data.x
     kl = lf.hyper.kernel
     noise = params.noise_variance if mode == NOISY else 0.0
 

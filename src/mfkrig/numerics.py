@@ -1,11 +1,11 @@
 """SPD linear algebra: Cholesky factorization with jitter escalation, solves, log-determinants.
 
-Likelihood and prediction code consumes :class:`SpdFactorization` objects. The
-single-fidelity likelihood applies the inverse by solves with the cached factor
-and takes one triangle of the explicit inverse only for its gradient's trace
-terms; the HF M-step takes that triangle for every product.
-Prediction takes full and cross covariances from solves, and diagonal variances
-from one triangular product with the inverse factor, computed on first use.
+Likelihood and prediction code consumes :class:`SpdFactorization` objects, each
+inverting its factor at most once, into its cached inverse factor U^-1. The
+single-fidelity likelihood applies the inverse by solves with the cached factor and
+takes one triangle of the explicit inverse only for its gradient's trace terms; the
+HF M-step takes that triangle for every product. Prediction takes full and cross
+covariances from solves, and diagonal variances from one product with U^-1.
 """
 
 from __future__ import annotations
@@ -47,15 +47,14 @@ def _cython_blas_routine(name: str, n_args: int):
 # dtrmm(side, uplo, transa, diag, m, n, alpha, A, lda, B, ldb): B := alpha op(A) B.
 _DTRMM = _cython_blas_routine("dtrmm", 11)
 # The arguments that never change, built once.
-_LEFT = _LOWER = ctypes.byref(ctypes.c_char(b"L"))
-_NO = ctypes.byref(ctypes.c_char(b"N"))
+_LEFT, _UPPER, _TRANSPOSED, _NO = (ctypes.byref(ctypes.c_char(c)) for c in (b"L", b"U", b"T", b"N"))
 _ONE = ctypes.byref(ctypes.c_double(1.0))
 _SHAPE = ctypes.c_int * 2
 
 
 @dataclass(frozen=True)
 class SpdFactorization:
-    """Lower-triangular Cholesky factor of (M + jitter_used * I)."""
+    """Lower Cholesky factor L of (M + jitter_used * I), with its cached inverse factor."""
 
     lower_factor: np.ndarray
     jitter_used: float
@@ -65,15 +64,14 @@ class SpdFactorization:
         return self.lower_factor.shape[0]
 
     @cached_property
-    def lower_inverse(self) -> np.ndarray:
-        """L^-1, lower triangular and read-only, from LAPACK dtrtri on first use.
-
-        Only prediction reads it, so the factorizations of a fit never compute it.
-        """
-        inv, info = lapack.dtrtri(self.lower_factor, lower=1)
+    def upper_inverse(self) -> np.ndarray:
+        """The one inverse factor U^-1 = (L^T)^-1: upper triangular, Fortran-ordered
+        and read-only, from LAPACK dtrtri on first use. `inv_spd` and `whiten` read
+        it, so a factorization inverts its factor at most once."""
+        inv, info = lapack.dtrtri(self.lower_factor.T, lower=0)
         if info != 0:
             raise NotPositiveDefinite(f"dtrtri failed to invert the factor (info={info})")
-        inv.flags.writeable = False
+        inv.setflags(write=False)
         return inv
 
 
@@ -134,30 +132,29 @@ def solve_spd(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
 
 
 def whiten(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """U = L^-1 B for the cached lower factor L, as one triangular product (BLAS
-    dtrmm) with the cached inverse factor, for diagonal variances only: column j
-    of U has squared norm b_j^T (M + jitter_used * I)^-1 b_j. A 1-D B is one column.
+    """L^-1 B = U^-T B for the cached lower factor L = U^T, by one triangular product
+    (BLAS dtrmm) with the cached inverse factor, for diagonal variances only: column
+    j has squared norm b_j^T (M + jitter_used * I)^-1 b_j. A 1-D B is one column.
 
     A product runs at matrix-multiply speed where a triangular solve against many
     right-hand sides does not, and dtrmm skips the zeros a dense product with the
-    triangular L^-1 would multiply; the inverse costs one dtrtri per factorization.
+    triangular U^-T would multiply; the inverse costs one dtrtri per factorization.
     Its rounding grows with the condition number of L, so full and cross
-    covariances take B_a^T times a solve (`solve_spd`) instead of U_a^T U_b.
+    covariances take B_a^T times a solve (`solve_spd`), not whitened products.
 
     dtrmm is scipy's, called through ctypes so that the GIL is released while it
     runs: the row blocks of a prediction whiten on several threads at once. The
-    product is the one `scipy.linalg.blas.dtrmm(1.0, L^-1, B, lower=1)` returns,
-    bit for bit, in the Fortran-ordered copy of B that wrapper makes.
+    product is the one `scipy.linalg.blas.dtrmm(1.0, U^-1, B, lower=0, trans_a=1)`
+    returns, bit for bit, in the Fortran-ordered copy of B that wrapper makes.
     """
     b = _check_rows(f, b)
     u = np.array(b[:, None] if b.ndim == 1 else b, order="F")
     if u.size:  # an empty product is a no-op, and from_buffer refuses an empty buffer
-        a = np.asarray(f.lower_inverse, dtype=float, order="F")  # no copy: dtrtri's own
         shape = _SHAPE(*u.shape)
         m, n = ctypes.byref(shape), ctypes.byref(shape, 4)
         # from_buffer takes a C-ordered buffer; u.T is one, on u's memory.
         out = ctypes.byref(ctypes.c_char.from_buffer(u.T))
-        _DTRMM(_LEFT, _LOWER, _NO, _NO, m, n, _ONE, a.ctypes.data, m, out, m)
+        _DTRMM(_LEFT, _UPPER, _TRANSPOSED, _NO, m, n, _ONE, f.upper_inverse.ctypes.data, m, out, m)
     return u.reshape(b.shape)
 
 
@@ -169,18 +166,14 @@ def inv_spd(f: SpdFactorization) -> np.ndarray:
     applies the inverse to vectors by `solve_spd`, whose rounding is far smaller at
     an ill-conditioned matrix; the HF M-step needs the full inverse and mirrors it.
 
-    LAPACK dtrtri inverts the factor, passed as its upper transpose U = L^T, and
-    BLAS dsyrk forms the upper triangle of U^-1 U^-T, which skips the mirror of a
-    full product. LAPACK dlauum would form it from the triangular U^-1 in 70 % of
+    BLAS dsyrk forms the upper triangle of U^-1 U^-T from the cached U^-1, which
+    skips the mirror of a full product. LAPACK dlauum would form it in 70 % of
     dsyrk's time at N = 100 on one thread, but OpenBLAS runs dlauum (and dpotri,
     which is dtrtri + dlauum) on all its threads at every size: unpinned it took
     5 to 8 times as long at N <= 75, and its result bits depended on the thread
     count from N = 10 on, where dsyrk's and dtrtri's did not up to N = 100.
     """
-    upper_inv, info = lapack.dtrtri(f.lower_factor.T, lower=0)
-    if info != 0:
-        raise NotPositiveDefinite(f"dtrtri failed to invert the factor (info={info})")
-    return blas.dsyrk(1.0, upper_inv)
+    return blas.dsyrk(1.0, f.upper_inverse)
 
 
 def logdet_spd(f: SpdFactorization) -> float:

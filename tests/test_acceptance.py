@@ -142,7 +142,7 @@ class TestEmMonotonicity:
                 scale=0.3, size=n_hf
             )
             _, em_log = em_fit_hf(
-                MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf)),
+                Dataset(x_hf, z_hf),
                 lf_model,
                 config=MultiStartConfig(n_starts=4, rng_seed=1000 + i),
                 em_config=EmConfig(max_em_iterations=15),
@@ -231,7 +231,6 @@ class TestGradientSuites:
             n_hf = int(rng.integers(8, 14))
             x_hf = rng.uniform(size=(n_hf, dim))
             z_hf = rng.normal(size=n_hf)
-            data = MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf))
             params = HfParams(
                 beta_rho=np.array([rng.uniform(0.5, 1.5)]),
                 beta_h=np.array([rng.normal()]),
@@ -239,7 +238,7 @@ class TestGradientSuites:
                 theta_h=LengthScales(rng.uniform(0.4, 1.2, dim)),
                 eta_h=rng.uniform(0.05, 0.5),
             )
-            hf = hf_workspace(data, lf_model, constant_basis(), constant_basis())
+            hf = hf_workspace(Dataset(x_hf, z_hf), lf_model, constant_basis(), constant_basis())
             state = e_step(ar_marginal(hf, params))
             theta = rng.uniform(0.3, 1.2, dim)
             eta = rng.uniform(0.05, 0.6)
@@ -289,9 +288,8 @@ class TestNestedNoiseFreeEquivalence:
             z_hf = design.add_noise(
                 design.eval_testfn(pair, "hf", x_hf), 0.05**2, seed=200 + i
             )
-            data = MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf))
             params, _ = em_fit_hf(
-                data,
+                Dataset(x_hf, z_hf),
                 lf_model,
                 config=MultiStartConfig(n_starts=12, max_iterations=500,
                                         gradient_tolerance=1e-9, rng_seed=300 + i),

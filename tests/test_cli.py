@@ -27,7 +27,7 @@ from mfkrig.gp import (
     predict_gp,
 )
 from mfkrig.kernels import KernelParams, LengthScales
-from mfkrig.mfgp import HfParams, MfData, MfModel, predict_mf
+from mfkrig.mfgp import HfParams, MfModel, predict_mf
 
 from conftest import count_calls
 
@@ -133,7 +133,7 @@ def _saved_model(workdir, name="m.json"):
     )
     model = MfModel(
         lf_model, params, constant_basis(), constant_basis(),
-        MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf[:, 0]) + 0.1)),
+        Dataset(x_hf, np.sin(4 * x_hf[:, 0]) + 0.1),
     )
     save_model(model, str(workdir / name))
     return model
@@ -362,7 +362,7 @@ class TestFitPredictCli:
         )
         model = MfModel(
             lf_model, params, constant_basis(), constant_basis(),
-            MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf)),
+            Dataset(x_hf, z_hf),
         )
         save_model(model, str(workdir / "m.json"))
         _write_csv(workdir / "in.csv", x_hf)
@@ -461,6 +461,23 @@ class TestModelJson:
         res = self._predict(workdir, doc)
         assert res.exit_code == EXIT_CONFIG_ERROR, res.output
         assert "ill-typed value" in res.output
+
+    @pytest.mark.parametrize("part", ["lf", "hf"])
+    @pytest.mark.parametrize("key", ["x", "z"])
+    @pytest.mark.parametrize("every", [True, False], ids=["every", "one"])
+    def test_boolean_training_value_exit_2(self, workdir, part, key, every):
+        # NumPy would read true as 1.0, also as one entry among numbers.
+        _saved_model(workdir, "good.json")
+        doc = json.loads((workdir / "good.json").read_text())
+        values = doc[part][key]
+        for i in range(len(values) if every else 1):
+            if key == "x":
+                values[i][0] = i % 2 == 0
+            else:
+                values[i] = i % 2 == 0
+        res = self._predict(workdir, doc)
+        assert res.exit_code == EXIT_CONFIG_ERROR, res.output
+        assert f"ill-typed value: {part}.{key} must be" in res.output
 
     @pytest.mark.parametrize(
         "part, key",

@@ -25,7 +25,7 @@ from mfkrig.exceptions import MfkrigError
 from mfkrig.gp import Dataset, GpHyper, TrainedGp, constant_basis, predict_gp
 from mfkrig.kernels import KernelParams, LengthScales
 from mfkrig.metrics import coverage_report, q2
-from mfkrig.mfgp import HfParams, MfData, MfModel, predict_mf
+from mfkrig.mfgp import HfParams, MfModel, predict_mf
 from mfkrig.optimize import BoxBounds
 
 FIT_EXAMPLES = 60
@@ -126,7 +126,7 @@ def _fixed_model(x_lf: np.ndarray) -> MfModel:
     params = HfParams(beta_rho=np.array([1.0]), beta_h=np.array([0.1]), sigma2_h=0.5,
                       theta_h=LengthScales(np.full(d, 0.4)), eta_h=0.01)
     return MfModel(lf_model, params, constant_basis(), constant_basis(),
-                   MfData(lf_data, Dataset(x_hf, np.sin(4 * x_hf.sum(axis=1)) + 0.1)))
+                   Dataset(x_hf, np.sin(4 * x_hf.sum(axis=1)) + 0.1))
 
 
 MODEL_1D = _fixed_model(np.linspace(0.0, 1.0, 8)[:, None])
@@ -285,7 +285,7 @@ LIBRARY_TARGETS = {
                                              GpHyper(a, KERNEL)),
     "MfModel_beta": lambda a, b: MfModel(
         MODEL_1D.lf_model, HfParams(a, b, 0.5, LengthScales(np.array([0.4])), 0.01),
-        constant_basis(), constant_basis(), MODEL_1D.data),
+        constant_basis(), constant_basis(), MODEL_1D.hf_data),
 }
 
 

@@ -233,9 +233,10 @@ class TestFitGp:
         pred = predict_gp(model, xt)
         assert q2(design.eval_testfn(pair, "lf", xt), pred.mean) > 0.999
 
-    def test_fit_never_inverts_a_factor(self, rng, monkeypatch):
-        # Only prediction reads the inverse factor; the thousands of
-        # factorizations of a fit must not pay for it.
+    def test_fit_inverts_each_factor_once_through_inv_spd(self, rng, monkeypatch):
+        # Each factorization of a fit forms its one inverse factor once, for the
+        # triangle inv_spd returns; the model's own factorization forms it only on
+        # first prediction, for the whitening.
         made = []
         chol_factor = numerics.chol_factor
 
@@ -244,13 +245,20 @@ class TestFitGp:
             return made[-1]
 
         monkeypatch.setattr(numerics, "chol_factor", recording_chol_factor)
+        inverted = count_calls(monkeypatch, numerics, "inv_spd")
+        dtrtri = count_calls(monkeypatch, numerics.lapack, "dtrtri")
         x = rng.uniform(size=(15, 2))
         z = np.sin(3 * x[:, 0]) + x[:, 1] + rng.normal(scale=0.1, size=15)
         model = fit_gp(Dataset(x, z), config=MultiStartConfig(n_starts=2))
-        assert len(made) > 10
-        assert not any("lower_inverse" in vars(f) for f in made)
+        assert len(made) > 10 and made[-1] is model.factorization
+        assert len(inverted) == len(made) - 1
+        assert all(f is g for (f,), g in zip(inverted, made))
+        assert all("upper_inverse" in vars(f) for f in made[:-1])
+        assert "upper_inverse" not in vars(model.factorization)
+        assert len(dtrtri) == len(inverted)
         predict_gp(model, x)
-        assert "lower_inverse" in vars(model.factorization)
+        assert "upper_inverse" in vars(model.factorization)
+        assert len(dtrtri) == len(inverted) + 1
 
     def test_fit_factorizes_once_per_evaluation_plus_two(self, monkeypatch,
                                                          factorization_sizes):

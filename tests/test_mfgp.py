@@ -141,7 +141,7 @@ class TestEStep:
         lf_model = _noisy_lf()
         x_hf = rng.uniform(0, 2, size=(10, 1))
         z_hf = rng.normal(size=10)
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
+        data = Dataset(x_hf, z_hf)
         params = _some_params(beta_rho=(0.0,))
         state = e_step(_ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
         mean, cov = _lf_moments(lf_model, x_hf)
@@ -151,7 +151,7 @@ class TestEStep:
     def test_nested_noise_free_collapse(self):
         lf_model, x_lf, z_lf, x_hf = _nested_lf()
         z_hf = np.sin(x_hf[:, 0])
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
+        data = Dataset(x_hf, z_hf)
         params = _some_params()
         state = e_step(_ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
         assert np.max(np.abs(state.sigma_y_given_z)) < 1e-7
@@ -162,7 +162,7 @@ class TestEStep:
         n_h = 7
         x_hf = rng.uniform(0, 2, size=(n_h, 1))
         z_hf = rng.normal(size=n_h)
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
+        data = Dataset(x_hf, z_hf)
         params = _some_params(beta_rho=(1.4,), beta_h=(-0.5,), sigma2=0.3, eta=0.15)
         basis = constant_basis()
         state = e_step(_ar_marginal(data, lf_model, params, basis, basis))
@@ -185,7 +185,7 @@ class TestEStep:
     def test_h_matrix_structure(self, rng):
         lf_model = _noisy_lf()
         x_hf = rng.uniform(0, 2, size=(6, 1))
-        data = MfData(lf_model.data, Dataset(x_hf, rng.normal(size=6)))
+        data = Dataset(x_hf, rng.normal(size=6))
         lin = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: v[:, 0]))
         params = HfParams(
             beta_rho=np.array([0.7, 0.1]),
@@ -208,7 +208,7 @@ class TestEStep:
     def test_sigma_zz_spd_and_cond_psd(self, rng):
         lf_model = _noisy_lf()
         x_hf = rng.uniform(0, 2, size=(9, 1))
-        data = MfData(lf_model.data, Dataset(x_hf, rng.normal(size=9)))
+        data = Dataset(x_hf, rng.normal(size=9))
         ar = _ar_marginal(data, lf_model, _some_params(), constant_basis(), constant_basis())
         state = e_step(ar)
         assert np.linalg.eigvalsh(_ar_cov(ar)).min() > 0
@@ -279,7 +279,7 @@ class TestMStep:
         x_hf = rng.uniform(0, 2, size=(n_h, 1))
         z_hf = rng.normal(size=n_h)
         hf = hf_workspace(
-            MfData(lf_model.data, Dataset(x_hf, z_hf)), lf_model,
+            Dataset(x_hf, z_hf), lf_model,
             constant_basis(), constant_basis(),
         )
         state = e_step(ar_marginal(hf, _some_params()))
@@ -365,7 +365,7 @@ class TestQTilde:
         lf_model = fit_gp(Dataset(x_lf, z_lf), config=MultiStartConfig(n_starts=2, rng_seed=1))
         x_hf = rng.uniform(size=(n_hf, dim))
         z_hf = 1.3 * np.sin(3 * x_hf[:, 0]) + x_hf[:, 2] + rng.normal(scale=0.1, size=n_hf)
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
+        data = Dataset(x_hf, z_hf)
         rho_basis = BasisSpec(functions=(lambda x: np.ones(x.shape[0]), lambda x: x[:, 0]))
         params = HfParams(
             beta_rho=np.array([1.1, 0.2]),
@@ -391,7 +391,7 @@ class TestQTilde:
         x_hf = rng.uniform(0, 2, size=(n_h, 1))
         z_hf = np.sin(2 * x_hf[:, 0]) + rng.normal(scale=0.2, size=n_h)
         hf = hf_workspace(
-            MfData(lf_model.data, Dataset(x_hf, z_hf)), lf_model,
+            Dataset(x_hf, z_hf), lf_model,
             constant_basis(), constant_basis(),
         )
         state = e_step(ar_marginal(hf, _some_params()))
@@ -449,9 +449,7 @@ class TestQTilde:
         theta, eta = LengthScales(np.array([0.8])), 0.2
 
         def value_for(order):
-            data = MfData(
-                lf_model.data, Dataset(x_hf[order], z_hf[order])
-            )
+            data = Dataset(x_hf[order], z_hf[order])
             hf = hf_workspace(data, lf_model, constant_basis(), constant_basis())
             return q_tilde_and_grad(e_step(ar_marginal(hf, params)), hf, theta, eta)[0]
 
@@ -465,7 +463,7 @@ class TestHfObservedLoglik:
         lf_model = _noisy_lf()
         x_hf = np.array([[1.0]])
         z_hf = np.array([2.0])
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
+        data = Dataset(x_hf, z_hf)
         params = _some_params(beta_rho=(1.1,), beta_h=(0.4,), sigma2=0.6, eta=0.3)
         val = hf_observed_loglik(
             _ar_marginal(data, lf_model, params, constant_basis(), constant_basis())
@@ -484,7 +482,7 @@ class TestHfObservedLoglik:
         n_h = 7
         x_hf = rng.uniform(0, 2, size=(n_h, 1))
         z_hf = rng.normal(size=n_h)
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
+        data = Dataset(x_hf, z_hf)
         params = _some_params(beta_rho=(0.9,), beta_h=(-0.2,), sigma2=0.5, eta=0.1)
         val = hf_observed_loglik(
             _ar_marginal(data, lf_model, params, constant_basis(), constant_basis())
@@ -571,7 +569,7 @@ class TestEmFit:
         assert np.all(diffs >= -1e-8)
 
     def test_determinism(self, fitted_mf):
-        data = fitted_mf.data
+        data = fitted_mf.hf_data
         p1, log1 = em_fit_hf(
             data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=5, rng_seed=2)
         )
@@ -594,7 +592,7 @@ class TestEmFit:
 
         monkeypatch.setattr(mfgp, "predict_gp", counting_predict_gp)
         _, em_log = em_fit_hf(
-            fitted_mf.data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=2, rng_seed=2)
+            fitted_mf.hf_data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=2, rng_seed=2)
         )
         assert len(em_log) > 2
         assert calls == ["full"]
@@ -603,21 +601,32 @@ class TestEmFit:
     def test_duplicated_basis_column_is_rank_deficient(self, fitted_mf, which):
         duplicated = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: np.ones(v.shape[0])))
         with pytest.raises(RankDeficientBasis):
-            em_fit_hf(fitted_mf.data, fitted_mf.lf_model, **{which: duplicated},
+            em_fit_hf(fitted_mf.hf_data, fitted_mf.lf_model, **{which: duplicated},
                       config=MultiStartConfig(n_starts=1))
+
+    @pytest.mark.parametrize("entry", ["fit_gp", "hf_basis", "rho_basis"])
+    def test_empty_basis_is_refused(self, fitted_mf, entry):
+        # An empty basis would have no design matrix to build.
+        lf_data = fitted_mf.lf_model.data
+        config = MultiStartConfig(n_starts=1)
+        with pytest.raises(InvalidConfig, match="at least one function"):
+            if entry == "fit_gp":
+                fit_gp(lf_data, basis=BasisSpec(()), config=config)
+            else:
+                fit_mf(MfData(lf_data, fitted_mf.hf_data), lf_config=config,
+                       hf_config=config, **{entry: BasisSpec(())})
 
     def test_zero_lf_mean_is_rank_deficient(self, fitted_mf):
         # All-zero LF data give m_L = 0 at X_H, so G o m_L = 0 leaves rho unidentified.
-        lf_data = Dataset(fitted_mf.data.lf.x, np.zeros(fitted_mf.data.lf.n))
+        lf_data = Dataset(fitted_mf.lf_model.data.x, np.zeros(fitted_mf.lf_model.data.n))
         lf = TrainedGp(lf_data, constant_basis(), GpHyper(np.zeros(1), KernelParams(
             theta=LengthScales(np.array([0.5])), sigma2=1.0, eta=0.1)))
-        data = MfData(lf_data, fitted_mf.data.hf)
         with pytest.raises(RankDeficientBasis, match="LF-mean-scaled"):
-            em_fit_hf(data, lf, config=MultiStartConfig(n_starts=1))
+            em_fit_hf(fitted_mf.hf_data, lf, config=MultiStartConfig(n_starts=1))
 
     def test_lf_separation_contract(self, fitted_mf):
         lf_alone = fit_gp(
-            fitted_mf.data.lf, config=MultiStartConfig(n_starts=5, rng_seed=1)
+            fitted_mf.lf_model.data, config=MultiStartConfig(n_starts=5, rng_seed=1)
         )
         assert np.array_equal(
             lf_alone.hyper.kernel.theta.theta,
@@ -669,7 +678,7 @@ class TestEmFit:
             )
             mean = rho * m + true.beta_h[0]
             z_hf = rng_r.multivariate_normal(mean, cov, method="svd")
-            data = MfData(lf_model.data, Dataset(x_hf, z_hf))
+            data = Dataset(x_hf, z_hf)
             params, _ = em_fit_hf(
                 data,
                 lf_model,
@@ -716,7 +725,7 @@ def _further_m_step(data, lf_model, params, seed):
     hf = hf_workspace(data, lf_model, constant_basis(), constant_basis())
     state = e_step(ar_marginal(hf, params))
     theta, eta, _, _ = log_space_search(
-        functools.partial(q_tilde_and_grad, state, hf), default_bounds(data.hf),
+        functools.partial(q_tilde_and_grad, state, hf), default_bounds(data),
         MultiStartConfig(n_starts=INNER_N_STARTS, rng_seed=seed),
         extra_starts=[np.append(params.theta_h.theta, params.eta_h)],
     )
@@ -734,15 +743,29 @@ def park_em_case():
     z_lf = design.add_noise(design.eval_testfn(pair, "lf", x_lf), 1.0, seed=101)
     x_hf = design.lhs(12, 4, seed=201).points
     z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 1.0, seed=301)
-    data = MfData(Dataset(x_lf, z_lf), Dataset(x_hf, z_hf))
-    return data, fit_gp(data.lf, config=MultiStartConfig(n_starts=3, rng_seed=1))
+    lf = fit_gp(Dataset(x_lf, z_lf), config=MultiStartConfig(n_starts=3, rng_seed=1))
+    return Dataset(x_hf, z_hf), lf
+
+
+@pytest.fixture(scope="module")
+def park_escape_case():
+    """A small noisy Park instance whose escape checks at EM iterations 10 and 15 are
+    won by random starts (indices 4 and 2), by 0.049 and 0.81 of the negated EM
+    objective over the current-point start; EM stops on tolerance at iteration 25."""
+    pair = design.PARK_4D
+    x_lf = design.lhs(30, 4, seed=0).points
+    z_lf = design.add_noise(design.eval_testfn(pair, "lf", x_lf), 1.0, seed=102)
+    x_hf = design.lhs(12, 4, seed=10).points
+    z_hf = design.add_noise(design.eval_testfn(pair, "hf", x_hf), 1.0, seed=202)
+    lf = fit_gp(Dataset(x_lf, z_lf), config=MultiStartConfig(n_starts=3, rng_seed=2))
+    return Dataset(x_hf, z_hf), lf
 
 
 class TestGemSchedule:
     def test_analytic1d_schedule(self, fitted_mf, monkeypatch):
         searches = _spy_searches(monkeypatch)
         _, em_log = em_fit_hf(
-            fitted_mf.data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=5, rng_seed=2)
+            fitted_mf.hf_data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=5, rng_seed=2)
         )
         _assert_gem_schedule(searches, em_log, 5)
         assert 0 in [n for n, _ in searches]
@@ -758,10 +781,29 @@ class TestGemSchedule:
         assert random[random.index(INNER_N_STARTS) + 1] == 0
         assert np.all(np.diff(em_log) >= -1e-8)
 
+    def test_escape_check_random_start_can_win(self, park_escape_case, monkeypatch):
+        # The escape check's random starts are not redundant with the current point:
+        # here two of them find a higher EM objective than the current-point start.
+        data, lf = park_escape_case
+        escapes = []
+
+        def spy(*args, **kwargs):
+            result = log_space_search(*args, **kwargs)
+            if kwargs["n_random"] == INNER_N_STARTS:
+                escapes.append([start.value for start in result[3]])
+            return result
+
+        monkeypatch.setattr(mfgp, "log_space_search", spy)
+        _, em_log = em_fit_hf(data, lf, config=MultiStartConfig(n_starts=3, rng_seed=2))
+        assert len(em_log) - 1 < EmConfig().max_em_iterations
+        tol = EmConfig().loglik_rel_tolerance * max(1.0, abs(em_log[-1]))
+        wins = [(int(np.argmin(values)), values[0] - min(values)) for values in escapes]
+        assert any(index > 0 and gain > tol for index, gain in wins), wins
+
     def test_cap_may_end_on_a_warm_step(self, fitted_mf, monkeypatch):
         searches = _spy_searches(monkeypatch)
         em_config = EmConfig(max_em_iterations=3)
-        _, em_log = em_fit_hf(fitted_mf.data, fitted_mf.lf_model,
+        _, em_log = em_fit_hf(fitted_mf.hf_data, fitted_mf.lf_model,
                               config=MultiStartConfig(n_starts=5, rng_seed=2), em_config=em_config)
         assert len(em_log) == 4
         _assert_gem_schedule(searches, em_log, 5, em_config)
@@ -769,7 +811,7 @@ class TestGemSchedule:
 
     @pytest.mark.parametrize("case", ["analytic1d", "park4d"])
     def test_stopping_point_is_certified(self, case, fitted_mf, park_em_case):
-        data, lf = (fitted_mf.data, fitted_mf.lf_model) if case == "analytic1d" else park_em_case
+        data, lf = (fitted_mf.hf_data, fitted_mf.lf_model) if case == "analytic1d" else park_em_case
         params, em_log = em_fit_hf(data, lf, config=MultiStartConfig(n_starts=3, rng_seed=1))
         assert len(em_log) - 1 < EmConfig().max_em_iterations
         tol = EmConfig().loglik_rel_tolerance * max(1.0, abs(em_log[-1]))
@@ -796,13 +838,13 @@ class TestGemSchedule:
 
         monkeypatch.setattr(mfgp, "e_step", degenerate_e_step)
         with pytest.raises(RankDeficientBasis, match="E-step"):
-            em_fit_hf(fitted_mf.data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=1))
+            em_fit_hf(fitted_mf.hf_data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=1))
 
 
 class TestArMarginal:
     def test_dense_oracle(self, fitted_mf):
-        lf_model, data = fitted_mf.lf_model, fitted_mf.data
-        x_h, z_h = data.hf.x, data.hf.z
+        lf_model, data = fitted_mf.lf_model, fitted_mf.hf_data
+        x_h, z_h = data.x, data.z
         n_h = len(x_h)
         lin = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: v[:, 0]))
         params = HfParams(
@@ -830,10 +872,10 @@ class TestArMarginal:
         assert np.allclose(ar.residual_solve, np.linalg.solve(cov, resid), rtol=1e-8, atol=1e-8)
 
     def test_loglik_and_model_caches_share_it(self, fitted_mf):
-        lf_model, data, params = fitted_mf.lf_model, fitted_mf.data, fitted_mf.hf_params
+        lf_model, data, params = fitted_mf.lf_model, fitted_mf.hf_data, fitted_mf.hf_params
         basis = constant_basis()
         ar = _ar_marginal(data, lf_model, params, basis, basis)
-        n_h = data.hf.n
+        n_h = data.n
         loglik = hf_observed_loglik(_ar_marginal(data, lf_model, params, basis, basis))
         expected = -0.5 * (
             float(ar.residual @ ar.residual_solve)
@@ -854,30 +896,28 @@ def test_models_assemble_their_own_caches(fitted_mf):
         TrainedGp(lf.data, lf.basis, lf.hyper, factorization=lf.factorization)
     with pytest.raises(TypeError):
         MfModel(lf, fitted_mf.hf_params, fitted_mf.hf_basis, fitted_mf.rho_basis,
-                fitted_mf.data, ar=fitted_mf.ar)
+                fitted_mf.hf_data, ar=fitted_mf.ar)
     with pytest.raises(dataclasses.FrozenInstanceError):
         fitted_mf.hf_params = fitted_mf.hf_params
     rebuilt = MfModel(lf, fitted_mf.hf_params, fitted_mf.hf_basis, fitted_mf.rho_basis,
-                      fitted_mf.data)
+                      fitted_mf.hf_data)
     assert np.array_equal(rebuilt.ar.residual_solve, fitted_mf.ar.residual_solve)
     assert np.array_equal(rebuilt.lf_cross_solve, fitted_mf.lf_cross_solve)
     assert GpHyper([1, 2], lf.hyper.kernel).beta.dtype == float
 
 
-def test_model_lf_data_must_be_the_lf_models():
-    # An 8-point LF model beside a 3-point data.lf would describe another model.
-    x_lf = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
-    lf_data = Dataset(x_lf, np.sin(6 * x_lf[:, 0]))
-    lf = TrainedGp(lf_data, constant_basis(),
-                   GpHyper([0.0], KernelParams(LengthScales([0.3]), 1.0, 1e-6)))
-    hf = Dataset(np.array([[0.2], [0.5], [0.8]]), np.array([0.1, 0.4, -0.3]))
-    for other in (Dataset(x_lf[:3], lf_data.z[:3]), Dataset(x_lf, lf_data.z + 1e-12)):
-        with pytest.raises(InvalidConfig, match="data.lf"):
-            MfModel(lf, _some_params(), constant_basis(), constant_basis(), MfData(other, hf))
-    # An equal set built anew is the same data.
-    equal = Dataset(x_lf.copy(), lf_data.z.copy())
-    model = MfModel(lf, _some_params(), constant_basis(), constant_basis(), MfData(equal, hf))
-    assert model.data.lf is equal
+@pytest.mark.parametrize("fit", [False, True], ids=["model", "em_fit_hf"])
+def test_hf_data_of_another_dimension_is_refused(fitted_mf, fit):
+    # The LF training set lives only in the LF model, so the HF set is checked
+    # against it: 2-D HF inputs beside a 1-D LF model.
+    x_hf = np.column_stack([fitted_mf.hf_data.x[:, 0], fitted_mf.hf_data.x[:, 0]])
+    hf = Dataset(x_hf, fitted_mf.hf_data.z)
+    with pytest.raises(DimensionMismatch):
+        if fit:
+            em_fit_hf(hf, fitted_mf.lf_model, config=MultiStartConfig(n_starts=1))
+        else:
+            MfModel(fitted_mf.lf_model, fitted_mf.hf_params, constant_basis(),
+                    constant_basis(), hf)
 
 
 class TestArCovariance:
@@ -889,15 +929,15 @@ class TestArCovariance:
             theta_h=LengthScales(np.array([0.6])),
             eta_h=0.1,
         )
-        x_h = fitted_mf.data.hf.x
+        x_h = fitted_mf.hf_data.x
         n_h = len(x_h)
         basis = constant_basis()
-        cov = _ar_cov(_ar_marginal(fitted_mf.data, fitted_mf.lf_model, params, basis, basis))
+        cov = _ar_cov(_ar_marginal(fitted_mf.hf_data, fitted_mf.lf_model, params, basis, basis))
         r_h = kernels.corr_matrix(x_h, x_h, params.theta_h)
         assert np.allclose(cov, params.sigma2_h * (r_h + params.eta_h * np.eye(n_h)), atol=1e-12)
         # Far from every training input the HF posterior is the discrepancy prior.
         model = MfModel(
-            fitted_mf.lf_model, params, constant_basis(), constant_basis(), fitted_mf.data
+            fitted_mf.lf_model, params, constant_basis(), constant_basis(), fitted_mf.hf_data
         )
         pred = predict_mf(model, np.array([[50.0]]), level="hf")
         assert np.isclose(pred.mean[0], 0.7, atol=1e-12)
@@ -907,7 +947,7 @@ class TestArCovariance:
         lf_model, x_lf, z_lf, x_hf = _nested_lf()
         params = _some_params(beta_rho=(1.5,), sigma2=0.3)
         n_h = len(x_hf)
-        data = MfData(lf_model.data, Dataset(x_hf, np.zeros(n_h)))
+        data = Dataset(x_hf, np.zeros(n_h))
         basis = constant_basis()
         cov = _ar_cov(_ar_marginal(data, lf_model, params, basis, basis))
         r_h = kernels.corr_matrix(x_hf, x_hf, params.theta_h)
@@ -919,13 +959,13 @@ class TestArCovariance:
 
     def test_elementwise_oracle(self, fitted_mf, rng):
         params = fitted_mf.hf_params
-        x_h = fitted_mf.data.hf.x
+        x_h = fitted_mf.hf_data.x
         n_h = len(x_h)
         rho = rng.normal(size=n_h)
         _, v_hh = _lf_moments(fitted_mf.lf_model, x_h)
         # One scaling column G = rho with beta_rho = 1 gives each HF input its own rho_i.
         basis = constant_basis()
-        hf = hf_workspace(fitted_mf.data, fitted_mf.lf_model, basis, basis)
+        hf = hf_workspace(fitted_mf.hf_data, fitted_mf.lf_model, basis, basis)
         hf = dataclasses.replace(hf, g_matrix=rho[:, None])
         cov = _ar_cov(ar_marginal(hf, dataclasses.replace(params, beta_rho=np.array([1.0]))))
         oracle = np.empty((n_h, n_h))
@@ -957,7 +997,7 @@ def _two_solve_predict_gp(model, x_star, mode, cov):
 def _two_solve_predict_mf(model, x_star, mode, cov):
     """predict_mf as it was before the whitened path: separate LF predictions
     for the mean and the variance, and cho_solve for every cross term."""
-    lf, params, x_h = model.lf_model, model.hf_params, model.data.hf.x
+    lf, params, x_h = model.lf_model, model.hf_params, model.hf_data.x
     kl = lf.hyper.kernel
     rho_star = model.rho_basis.design_matrix(x_star) @ params.beta_rho
     m_yl, _ = _two_solve_predict_gp(lf, x_star, "latent", "diagonal")
@@ -1028,7 +1068,7 @@ def _park_model():
     )
     lin = BasisSpec((lambda v: np.ones(v.shape[0]), lambda v: v[:, 0]))
     return MfModel(lf_model, params, constant_basis(), lin,
-                   MfData(lf_model.data, Dataset(x_hf, z_hf)))
+                   Dataset(x_hf, z_hf))
 
 
 class TestPredictMf:
@@ -1040,7 +1080,7 @@ class TestPredictMf:
         model = fitted_mf if dim == 1 else _park_model()
         rng = np.random.default_rng(dim)
         x = np.vstack([rng.uniform(0, 2 if dim == 1 else 1, size=(40, dim)),
-                       model.data.hf.x[:5]])
+                       model.hf_data.x[:5]])
         pred = predict_mf(model, x, level=level, mode=mode, cov=cov)
         if level == "hf":
             mean, spread = _two_solve_predict_mf(model, x, mode, cov)
@@ -1121,7 +1161,7 @@ class TestPredictMf:
         save_model(fitted_mf, str(tmp_path / "m.json"))
         for model in (fitted_mf, load_model(str(tmp_path / "m.json"))):
             lf = model.lf_model
-            r_lh = kernels.corr_matrix(lf.data.x, model.data.hf.x, lf.hyper.kernel.theta)
+            r_lh = kernels.corr_matrix(lf.data.x, model.hf_data.x, lf.hyper.kernel.theta)
             assert np.array_equal(model.lf_cross_solve, numerics.solve_spd(lf.factorization, r_lh))
 
     @pytest.mark.parametrize("level", ["hf", "lf"])
@@ -1142,7 +1182,7 @@ class TestPredictMf:
         lf = TrainedGp(lf.data, lf.basis, GpHyper(
             lf.hyper.beta, KernelParams(theta=k.theta, sigma2=k.sigma2, eta=1e-8)))
         model = MfModel(lf, fitted_mf.hf_params, fitted_mf.hf_basis, fitted_mf.rho_basis,
-                        fitted_mf.data)
+                        fitted_mf.hf_data)
         x = np.random.default_rng(n).uniform(0, 2, size=(n, 1))
         pred = predict_mf(model, x, level=level)
         if level == "hf":
@@ -1159,7 +1199,7 @@ class TestPredictMf:
         k = lf.hyper.kernel
         lf = TrainedGp(lf.data, lf.basis, GpHyper(
             lf.hyper.beta, KernelParams(theta=k.theta, sigma2=k.sigma2, eta=1e-8)))
-        x_h, x_l = fitted_mf.data.hf.x, lf.data.x
+        x_h, x_l = fitted_mf.hf_data.x, lf.data.x
         r_tilde = KernelWorkspace(x_l).corr(k.theta, 1e-8)
         r_tilde += lf.factorization.jitter_used * np.eye(len(x_l))
         r = kernels.corr_matrix(x_h, x_l, k.theta).astype(np.longdouble)
@@ -1167,7 +1207,7 @@ class TestPredictMf:
         oracle = np.longdouble(k.sigma2) * (kernels.corr_matrix(x_h, x_h, k.theta) - r @ solved)
         cov = predict_gp(lf, x_h, cov="full").covariance
         assert np.max(np.abs(cov - oracle)) < 1e-14
-        hf = hf_workspace(fitted_mf.data, lf, fitted_mf.hf_basis, fitted_mf.rho_basis)
+        hf = hf_workspace(fitted_mf.hf_data, lf, fitted_mf.hf_basis, fitted_mf.rho_basis)
         assert np.array_equal(hf.lf_cov, cov)
 
     @pytest.mark.parametrize("level", ["hf", "lf"])
@@ -1188,7 +1228,7 @@ class TestPredictMf:
     def test_interpolation_exact_covariance(self):
         lf_model, x_lf, z_lf, x_hf = _nested_lf(n_lf=20, n_hf=10)
         z_hf = design.eval_testfn(design.ANALYTIC_1D, "hf", x_hf)
-        data = MfData(lf_model.data, Dataset(x_hf, z_hf))
+        data = Dataset(x_hf, z_hf)
         params = HfParams(
             beta_rho=np.array([1.0]),
             beta_h=np.array([0.0]),
@@ -1209,9 +1249,9 @@ class TestPredictMf:
             eta_h=0.2,
         )
         model = MfModel(
-            fitted_mf.lf_model, params, constant_basis(), constant_basis(), fitted_mf.data
+            fitted_mf.lf_model, params, constant_basis(), constant_basis(), fitted_mf.hf_data
         )
-        single = TrainedGp(fitted_mf.data.hf, constant_basis(), GpHyper(
+        single = TrainedGp(fitted_mf.hf_data, constant_basis(), GpHyper(
             params.beta_h,
             KernelParams(theta=params.theta_h, sigma2=params.sigma2_h, eta=params.eta_h),
         ))
@@ -1313,7 +1353,7 @@ def test_every_factorization_goes_through_chol_factor(park_em_case, monkeypatch)
     lf_evaluations = count_calls(monkeypatch, gp, "profiled_nll_and_grad")
     hf_evaluations = count_calls(monkeypatch, mfgp, "q_tilde_and_grad")
     data, lf = park_em_case
-    fit_gp(data.hf, config=MultiStartConfig(n_starts=10, rng_seed=0))
+    fit_gp(data, config=MultiStartConfig(n_starts=10, rng_seed=0))
     assert len(lf_evaluations) > 100
     assert len(factorizations) == len(lf_evaluations) + 2
     factorizations.clear()

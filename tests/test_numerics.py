@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import blas, cho_solve, solve_triangular
+from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 
 from mfkrig import numerics
 from mfkrig.exceptions import DimensionMismatch, NotPositiveDefinite
@@ -178,33 +178,39 @@ class TestInvSpd:
 
 
 class TestLowerInverse:
+    """The one inverse factor, U^-1 = (L^T)^-1, whose transpose is L^-1."""
+
     def test_inverts_the_factor(self, rng):
         f = numerics.chol_factor(random_spd(rng, 12))
-        inv = f.lower_inverse
-        assert np.array_equal(inv, np.tril(inv))
-        assert np.allclose(inv @ f.lower_factor, np.eye(12), atol=1e-12)
+        inv = f.upper_inverse
+        assert np.array_equal(inv, np.triu(inv)) and inv.flags.f_contiguous
+        assert np.allclose(f.lower_factor.T @ inv, np.eye(12), atol=1e-12)
+        assert np.array_equal(inv, lapack.dtrtri(f.lower_factor.T, lower=0)[0])
 
     def test_computed_once_on_first_use_and_read_only(self, rng):
+        # Built by whichever of inv_spd and whiten reads it first, then shared.
         f = numerics.chol_factor(random_spd(rng, 8))
-        numerics.inv_spd(f)
         numerics.solve_spd(f, np.ones(8))
-        assert "lower_inverse" not in vars(f)
-        inv = f.lower_inverse
-        assert f.lower_inverse is inv
+        assert "upper_inverse" not in vars(f)
+        upper = numerics.inv_spd(f)
+        inv = vars(f)["upper_inverse"]
+        assert np.array_equal(upper, blas.dsyrk(1.0, inv))
+        numerics.whiten(f, np.ones(8))
+        assert f.upper_inverse is inv
         with pytest.raises(ValueError, match="read-only"):
             inv[0, 0] = 1.0
 
     def test_zero_pivot_raises(self):
         f = numerics.SpdFactorization(lower_factor=np.diag([1.0, 0.0]), jitter_used=0.0)
         with pytest.raises(NotPositiveDefinite):
-            f.lower_inverse
+            f.upper_inverse
 
 
 class TestWhiten:
     @staticmethod
     def _check(f, b):
         u = numerics.whiten(f, b)
-        assert np.array_equal(u, blas.dtrmm(1.0, f.lower_inverse, b, lower=1))
+        assert np.array_equal(u, blas.dtrmm(1.0, f.upper_inverse, b, lower=0, trans_a=1))
         assert np.allclose(f.lower_factor @ u, b, atol=1e-12)
         ref = solve_triangular(f.lower_factor, b, lower=True)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -226,7 +232,8 @@ class TestWhiten:
         b = rng.normal(size=6)
         u = numerics.whiten(f, b)
         assert u.shape == (6,) and np.array_equal(u, numerics.whiten(f, b[:, None])[:, 0])
-        assert np.array_equal(u, blas.dtrmm(1.0, f.lower_inverse, b[:, None], lower=1)[:, 0])
+        ref = blas.dtrmm(1.0, f.upper_inverse, b[:, None], lower=0, trans_a=1)
+        assert np.array_equal(u, ref[:, 0])
 
     def test_dimension_mismatch(self):
         f = numerics.chol_factor(np.eye(3))
@@ -249,7 +256,7 @@ class TestWhiten:
         before = b.copy()
         u = numerics.whiten(f, b)
         assert u.shape == (n, m)
-        assert np.array_equal(u, blas.dtrmm(1.0, f.lower_inverse, b, lower=1))
+        assert np.array_equal(u, blas.dtrmm(1.0, f.upper_inverse, b, lower=0, trans_a=1))
         # The product is formed in a copy: an F-ordered B is not overwritten.
         assert np.array_equal(b, before) and not np.shares_memory(u, b)
 
@@ -262,7 +269,7 @@ class TestWhiten:
         n, m = 1500, 3000
         rng = np.random.default_rng(0)
         f = numerics.SpdFactorization(np.tril(rng.uniform(size=(n, n))) + n * np.eye(n), 0.0)
-        f.lower_inverse
+        f.upper_inverse
         b = rng.normal(size=(n, m))
         done, call_s = threading.Event(), []
 

@@ -488,7 +488,7 @@ def test_campaign_fits_match_on_both_cores(monkeypatch):
     for core in each_core(monkeypatch):
         searches.clear()
         lf_model = fit_gp(data.lf, config=MultiStartConfig(rng_seed=31))
-        params, em_log = mfgp.em_fit_hf(data, lf_model, config=MultiStartConfig(rng_seed=32))
+        params, em_log = mfgp.em_fit_hf(data.hf, lf_model, config=MultiStartConfig(rng_seed=32))
         fits[core] = (list(searches), em_log, array_bits(params))
         assert len(searches) > 2, core  # the LF search and at least two M-steps
     assert len(fits) == 1 or fits["setulb"] == fits["minimize"]

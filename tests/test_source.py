@@ -312,9 +312,10 @@ def test_detector_finds_an_inverse_routine():
 def test_one_inverse_module():
     """Triangular and SPD inverses are formed only in `numerics`, so the package
     has one place that decides which triangle of an inverse is stored and how the
-    LAPACK error codes are checked."""
+    LAPACK error codes are checked. There is one call site, the inverse factor a
+    factorization caches, so `inv_spd` and `whiten` read the same U^-1."""
     uses = package_uses(INVERSE_ROUTINE)
-    assert uses and all(use.startswith("numerics.py: ") for use in uses)
+    assert len(uses) == 1 and uses[0].startswith("numerics.py: upper_inverse (")
 
 
 def test_detector_finds_a_solve_routine():
