@@ -29,7 +29,9 @@ from .exceptions import (
 )
 from .kernels import KernelParams, LengthScales
 from .numerics import SpdFactorization
-from .optimize import BoxBounds, MultiStartConfig, as_points, as_vector, check_finite
+from .optimize import (
+    BoxBounds, MultiStartConfig, as_points, as_vector, check_finite, check_positive,
+)
 
 LATENT = "latent"
 NOISY = "noisy"
@@ -302,10 +304,13 @@ def log_space_search(
     (config.n_starts by default; 0 for none), uniform in psi, i.e. log-uniform
     over the box, drawn from config.rng_seed. Every start runs
     `optimize.minimize_box` with one memo for the whole search, so a point one
-    start evaluated does not reach `evaluate` again. The lowest value wins, ties
-    going to the lowest start index. Returns the best theta and eta, the value
-    there and the start log, in which a start that failed (non-finite at its
-    start point) is marked; raises AllStartsFailed if every start failed.
+    start evaluated does not reach `evaluate` again, and with the end points of
+    the starts before it, so a start stops, merged into the first of them, once an
+    iterate comes within `optimize.MERGE_RADIUS` of one in psi (max norm). The
+    lowest value wins, ties going to the lowest start index. Returns the best
+    theta and eta, the value there and the start log, in which a start that
+    failed (non-finite at its start point) and the start each merged start joined
+    are marked; raises AllStartsFailed if every start failed.
     """
     log_bounds = BoxBounds(np.log(bounds.lower), np.log(bounds.upper))
     d = bounds.ndim if fixed_eta is not None else bounds.ndim - 1
@@ -324,8 +329,11 @@ def log_space_search(
     starts.extend(rng.uniform(log_bounds.lower, log_bounds.upper, size=(n_random, log_bounds.ndim)))
 
     seen: dict[bytes, tuple[float, np.ndarray]] = {}
-    log = [optimize.StartResult(start, *optimize.minimize_box(in_log_space, log_bounds, start,
-                                                              config, seen)) for start in starts]
+    log: list[optimize.StartResult] = []
+    for start in starts:
+        ends = [None if entry.failed else entry.x for entry in log]
+        log.append(optimize.StartResult(start, *optimize.minimize_box(
+            in_log_space, log_bounds, start, config, seen, ends)))
     best = min(log, key=lambda entry: entry.value)  # the first of equal values
     if best.failed:
         raise AllStartsFailed("the objective is not finite at any start point")
@@ -341,8 +349,10 @@ def fit_gp(
     """Fit (theta, eta) by multi-start minimization of the profiled NLL.
 
     `fixed_eta` pins the noise ratio (e.g. 0 for noise-free interpolation) and
-    restricts the search to theta.
+    restricts the search to theta; it must be a finite number >= 0.
     """
+    if fixed_eta is not None:
+        check_positive("fixed_eta", fixed_eta, zero_ok=True)
     if data.n < basis.p + 1:
         raise InvalidConfig(f"need at least {basis.p + 1} training points, got {data.n}")
     f = check_rank(basis.design_matrix(data.x), "basis")

@@ -284,7 +284,12 @@ def em_fit_hf(
     warm step), except the escape check after a warm step that gains less than
     the tolerance: that step adds INNER_N_STARTS random starts, and EM stops
     when it gains less than the tolerance too. So a fit that stops on tolerance
-    ends on a multi-start M-step. The current point is always a start, which
+    ends on a multi-start M-step. The current point is the first start, and the
+    search's distance filter stops each later start once an iterate comes within
+    `optimize.MERGE_RADIUS` (in log space) of an earlier start's end, so a random
+    start of the escape check that falls back into the current point's basin
+    stops there; a warm step has one start, which the filter never stops. The
+    current point is always a start, which
     guarantees a non-decreasing observed-data log-likelihood (Dempster, Laird &
     Rubin 1977). One HF workspace serves the whole fit, and one AR(1) marginal
     per iterate serves its log-likelihood and the next E-step. The scaling and

@@ -260,6 +260,17 @@ class TestFitGp:
         assert "upper_inverse" in vars(model.factorization)
         assert len(dtrtri) == len(inverted) + 1
 
+    @pytest.mark.parametrize("fixed_eta", ["0.1", -1e-3, -0.5, float("inf"), float("nan"), True])
+    def test_bad_fixed_eta_is_refused_before_any_evaluation(self, monkeypatch, fixed_eta):
+        # A pinned noise ratio must be a finite number >= 0, not a string or a bool;
+        # each of these is a config error, raised before the search evaluates.
+        evaluations = count_calls(monkeypatch, gp, "profiled_nll_and_grad")
+        x = np.linspace(0.0, 1.0, 12)
+        with pytest.raises(InvalidConfig, match="fixed_eta"):
+            fit_gp(Dataset(x, np.sin(6.0 * x)), config=MultiStartConfig(n_starts=2),
+                   fixed_eta=fixed_eta)
+        assert evaluations == []
+
     def test_fit_factorizes_once_per_evaluation_plus_two(self, monkeypatch,
                                                          factorization_sizes):
         # One factorization per objective evaluation, one for the closed forms at
@@ -270,7 +281,7 @@ class TestFitGp:
         x = design.scale_to_domain(pair, design.lhs(30, 1, seed=1).points)
         fit_gp(Dataset(x, design.eval_testfn(pair, "lf", x)),
                config=MultiStartConfig(n_starts=3, rng_seed=0))
-        assert len(factorization_sizes) == len(evaluations) + 2 == 119
+        assert len(factorization_sizes) == len(evaluations) + 2 == 95
         assert set(factorization_sizes) == {30}
 
     def test_refit_determinism(self, rng):

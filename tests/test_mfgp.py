@@ -1381,4 +1381,4 @@ def test_fit_mf_factorization_count(monkeypatch, factorization_sizes):
                    hf_config=MultiStartConfig(n_starts=3, rng_seed=1))
     iterations = len(model.em_log) - 1
     evaluations = len(lf_evaluations) + len(hf_evaluations)
-    assert len(factorization_sizes) == evaluations + 4 + 2 * iterations == 427
+    assert len(factorization_sizes) == evaluations + 4 + 2 * iterations == 410

@@ -24,6 +24,16 @@ def quadratic(center):
     return f
 
 
+def quartic_bowl(weights, center):
+    """A convex sum of weights * (u^4 + u^2), u = x - center: L-BFGS-B takes several
+    iterates to reach its minimum at center."""
+    def f(x):
+        u = x - center
+        return float(np.sum(weights * (u**4 + u**2))), weights * (4.0 * u**3 + 2.0 * u)
+
+    return f
+
+
 def scipy_combined(objective, bounds, start, max_iterations=200):
     """Oracle: scipy memoizing one (value, gradient) callback itself (jac=True),
     with minimize_box's options."""
@@ -81,13 +91,13 @@ class TestMinimizeBox:
     def test_quadratic_bowl(self):
         bounds = BoxBounds(np.full(3, -5.0), np.full(3, 5.0))
         c = np.array([0.3, -1.2, 2.0])
-        x, f, conv, failed = minimize_box(quadratic(c), bounds, np.zeros(3), CONFIG, {})
+        x, f, conv, failed, _ = minimize_box(quadratic(c), bounds, np.zeros(3), CONFIG, {})
         assert conv and not failed
         assert np.allclose(x, c, atol=1e-6)
 
     def test_active_lower_bound(self):
         bounds = BoxBounds(np.ones(4), np.full(4, 2.0))
-        x, _, _, _ = minimize_box(quadratic(np.zeros(4)), bounds, np.full(4, 1.5), CONFIG, {})
+        x, *_ = minimize_box(quadratic(np.zeros(4)), bounds, np.full(4, 1.5), CONFIG, {})
         assert np.allclose(x, np.ones(4), atol=1e-8)
 
     def test_rosenbrock(self):
@@ -100,7 +110,7 @@ class TestMinimizeBox:
             return float(val), grad
 
         bounds = BoxBounds(np.full(2, -2.0), np.full(2, 2.0))
-        _, f, _, failed = minimize_box(
+        _, f, _, failed, _ = minimize_box(
             rosen, bounds, np.array([-1.2, 1.0]), MultiStartConfig(max_iterations=500), {}
         )
         assert f < 1e-8 and not failed
@@ -115,8 +125,8 @@ class TestMinimizeBox:
                              max_iterations=1)
         for core in each_core(monkeypatch):
             got = []
-            x, f, conv, failed = minimize_box(recorded(quadratic(np.zeros(1)), got), bounds,
-                                              start, config, {})
+            x, f, conv, failed, _ = minimize_box(recorded(quadratic(np.zeros(1)), got),
+                                                 bounds, start, config, {})
             assert f <= f0 and not failed, core
             assert got == first_occurrences(want), core
             assert (x.tobytes(), f, conv) == (res.x.tobytes(), res.fun, res.success), core
@@ -134,9 +144,10 @@ class TestMinimizeBox:
         bounds = BoxBounds(np.array([0.0]), np.array([1.0]))
         for core in each_core(monkeypatch):
             calls = []
-            x, f, conv, failed = minimize_box(recorded(bad, calls), bounds, np.array([1.5]),
-                                              CONFIG, {})
-            assert (x.tolist(), f, conv, failed) == ([1.0], math.inf, False, True), core
+            x, f, conv, failed, merged = minimize_box(recorded(bad, calls), bounds,
+                                                      np.array([1.5]), CONFIG, {})
+            assert (x.tolist(), f, conv, failed, merged) == ([1.0], math.inf, False, True,
+                                                             None), core
             assert calls == [np.array([1.0]).tobytes()], core
         assert ran == []
 
@@ -152,8 +163,9 @@ class TestMinimizeBox:
             calls, seen = [], {}
             first = minimize_box(recorded(bad, calls), bounds, start, CONFIG, seen)
             again = minimize_box(recorded(bad, calls), bounds, start, CONFIG, seen)
-            for x, f, conv, failed in (first, again):
-                assert (x.tolist(), f, conv, failed) == ([0.5], math.inf, False, True), core
+            for x, f, conv, failed, merged in (first, again):
+                assert (x.tolist(), f, conv, failed, merged) == ([0.5], math.inf, False,
+                                                                 True, None), core
             assert calls == [start.tobytes()] and list(seen) == [start.tobytes()], core
 
     def test_start_evaluated_once(self):
@@ -184,7 +196,7 @@ class TestMinimizeBox:
         res = scipy_combined(recorded(rosen, want), bounds, start)
         for core in each_core(monkeypatch):
             got = []
-            x, f, conv, failed = minimize_box(recorded(rosen, got), bounds, start, CONFIG, {})
+            x, f, conv, failed, _ = minimize_box(recorded(rosen, got), bounds, start, CONFIG, {})
             assert len(got) > 10 and got == first_occurrences(want) and not failed, core
             assert np.array_equal(x, res.x) and f == res.fun and conv == res.success, core
 
@@ -214,7 +226,7 @@ class TestMinimizeBox:
         best = int(np.argmin(values))
         for core in each_core(monkeypatch):
             got = []
-            x_min, f, conv, _ = minimize_box(recorded(callback, got), bounds, start, CONFIG, {})
+            x_min, f, conv, _, _ = minimize_box(recorded(callback, got), bounds, start, CONFIG, {})
             assert got == first_occurrences(want), core
             assert x_min.tobytes() == want[best] and f == values[best], core
             assert conv == res.success, core
@@ -268,7 +280,7 @@ class TestMinimizeBox:
         start = np.array([4.0])
         results = []
         for core in each_core(monkeypatch):
-            x, f, conv, failed = minimize_box(half_plane, bounds, start, CONFIG, {})
+            x, f, conv, failed, _ = minimize_box(half_plane, bounds, start, CONFIG, {})
             assert x[0] >= 0.0 and f <= half_plane(start)[0] and not failed, core
             results.append((x.tobytes(), f, conv))
         assert len(set(results)) == 1
@@ -285,40 +297,90 @@ class TestMinimizeBox:
         bounds = BoxBounds(np.log([0.01]), np.log([100.0]))
         start = np.log([4.0])
         for core in each_core(monkeypatch):
-            x, f, converged, failed = minimize_box(floored, bounds, start, CONFIG, {})
+            x, f, converged, failed, _ = minimize_box(floored, bounds, start, CONFIG, {})
             assert np.array_equal(x, start) and f == floored(start)[0] and not failed, core
             assert f > floored(np.log([0.6]))[0]
             assert not converged, core
 
+    def test_later_starts_merge_into_a_converged_first_start(self, monkeypatch):
+        # On a convex objective every start heads for the one minimum, so each
+        # later start stops once an iterate comes within MERGE_RADIUS of start 0's
+        # end, short of where it ends alone. The core's loop tests each new iterate
+        # where scipy.optimize.minimize calls its callback, so both paths stop at
+        # the same iterate after the same evaluations.
+        bowl = quartic_bowl(np.array([1.0, 10.0]), np.array([0.5, -1.0]))
+        bounds = BoxBounds(np.full(2, -3.0), np.full(2, 3.0))
+        starts = [np.array([2.5, 2.5]), np.array([-2.0, 2.0]), np.array([2.0, -2.5]),
+                  np.array([-2.5, -2.5])]
+        stops = {}
+        for core in each_core(monkeypatch):
+            end, _, converged, _, merged = minimize_box(bowl, bounds, starts[0], CONFIG, {})
+            assert converged and merged is None, core
+            stops[core] = []
+            for start in starts[1:]:
+                alone, seen = {}, {}
+                minimize_box(bowl, bounds, start, CONFIG, alone)
+                x, f, converged, failed, merged = minimize_box(bowl, bounds, start, CONFIG,
+                                                               seen, [end])
+                assert (merged, converged, failed) == (0, False, False), core
+                assert np.max(np.abs(x - end)) <= optimize.MERGE_RADIUS, core
+                assert len(seen) < len(alone) and list(seen) == list(alone)[: len(seen)], core
+                stops[core].append((x.tobytes(), f, list(seen)))
+            # A failed earlier start (None) is skipped but keeps its index.
+            assert minimize_box(bowl, bounds, starts[1], CONFIG, {}, [None, end])[4] == 1, core
+        assert len(stops) == 1 or stops["setulb"] == stops["minimize"]
+
     def test_feasibility(self):
         bounds = BoxBounds(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
-        x, _, _, _ = minimize_box(quadratic(np.array([3.0, -3.0])), bounds, np.zeros(2), CONFIG, {})
+        x, *_ = minimize_box(quadratic(np.array([3.0, -3.0])), bounds, np.zeros(2), CONFIG, {})
         assert np.all(x >= bounds.lower) and np.all(x <= bounds.upper)
 
 
 class TestMultiStart:
     def test_convex_all_agree(self):
+        # Unmerged starts agree on the minimum; a merged start ends, unconverged,
+        # within MERGE_RADIUS (in log space) of the start it joined.
         bounds = BoxBounds(np.full(2, 0.1), np.full(2, 3.0))
         c = np.array([0.7, 0.2])
         theta, eta, f, log = log_space_search(
             raw(quadratic(c)), bounds, MultiStartConfig(n_starts=5, rng_seed=1), fixed_eta=0.0
         )
         assert np.allclose(theta.theta, c, atol=1e-5)
-        for entry in log:
-            assert np.allclose(np.exp(entry.x), c, atol=1e-5)
+        assert log[0].merged_into is None
+        assert any(entry.merged_into is not None for entry in log)
+        for i, entry in enumerate(log):
+            if entry.merged_into is None:
+                assert np.allclose(np.exp(entry.x), c, atol=1e-5)
+            else:
+                assert entry.merged_into < i and not entry.converged
+                joined = log[entry.merged_into]
+                assert np.max(np.abs(entry.x - joined.x)) <= optimize.MERGE_RADIUS
 
-    def test_double_well(self):
+    def test_double_well(self, monkeypatch):
         def f(x):
             v = ((x[0] - 2.0) ** 2 - 1.0) ** 2
             g = np.array([4.0 * (x[0] - 2.0) * ((x[0] - 2.0) ** 2 - 1.0)])
             return float(v), g
 
+        def well(entry):
+            return bool(np.exp(entry.x[0]) > 2.0)
+
         bounds = BoxBounds(np.array([0.1]), np.array([4.0]))
-        theta, _, val, _ = log_space_search(
-            raw(f), bounds, MultiStartConfig(n_starts=6, rng_seed=3), fixed_eta=0.0
-        )
+        config = MultiStartConfig(n_starts=6, rng_seed=3)
+        theta, _, val, log = log_space_search(raw(f), bounds, config, fixed_eta=0.0)
         assert val < 1e-10
         assert np.isclose(abs(theta.theta[0] - 2.0), 1.0, atol=1e-5)
+        # With no radius, no start merges: each start's own well. A merged start
+        # joined a start in the well it heads for, and both wells were found.
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "MERGE_RADIUS", -1.0)
+            *_, alone = log_space_search(raw(f), bounds, config, fixed_eta=0.0)
+        assert all(entry.merged_into is None for entry in alone)
+        merged = [(i, entry.merged_into) for i, entry in enumerate(log)
+                  if entry.merged_into is not None]
+        assert merged
+        assert all(well(alone[i]) == well(log[j]) for i, j in merged)
+        assert {well(entry) for entry in log if entry.merged_into is None} == {False, True}
 
     def test_deterministic_for_fixed_seed(self):
         bounds = BoxBounds(np.array([0.1, 0.1]), np.array([4.0, 4.0]))
@@ -459,7 +521,7 @@ def test_box_bounds_validation():
     # Strided vectors are stored contiguous, as the L-BFGS-B core reads them.
     strided = BoxBounds(np.zeros(4)[::2], np.ones(4)[::2])
     assert strided.lower.flags.c_contiguous and strided.upper.flags.c_contiguous
-    x, _, converged, _ = minimize_box(quadratic(np.full(2, 0.5)), strided, np.zeros(2), CONFIG, {})
+    x, _, converged, *_ = minimize_box(quadratic(np.full(2, 0.5)), strided, np.zeros(2), CONFIG, {})
     assert converged and np.allclose(x, 0.5)
 
 
@@ -478,7 +540,8 @@ def test_campaign_fits_match_on_both_cores(monkeypatch):
     def spy(*args, **kwargs):
         theta, eta, value, log = search(*args, **kwargs)
         searches.append((theta.theta.tobytes(), eta, value, [
-            (e.start.tobytes(), e.x.tobytes(), e.value, e.converged, e.failed) for e in log
+            (e.start.tobytes(), e.x.tobytes(), e.value, e.converged, e.failed, e.merged_into)
+            for e in log
         ]))
         return theta, eta, value, log
 
@@ -492,7 +555,6 @@ def test_campaign_fits_match_on_both_cores(monkeypatch):
         fits[core] = (list(searches), em_log, array_bits(params))
         assert len(searches) > 2, core  # the LF search and at least two M-steps
     assert len(fits) == 1 or fits["setulb"] == fits["minimize"]
-
 
 
 COLD_FIT = """

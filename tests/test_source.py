@@ -171,11 +171,20 @@ def test_detector_finds_a_builtin_raise():
     assert builtin_raises(source) == ["ValueError (line 3)", "TypeError (line 12)"]
 
 
+# StopIteration is no error: it is how a callback halts scipy.optimize.minimize,
+# which catches it. One is raised, by the distance filter's callback on the path
+# for an unsupported L-BFGS-B core.
+CALLBACK_HALTS = {"optimize.py": 1}
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_raises_only_package_errors(path):
     """Every error the package raises is an MfkrigError, so callers and the CLI can
     tell a bad input from a bug."""
-    assert builtin_raises(path.read_text()) == []
+    found = builtin_raises(path.read_text())
+    halts = [raised for raised in found if raised.startswith("StopIteration ")]
+    assert len(halts) == CALLBACK_HALTS.get(path.name, 0)
+    assert [raised for raised in found if raised not in halts] == []
 
 
 def unfrozen_dataclasses(source: str) -> list[str]:
