@@ -41,13 +41,16 @@ DIAGONAL = "diagonal"
 # Below this, the profiled variance is treated as degenerate and the NLL is +inf.
 _SIGMA2_FLOOR = 1e-300
 
+# The free search's upper bound on the noise ratio eta, and the largest `fixed_eta`.
+ETA_MAX = 1e2
+
 # Query rows per block of a diagonal-covariance prediction, and its unit of work
 # on threads (`in_blocks`). A block's cross-correlations (rows x N) stay in cache
-# across the steps that read them: a 10^4-point predict_mf call at N_L = 100 ran
-# within 5 % at 500 to 2,000 rows and 30 to 50 % slower at 5,000 or 10^4. On two
-# threads of a 2-vCPU VM, with the whitening off the GIL, 500-row blocks took 20 to
-# 24 % longer than 1,000-row ones, and 2,000-row blocks (5 blocks on 2 threads)
-# 4 and 10 % longer in two of three runs and 7 % shorter in the third.
+# across the steps that read them. A 10^4-point predict_mf call at N_L = 100, BLAS
+# on one thread, 2-vCPU VM: serial, 500- and 1,000-row blocks ran within 2 %,
+# 2,000 rows 10 % and 5,000 rows 43 % slower; on two threads, 500 rows ran within
+# 11 % of 1,000 (either side), and 2,000 rows (5 blocks on 2 threads) 35 to 45 %
+# slower.
 PREDICT_BLOCK_ROWS = 1000
 
 
@@ -168,7 +171,7 @@ def default_bounds(data: Dataset, with_eta: bool = True) -> BoxBounds:
     ranges = np.where(ranges > 0, ranges, 1.0)
     lower, upper = 1e-3 * ranges, 1e3 * ranges
     if with_eta:
-        lower, upper = np.append(lower, 1e-8), np.append(upper, 1e2)
+        lower, upper = np.append(lower, 1e-8), np.append(upper, ETA_MAX)
     return BoxBounds(lower=lower, upper=upper)
 
 
@@ -349,10 +352,13 @@ def fit_gp(
     """Fit (theta, eta) by multi-start minimization of the profiled NLL.
 
     `fixed_eta` pins the noise ratio (e.g. 0 for noise-free interpolation) and
-    restricts the search to theta; it must be a finite number >= 0.
+    restricts the search to theta; it must be a number from 0 to the free search's
+    upper bound ETA_MAX (InvalidConfig otherwise, before any evaluation).
     """
     if fixed_eta is not None:
         check_positive("fixed_eta", fixed_eta, zero_ok=True)
+        if fixed_eta > ETA_MAX:
+            raise InvalidConfig(f"fixed_eta must be at most {ETA_MAX:g}, got {fixed_eta!r}")
     if data.n < basis.p + 1:
         raise InvalidConfig(f"need at least {basis.p + 1} training points, got {data.n}")
     f = check_rank(basis.design_matrix(data.x), "basis")
@@ -385,7 +391,8 @@ def kriging_step(model: TrainedGp, x_star: np.ndarray) -> tuple[np.ndarray, np.n
 
 def latent_spread(model: TrainedGp, x_star: np.ndarray, r: np.ndarray, cov: str) -> np.ndarray:
     """Latent posterior covariance at x_star (full), or its diagonal sigma2 (1 - |U_i|^2)
-    from the cross-correlation r whitened by the cached inverse factor, U = L^-1 r^T."""
+    from the cross-correlation r whitened by the cached inverse factor, U = L^-1 r^T
+    (`numerics.whiten`: one NumPy product with U^-T)."""
     if cov == FULL:
         return posterior_cross_cov(model, x_star, x_star)
     u = numerics.whiten(model.factorization, r.T)

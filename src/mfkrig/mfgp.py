@@ -271,6 +271,7 @@ def em_fit_hf(
     lf_model: TrainedGp,
     hf_basis: BasisSpec = constant_basis(),
     rho_basis: BasisSpec = constant_basis(),
+    *,
     config: MultiStartConfig = MultiStartConfig(),
     em_config: EmConfig = EmConfig(),
 ) -> tuple[HfParams, list[float]]:
@@ -295,7 +296,7 @@ def em_fit_hf(
     per iterate serves its log-likelihood and the next E-step. The scaling and
     discrepancy design matrices G and F, G o m_L with the LF posterior mean m_L
     at X_H, and each E-step's H = [G o mu_{Y|Z}, F] must have full column rank
-    (RankDeficientBasis otherwise).
+    (RankDeficientBasis otherwise). `config` and `em_config` are keyword-only.
     """
     q, p_h = rho_basis.p, hf_basis.p
     if hf_data.n < q + p_h + 1:
@@ -376,8 +377,8 @@ def predict_mf(
 
     Each block of x_star takes its LF mean and covariance with the HF inputs from
     one LF kriging step and the model's cached solve R~_L^-1 R_L(X_L, X_H), and its
-    HF variances from one whitening of k_cross with the AR factor (a triangular
-    product, as for the LF variances). A full covariance is
+    HF variances from one whitening of k_cross with the AR factor (one NumPy product
+    with its cached inverse factor, as for the LF variances). A full covariance is
     prior - k_cross C^-1 k_cross^T by one solve with the factor of the AR
     covariance C, its LF block from `gp.posterior_cross_cov`.
     """

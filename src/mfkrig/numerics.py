@@ -5,51 +5,23 @@ inverting its factor at most once, into its cached inverse factor U^-1. The
 single-fidelity likelihood applies the inverse by solves with the cached factor and
 takes one triangle of the explicit inverse only for its gradient's trace terms; the
 HF M-step takes that triangle for every product. Prediction takes full and cross
-covariances from solves, and diagonal variances from one product with U^-1.
+covariances from solves, and diagonal variances from one NumPy matrix product with
+U^-T.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import blas, cython_blas, lapack
+from scipy.linalg import blas, lapack
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite
 
 # Jitter multipliers applied to mean(diag(M)) when the bare factorization fails.
 JITTER_SCHEDULE = (1e-10, 1e-8, 1e-6)
-
-
-def _cython_blas_routine(name: str, n_args: int):
-    """scipy's BLAS routine `name`, through the function pointer that
-    scipy.linalg.cython_blas exports, as a ctypes function of `n_args` pointers
-    (every Fortran argument is one).
-
-    It is the routine `scipy.linalg.blas` wraps, but ctypes releases the GIL for the
-    length of the call, where the f2py wrapper holds it, so threads that call it
-    run at the same time. A capsule's name is its C signature, which
-    PyCapsule_GetPointer must be given back.
-    """
-    capsule = cython_blas.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api)
-    )
-    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)
-    return prototype(get_pointer(capsule, get_name(capsule)))
-
-
-# dtrmm(side, uplo, transa, diag, m, n, alpha, A, lda, B, ldb): B := alpha op(A) B.
-_DTRMM = _cython_blas_routine("dtrmm", 11)
-# The arguments that never change, built once.
-_LEFT, _UPPER, _TRANSPOSED, _NO = (ctypes.byref(ctypes.c_char(c)) for c in (b"L", b"U", b"T", b"N"))
-_ONE = ctypes.byref(ctypes.c_double(1.0))
-_SHAPE = ctypes.c_int * 2
 
 
 @dataclass(frozen=True)
@@ -66,8 +38,9 @@ class SpdFactorization:
     @cached_property
     def upper_inverse(self) -> np.ndarray:
         """The one inverse factor U^-1 = (L^T)^-1: upper triangular, Fortran-ordered
-        and read-only, from LAPACK dtrtri on first use. `inv_spd` and `whiten` read
-        it, so a factorization inverts its factor at most once."""
+        and read-only, from LAPACK dtrtri on first use. `inv_spd` (BLAS dsyrk) and
+        `whiten` (NumPy's product with its transpose) read it, so a factorization
+        inverts its factor at most once."""
         inv, info = lapack.dtrtri(self.lower_factor.T, lower=0)
         if info != 0:
             raise NotPositiveDefinite(f"dtrtri failed to invert the factor (info={info})")
@@ -132,30 +105,25 @@ def solve_spd(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
 
 
 def whiten(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """L^-1 B = U^-T B for the cached lower factor L = U^T, by one triangular product
-    (BLAS dtrmm) with the cached inverse factor, for diagonal variances only: column
-    j has squared norm b_j^T (M + jitter_used * I)^-1 b_j. A 1-D B is one column.
+    """L^-1 B = U^-T B for the cached lower factor L = U^T, by one NumPy matrix
+    product with the transpose of the cached inverse factor, for diagonal variances
+    only: column j has squared norm b_j^T (M + jitter_used * I)^-1 b_j. A 1-D B is
+    one column, and the result has B's shape, in a new array.
 
     A product runs at matrix-multiply speed where a triangular solve against many
-    right-hand sides does not, and dtrmm skips the zeros a dense product with the
-    triangular U^-T would multiply; the inverse costs one dtrtri per factorization.
-    Its rounding grows with the condition number of L, so full and cross
-    covariances take B_a^T times a solve (`solve_spd`), not whitened products.
+    right-hand sides does not; the inverse costs one dtrtri per factorization. Its
+    rounding grows with the condition number of L, so full and cross covariances
+    take B_a^T times a solve (`solve_spd`), not whitened products.
 
-    dtrmm is scipy's, called through ctypes so that the GIL is released while it
-    runs: the row blocks of a prediction whiten on several threads at once. The
-    product is the one `scipy.linalg.blas.dtrmm(1.0, U^-1, B, lower=0, trans_a=1)`
-    returns, bit for bit, in the Fortran-ordered copy of B that wrapper makes.
+    `@` (np.matmul) releases the GIL for the whole product, so the row blocks of a
+    prediction whiten on several threads at once. `np.dot` gives the same bits but
+    held the GIL for its first 6 to 10 ms of a 0.2 s product at 1,500 x 3,000, as
+    it zeroes its output. With NumPy's bundled OpenBLAS, a 1,000-column B gave the
+    same bits on 1 and 2 BLAS threads at N = 20 to 200, while other widths could
+    change in their last columns from N = 40 on: observed behaviour of that build,
+    not a documented guarantee.
     """
-    b = _check_rows(f, b)
-    u = np.array(b[:, None] if b.ndim == 1 else b, order="F")
-    if u.size:  # an empty product is a no-op, and from_buffer refuses an empty buffer
-        shape = _SHAPE(*u.shape)
-        m, n = ctypes.byref(shape), ctypes.byref(shape, 4)
-        # from_buffer takes a C-ordered buffer; u.T is one, on u's memory.
-        out = ctypes.byref(ctypes.c_char.from_buffer(u.T))
-        _DTRMM(_LEFT, _UPPER, _TRANSPOSED, _NO, m, n, _ONE, f.upper_inverse.ctypes.data, m, out, m)
-    return u.reshape(b.shape)
+    return f.upper_inverse.T @ _check_rows(f, b)
 
 
 def inv_spd(f: SpdFactorization) -> np.ndarray:

@@ -2,12 +2,14 @@ import csv
 import functools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mfkrig import bench, cli, design, mfgp, numerics
+from mfkrig import bench, cli, design, gp, mfgp, numerics
 from mfkrig.bench import BenchmarkConfig
 from mfkrig.cli import (
     EXIT_CONFIG_ERROR,
@@ -729,6 +731,46 @@ def test_campaign_rows_independent_of_worker_count(monkeypatch):
         assert [row["failed"] for row in rows] == [0] * 4
         tables.append([{k: v for k, v in row.items() if k != "fit_seconds"} for row in rows])
     assert tables[0] == tables[1]
+
+
+def test_predictions_independent_of_blas_thread_count(workdir):
+    # A saved model predicts the same bytes whatever the BLAS and block thread
+    # counts. Each prediction runs in a fresh process, since OpenBLAS reads its
+    # thread count once, at load. The bits rest on NumPy's bundled OpenBLAS, whose
+    # matrix product gave the same bits on 1 and 2 threads for every whitening of
+    # a full 1,000-row block: an observed property of that build, not a documented
+    # guarantee of NumPy's. The queries fill three full blocks. A shorter last
+    # block is not covered: at 500 rows its last 4 variances changed with the BLAS
+    # thread count, because that build's product rounds the last columns of a
+    # width that is not a multiple of 8 differently on 2 threads.
+    pair = design.ANALYTIC_1D
+    x_lf = design.scale_to_domain(pair, design.lhs(40, 1, seed=0).points)
+    x_hf = design.scale_to_domain(pair, design.lhs(20, 1, seed=1).points)
+    lf_model = TrainedGp(Dataset(x_lf, design.eval_testfn(pair, "lf", x_lf)), constant_basis(),
+                         GpHyper(np.array([0.5]), KernelParams(
+                             theta=LengthScales(np.array([0.15])), sigma2=1.5, eta=1e-6)))
+    params = HfParams(beta_rho=np.array([1.4]), beta_h=np.array([0.1]), sigma2_h=0.2,
+                      theta_h=LengthScales(np.array([0.3])), eta_h=1e-4)
+    model = MfModel(lf_model, params, constant_basis(), constant_basis(),
+                    Dataset(x_hf, design.eval_testfn(pair, "hf", x_hf)))
+    save_model(model, str(workdir / "m.json"))
+    n_queries = 3 * gp.PREDICT_BLOCK_ROWS
+    _write_csv(workdir / "x.csv", np.linspace(0.0, 1.0, n_queries).reshape(-1, 1))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for blas_threads in ("1", "2"):
+        for block_threads in ("1", "2"):
+            out = workdir / f"p{blas_threads}{block_threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       MFKRIG_THREADS=block_threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env.pop("OMP_NUM_THREADS", None)
+            subprocess.run([sys.executable, "-m", "mfkrig.cli", "predict", "--model", "m.json",
+                            "--inputs", "x.csv", "--out", str(out)],
+                           env=env, cwd=workdir, capture_output=True, check=True, timeout=120)
+            outputs.append(out.read_bytes())
+    assert len(outputs[0].splitlines()) == n_queries + 1
+    assert all(output == outputs[0] for output in outputs[1:])
 
 
 @pytest.mark.parametrize("models", [("mf", "lf_only"), ("lf_only", "mf")])

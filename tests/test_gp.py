@@ -260,16 +260,26 @@ class TestFitGp:
         assert "upper_inverse" in vars(model.factorization)
         assert len(dtrtri) == len(inverted) + 1
 
-    @pytest.mark.parametrize("fixed_eta", ["0.1", -1e-3, -0.5, float("inf"), float("nan"), True])
+    @pytest.mark.parametrize(
+        "fixed_eta", ["0.1", -1e-3, -0.5, float("inf"), float("nan"), True, 1e3, 1e300]
+    )
     def test_bad_fixed_eta_is_refused_before_any_evaluation(self, monkeypatch, fixed_eta):
-        # A pinned noise ratio must be a finite number >= 0, not a string or a bool;
-        # each of these is a config error, raised before the search evaluates.
+        # A pinned noise ratio must be a number from 0 to the free search's upper
+        # bound, not a string or a bool; each of these is a config error, raised
+        # before the search evaluates.
         evaluations = count_calls(monkeypatch, gp, "profiled_nll_and_grad")
         x = np.linspace(0.0, 1.0, 12)
         with pytest.raises(InvalidConfig, match="fixed_eta"):
             fit_gp(Dataset(x, np.sin(6.0 * x)), config=MultiStartConfig(n_starts=2),
                    fixed_eta=fixed_eta)
         assert evaluations == []
+
+    def test_fixed_eta_at_the_free_search_bound_fits(self):
+        x = np.linspace(0.0, 1.0, 12)
+        model = fit_gp(Dataset(x, np.sin(6.0 * x)), config=MultiStartConfig(n_starts=2),
+                       fixed_eta=gp.ETA_MAX)
+        assert gp.ETA_MAX == 1e2 and model.hyper.kernel.eta == gp.ETA_MAX
+        assert np.isfinite(model.fit_log["nll"])
 
     def test_fit_factorizes_once_per_evaluation_plus_two(self, monkeypatch,
                                                          factorization_sizes):

@@ -604,6 +604,16 @@ class TestEmFit:
             em_fit_hf(fitted_mf.hf_data, fitted_mf.lf_model, **{which: duplicated},
                       config=MultiStartConfig(n_starts=1))
 
+    def test_configs_are_keyword_only(self, fitted_mf):
+        # A positional run config is refused by the signature, before any work, so
+        # a wrapper that reads `em_config` can find it by keyword alone.
+        basis, config = constant_basis(), MultiStartConfig(n_starts=1)
+        with pytest.raises(TypeError, match="positional"):
+            em_fit_hf(fitted_mf.hf_data, fitted_mf.lf_model, basis, basis, config,
+                      EmConfig(max_em_iterations=2))
+        with pytest.raises(TypeError, match="positional"):
+            em_fit_hf(fitted_mf.hf_data, fitted_mf.lf_model, basis, basis, config)
+
     @pytest.mark.parametrize("entry", ["fit_gp", "hf_basis", "rho_basis"])
     def test_empty_basis_is_refused(self, fitted_mf, entry):
         # An empty basis would have no design matrix to build.

@@ -1,5 +1,6 @@
-import threading
-import time
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ class TestWhiten:
     @staticmethod
     def _check(f, b):
         u = numerics.whiten(f, b)
-        assert np.array_equal(u, blas.dtrmm(1.0, f.upper_inverse, b, lower=0, trans_a=1))
+        assert np.array_equal(u, np.dot(f.upper_inverse.T, b))
         assert np.allclose(f.lower_factor @ u, b, atol=1e-12)
         ref = solve_triangular(f.lower_factor, b, lower=True)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -232,7 +233,7 @@ class TestWhiten:
         b = rng.normal(size=6)
         u = numerics.whiten(f, b)
         assert u.shape == (6,) and np.array_equal(u, numerics.whiten(f, b[:, None])[:, 0])
-        ref = blas.dtrmm(1.0, f.upper_inverse, b[:, None], lower=0, trans_a=1)
+        ref = np.dot(f.upper_inverse.T, b[:, None])
         assert np.array_equal(u, ref[:, 0])
 
     def test_dimension_mismatch(self):
@@ -251,43 +252,67 @@ class TestWhiten:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n, m", [(12, 30), (50, 3), (7, 1), (5, 0), (100, 1000)])
     def test_equals_scipy_dtrmm_bit_for_bit(self, rng, order, n, m):
+        # The bit-for-bit oracle is NumPy's product with U^-T, which `whiten` forms;
+        # scipy's triangular BLAS product, which names the test, agrees to rounding.
         f = numerics.chol_factor(random_spd(rng, n))
         b = np.asarray(rng.normal(size=(n, m)), order=order)
         before = b.copy()
         u = numerics.whiten(f, b)
         assert u.shape == (n, m)
-        assert np.array_equal(u, blas.dtrmm(1.0, f.upper_inverse, b, lower=0, trans_a=1))
-        # The product is formed in a copy: an F-ordered B is not overwritten.
+        assert np.array_equal(u, np.dot(f.upper_inverse.T, b))
+        ref = blas.dtrmm(1.0, f.upper_inverse, b, lower=0, trans_a=1)
+        assert np.max(np.abs(u - ref), initial=0.0) <= 1e-13 * np.max(np.abs(ref), initial=1.0)
+        # The product is a new array: neither a C- nor an F-ordered B is overwritten.
         assert np.array_equal(b, before) and not np.shares_memory(u, b)
 
     def test_releases_the_gil(self):
-        # A helper thread whitens for about 0.2 s while this thread stamps the clock
-        # in a Python loop. A call that held the GIL through its product would stall
-        # the loop for that product, about half the call (NumPy's copy of B releases
-        # the GIL); released, the loop's gaps are scheduler gaps of a few ms. The
-        # 10x margin keeps those from failing the test on a loaded machine.
-        n, m = 1500, 3000
-        rng = np.random.default_rng(0)
-        f = numerics.SpdFactorization(np.tril(rng.uniform(size=(n, n))) + n * np.eye(n), 0.0)
-        f.upper_inverse
-        b = rng.normal(size=(n, m))
-        done, call_s = threading.Event(), []
+        # A helper thread whitens for about 0.2 s while the main thread stamps the
+        # clock in a Python loop. A call that held the GIL through its product would
+        # stall the loop for the whole call, which is that one product; NumPy
+        # releases the GIL for it, so the loop's gaps are scheduler gaps of a few
+        # ms. The 10x margin keeps those from failing the test on a loaded machine.
+        # It runs in a fresh process with one BLAS thread: a multi-threaded product
+        # takes every core of a 2-core machine, and the loop then waits for a core
+        # (up to 24 ms in a 0.23 s call), whether or not the GIL is released.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", GIL_PROBE], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        gap, call_s = map(float, out.stdout.split())
+        assert gap < call_s / 10, f"loop stalled {gap:.3f} s in a {call_s:.3f} s call"
 
-        def helper():
-            try:
-                start = time.perf_counter()
-                numerics.whiten(f, b)
-                call_s.append(time.perf_counter() - start)
-            finally:
-                done.set()
 
-        thread = threading.Thread(target=helper)
-        last, gap = time.perf_counter(), 0.0
-        deadline = last + 60.0
-        thread.start()
-        while not done.is_set() and last < deadline:
-            now = time.perf_counter()
-            gap, last = max(gap, now - last), now
-        thread.join(timeout=60.0)
-        assert not thread.is_alive() and call_s, "the helper's call did not complete"
-        assert gap < call_s[0] / 10, f"loop stalled {gap:.3f} s in a {call_s[0]:.3f} s call"
+SRC = os.path.dirname(os.path.dirname(numerics.__file__))
+
+# Prints the longest gap of the main thread's clock loop while a helper thread
+# whitens, and the length of the helper's call, in seconds.
+GIL_PROBE = """
+import threading, time
+import numpy as np
+from mfkrig import numerics
+n, m = 1500, 3000
+rng = np.random.default_rng(0)
+f = numerics.SpdFactorization(np.tril(rng.uniform(size=(n, n))) + n * np.eye(n), 0.0)
+f.upper_inverse
+b = rng.normal(size=(n, m))
+done, call_s = threading.Event(), []
+
+def helper():
+    try:
+        start = time.perf_counter()
+        numerics.whiten(f, b)
+        call_s.append(time.perf_counter() - start)
+    finally:
+        done.set()
+
+thread = threading.Thread(target=helper)
+last, gap = time.perf_counter(), 0.0
+deadline = last + 60.0
+thread.start()
+while not done.is_set() and last < deadline:
+    now = time.perf_counter()
+    gap, last = max(gap, now - last), now
+thread.join(timeout=60.0)
+assert not thread.is_alive() and call_s, "the helper's call did not complete"
+print(gap, call_s[0])
+"""
