@@ -382,23 +382,6 @@ def query_points(x_star: np.ndarray, d: int) -> np.ndarray:
     return x_star
 
 
-def kriging_step(model: TrainedGp, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kriging mean at x_star and the cross-correlation R(x_star, X)."""
-    r = kernels.corr_matrix(x_star, model.data.x, model.hyper.kernel.theta)
-    mean = model.basis.design_matrix(x_star) @ model.hyper.beta + r @ model.residual_solve
-    return mean, r
-
-
-def latent_spread(model: TrainedGp, x_star: np.ndarray, r: np.ndarray, cov: str) -> np.ndarray:
-    """Latent posterior covariance at x_star (full), or its diagonal sigma2 (1 - |U_i|^2)
-    from the cross-correlation r whitened by the cached inverse factor, U = L^-1 r^T
-    (`numerics.whiten`: one NumPy product with U^-T)."""
-    if cov == FULL:
-        return posterior_cross_cov(model, x_star, x_star)
-    u = numerics.whiten(model.factorization, r.T)
-    return model.hyper.kernel.sigma2 * (1.0 - np.einsum("ij,ij->j", u, u))
-
-
 def check_predict_options(mode: str, cov: str) -> None:
     """Raise InvalidConfig unless mode is latent or noisy and cov is diagonal or full."""
     if mode not in (LATENT, NOISY):
@@ -414,6 +397,23 @@ def predictive(mean: np.ndarray, spread: np.ndarray, noise: float) -> Predictive
         np.fill_diagonal(c, np.clip(np.diag(c), 0.0, None) + noise)
         return PredictiveDistribution(mean=mean, covariance=c)
     return PredictiveDistribution(mean=mean, variance=np.clip(spread, 0.0, None) + noise)
+
+
+def kriging(
+    model: TrainedGp, x_star: np.ndarray, cov: str, noise: float
+) -> tuple[PredictiveDistribution, np.ndarray]:
+    """Kriging posterior at checked points x_star, through `predictive` with `noise`, and
+    r = R(x_star, X): the mean F beta + r R~^-1 (z - F beta) by the cached solve, and the
+    latent covariance by `posterior_cross_cov` (full) or sigma2 (1 - |U^-T r^T|^2), r
+    whitened by the cached inverse factor (`numerics.whiten`) (diagonal)."""
+    r = kernels.corr_matrix(x_star, model.data.x, model.hyper.kernel.theta)
+    mean = model.basis.design_matrix(x_star) @ model.hyper.beta + r @ model.residual_solve
+    if cov == FULL:
+        spread = posterior_cross_cov(model, x_star, x_star)
+    else:
+        u = numerics.whiten(model.factorization, r.T)
+        spread = model.hyper.kernel.sigma2 * (1.0 - np.einsum("ij,ij->j", u, u))
+    return predictive(mean, spread, noise), r
 
 
 def worker_count() -> int:
@@ -478,18 +478,15 @@ def predict_gp(
     check_predict_options(mode, cov)
     x_star = query_points(x_star, model.data.d)
     noise = model.hyper.kernel.noise_variance if mode == NOISY else 0.0
-
-    def predict_block(x: np.ndarray) -> PredictiveDistribution:
-        mean, r = kriging_step(model, x)
-        return predictive(mean, latent_spread(model, x, r, cov), noise)
-
-    return in_blocks(predict_block, x_star, cov)
+    return in_blocks(lambda x: kriging(model, x, cov, noise)[0], x_star, cov)
 
 
 def posterior_cross_cov(model: TrainedGp, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Posterior covariance sigma2 (R(xa, xb) - r_a R~^-1 r_b^T) between two point sets,
-    r = R(., X), by one solve (Rasmussen & Williams 2006, Alg. 2.1): the one path of
-    every full or cross covariance, accurate where a whitened product U_a^T U_b is not."""
+    r = R(., X), by one solve (Rasmussen & Williams 2006, Alg. 2.1), accurate where a
+    whitened product U_a^T U_b is not: the covariance of a full-covariance `kriging`
+    step. `mfgp.predict_mf` builds its LF cross covariance with X_H from the model's
+    cached LF solve, and the E-step and a full HF covariance solve with the AR factor."""
     k, x = model.hyper.kernel, model.data.x
     ra = kernels.corr_matrix(xa, x, k.theta)
     rb = ra if xb is xa else kernels.corr_matrix(xb, x, k.theta)

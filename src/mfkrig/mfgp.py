@@ -38,8 +38,7 @@ from .gp import (
     default_bounds,
     fit_gp,
     in_blocks,
-    kriging_step,
-    latent_spread,
+    kriging,
     log_space_search,
     predict_gp,
     predictive,
@@ -100,10 +99,10 @@ class HfParams:
 
 @dataclass(frozen=True)
 class EStepState:
-    """Conditional moments of the latent LF values at the HF inputs, and the
-    M-step design matrix H = [G o mu_{Y|Z}, F]."""
+    """The E-step's conditional covariance of the latent LF values at the HF inputs and
+    the M-step design matrix H = [G o mu_{Y|Z}, F], whose first column is the
+    conditional mean mu_{Y|Z} when G's first function is the constant."""
 
-    mu_y_given_z: np.ndarray
     sigma_y_given_z: np.ndarray
     h_matrix: np.ndarray
 
@@ -175,11 +174,14 @@ class MfModel:
 def hf_workspace(
     hf_data: Dataset, lf_model: TrainedGp, hf_basis: BasisSpec, rho_basis: BasisSpec
 ) -> HfWorkspace:
-    """Build the HF workspace. Its LF posterior moments at X_H, from one full-covariance
-    LF prediction (the covariance by `gp.posterior_cross_cov`), are the only path by
-    which the HF stage sees LF information."""
+    """Build the HF workspace. Its LF posterior moments at X_H, the latent mean and
+    full covariance of one `gp.kriging` step at the HF data's inputs, are the only
+    path by which the HF stage sees LF information. HF inputs of another width than
+    the LF model's raise DimensionMismatch."""
+    if hf_data.d != lf_model.data.d:
+        raise DimensionMismatch("HF inputs have another dimension than the LF model's")
     x_h = hf_data.x
-    lf_post = predict_gp(lf_model, x_h, mode=LATENT, cov=FULL)
+    lf_post, _ = kriging(lf_model, x_h, FULL, 0.0)
     return HfWorkspace(
         data=hf_data,
         ws=kernels.KernelWorkspace(x_h),
@@ -214,7 +216,7 @@ def e_step(ar: ArMarginal) -> EStepState:
     sigma_cond = hf.lf_cov - sigma_yz @ numerics.solve_spd(ar.factorization, sigma_yz.T)
     sigma_cond = 0.5 * (sigma_cond + sigma_cond.T)
     h_mat = np.hstack([hf.g_matrix * mu[:, None], hf.f_matrix])
-    return EStepState(mu_y_given_z=mu, sigma_y_given_z=sigma_cond, h_matrix=h_mat)
+    return EStepState(sigma_y_given_z=sigma_cond, h_matrix=h_mat)
 
 
 def m_step_closed_forms(
@@ -290,13 +292,13 @@ def em_fit_hf(
     `optimize.MERGE_RADIUS` (in log space) of an earlier start's end, so a random
     start of the escape check that falls back into the current point's basin
     stops there; a warm step has one start, which the filter never stops. The
-    current point is always a start, which
-    guarantees a non-decreasing observed-data log-likelihood (Dempster, Laird &
-    Rubin 1977). One HF workspace serves the whole fit, and one AR(1) marginal
-    per iterate serves its log-likelihood and the next E-step. The scaling and
-    discrepancy design matrices G and F, G o m_L with the LF posterior mean m_L
-    at X_H, and each E-step's H = [G o mu_{Y|Z}, F] must have full column rank
-    (RankDeficientBasis otherwise). `config` and `em_config` are keyword-only.
+    current point is always a start, which guarantees a non-decreasing
+    observed-data log-likelihood (Dempster, Laird & Rubin 1977). One HF workspace
+    serves the whole fit, and one AR(1) marginal per iterate serves its
+    log-likelihood and the next E-step. The scaling and discrepancy design
+    matrices G and F, G o m_L with the LF posterior mean m_L at X_H, and each
+    E-step's H = [G o mu_{Y|Z}, F] must have full column rank (RankDeficientBasis
+    otherwise). `config` and `em_config` are keyword-only.
     """
     q, p_h = rho_basis.p, hf_basis.p
     if hf_data.n < q + p_h + 1:
@@ -375,12 +377,12 @@ def predict_mf(
 ) -> PredictiveDistribution:
     """Co-kriging posterior at new points for either fidelity level.
 
-    Each block of x_star takes its LF mean and covariance with the HF inputs from
-    one LF kriging step and the model's cached solve R~_L^-1 R_L(X_L, X_H), and its
-    HF variances from one whitening of k_cross with the AR factor (one NumPy product
-    with its cached inverse factor, as for the LF variances). A full covariance is
-    prior - k_cross C^-1 k_cross^T by one solve with the factor of the AR
-    covariance C, its LF block from `gp.posterior_cross_cov`.
+    Each block of x_star takes its LF posterior and cross-correlation r from one
+    `gp.kriging` step, its LF covariance with the HF inputs from r and the model's
+    cached solve R~_L^-1 R_L(X_L, X_H), and its HF variances from one whitening of
+    k_cross with the AR factor (one NumPy product with its cached inverse factor, as
+    for the LF variances). A full covariance is prior - k_cross C^-1 k_cross^T by
+    one solve with the factor of the AR covariance C.
     """
     if level == LF:
         return predict_gp(model.lf_model, x_star, mode=mode, cov=cov)
@@ -393,8 +395,7 @@ def predict_mf(
     noise = params.noise_variance if mode == NOISY else 0.0
 
     def predict_block(x: np.ndarray) -> PredictiveDistribution:
-        m_yl, r = kriging_step(lf, x)
-        lf_post = predictive(m_yl, latent_spread(lf, x, r, cov), 0.0)
+        lf_post, r = kriging(lf, x, cov, 0.0)
         rho_star = model.rho_basis.design_matrix(x) @ params.beta_rho
         # k_cross = rho* rho_H^T o V_cross + sigma2_H R_H(x, X_H), with the LF cross
         # covariance V_cross = sigma2_L (R_L(x, X_H) - r R~_L^-1 R_L(X_L, X_H)), built
@@ -406,7 +407,7 @@ def predict_mf(
         r_h = kernels.corr_matrix(x, x_h, params.theta_h)
         r_h *= params.sigma2_h
         k_cross += r_h
-        m_ar = rho_star * m_yl + model.hf_basis.design_matrix(x) @ params.beta_h
+        m_ar = rho_star * lf_post.mean + model.hf_basis.design_matrix(x) @ params.beta_h
         mean = m_ar + k_cross @ model.ar.residual_solve
         if cov == FULL:
             prior = np.outer(rho_star, rho_star) * lf_post.covariance + params.sigma2_h * (

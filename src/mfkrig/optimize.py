@@ -18,10 +18,11 @@ A start reaches L-BFGS-B in one of two ways, chosen once at import:
   (`NEW_X`), where the distance filter and the iteration and evaluation caps
   apply. It takes the same steps as `scipy.optimize.minimize` would, bit for
   bit, without its per-start set-up and per-evaluation wrapper;
-- `scipy.optimize.minimize(method="L-BFGS-B")` with the same options, and the
-  distance filter in a callback that stops the search at the same iterate, for
-  any other core (scipy 1.13-1.14's Fortran one, a later change of the
-  signature) or when the private module cannot be imported.
+- `scipy.optimize.minimize(method="L-BFGS-B", jac=True)` with the same options
+  and the same value-and-gradient function, and the distance filter in a
+  callback that stops the search at the same iterate, for any other core
+  (scipy 1.13-1.14's Fortran one, a later change of the signature) or when the
+  private module cannot be imported.
 
 The core is loaded from its extension file, so that importing this module does
 not import scipy.optimize, whose linear-programming and FFT dependencies the
@@ -75,14 +76,6 @@ def _load_lbfgsb():
     except ImportError:
         return None
     return _lbfgsb
-
-
-def _scipy_minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call: only the path for an
-    unsupported core needs scipy.optimize."""
-    from scipy.optimize import minimize
-
-    return minimize(*args, **kwargs)
 
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -300,7 +293,7 @@ def minimize_box(
         return indices[near[0]] if near.size else None
 
     if _setulb is None:
-        from scipy.optimize import Bounds
+        from scipy.optimize import Bounds, minimize  # only this path needs them
 
         merged = None
 
@@ -310,10 +303,11 @@ def minimize_box(
             if merged is not None:
                 raise StopIteration
 
-        res = _scipy_minimize(
-            lambda x: evaluate(x)[0],
+        # jac=True: scipy pairs each value with its gradient by its own memo.
+        res = minimize(
+            evaluate,
             start,
-            jac=lambda x: evaluate(x)[1],
+            jac=True,
             method="L-BFGS-B",
             bounds=Bounds(bounds.lower, bounds.upper),
             callback=callback,

@@ -13,12 +13,13 @@ from mfkrig import bench, cli, design, gp, mfgp, numerics
 from mfkrig.bench import BenchmarkConfig
 from mfkrig.cli import (
     EXIT_CONFIG_ERROR,
+    EXIT_NUMERICAL_ERROR,
     load_model,
     main,
     read_data_csv,
     save_model,
 )
-from mfkrig.exceptions import InvalidConfig, ParseError
+from mfkrig.exceptions import InvalidConfig, NotPositiveDefinite, ParseError
 from mfkrig.gp import (
     Dataset,
     GpHyper,
@@ -294,6 +295,20 @@ class TestFitPredictCli:
             main, ["fit", "--lf", "lf.csv", "--hf", "hf.csv", "--out", "m.json"]
         )
         assert res.exit_code == EXIT_CONFIG_ERROR
+
+    def test_numerical_failure_exit_3(self, workdir):
+        # A constant LF output makes the E-step's mean column G o mu_{Y|Z} a copy of
+        # the HF basis's constant column: a numerical error, not a config error.
+        x_lf = np.arange(10).reshape(-1, 1) / 10
+        _write_csv(workdir / "lf.csv", x_lf, np.ones(10))
+        x_hf = 0.05 + np.arange(5).reshape(-1, 1) / 5
+        _write_csv(workdir / "hf.csv", x_hf, np.arange(5.0))
+        res = CliRunner().invoke(
+            main, ["fit", "--lf", "lf.csv", "--hf", "hf.csv", "--out", "m.json"]
+        )
+        assert res.exit_code == EXIT_NUMERICAL_ERROR, res.output
+        assert res.output.startswith("numerical failure: ")
+        assert not os.path.exists(workdir / "m.json")
 
     def test_lf_level_separation(self, workdir):
         _training_csvs(workdir)
@@ -710,6 +725,34 @@ class TestBenchCli:
         (workdir / "bench.json").write_text("[1, 2]")
         res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
         assert res.exit_code == EXIT_CONFIG_ERROR
+
+    def test_failed_fit_is_a_failed_row(self, workdir, monkeypatch):
+        # A package error in one model's fit fails that model's row alone: the
+        # campaign exits 0 and the other model's rows are those of a run without it.
+        self._config(workdir, n_replications=2, models=["hf_only"], n_hf=12,
+                     output_path=str(workdir / "alone.csv"))
+        assert CliRunner().invoke(main, ["bench", "--config", "bench.json"]).exit_code == 0
+        alone = _read_rows(str(workdir / "alone.csv"))
+
+        def failing_fit(*args, **kwargs):
+            raise NotPositiveDefinite("forced")
+
+        monkeypatch.setattr(bench, "fit_mf", failing_fit)
+        self._config(workdir, n_replications=2, models=["mf", "hf_only"], n_hf=12)
+        res = CliRunner().invoke(main, ["bench", "--config", "bench.json"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("wrote 4 rows (2 failed)")
+        rows = _read_rows(str(workdir / "results.csv"))
+        assert [(r["replication_index"], r["model_name"]) for r in rows] == [
+            ("0", "mf"), ("0", "hf_only"), ("1", "mf"), ("1", "hf_only")
+        ]
+        for row in rows[0::2]:
+            assert (row["failed"], row["error"]) == ("1", "NotPositiveDefinite: forced")
+            assert all(row[col] == "" for col in bench.RESULT_COLUMNS[2:-2])  # q2..fit_seconds
+        for row, want in zip(rows[1::2], alone):
+            row.pop("fit_seconds")
+            want.pop("fit_seconds")
+            assert row == want and row["failed"] == "0"
 
 
 def test_campaign_rows_independent_of_worker_count(monkeypatch):

@@ -19,6 +19,7 @@ from mfkrig.gp import (
     constant_basis,
     default_bounds,
     fit_gp,
+    kriging,
     log_space_search,
     posterior_cross_cov,
     predict_gp,
@@ -145,7 +146,7 @@ class TestEStep:
         params = _some_params(beta_rho=(0.0,))
         state = e_step(_ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
         mean, cov = _lf_moments(lf_model, x_hf)
-        assert np.allclose(state.mu_y_given_z, mean, atol=1e-10)
+        assert np.allclose(state.h_matrix[:, 0], mean, atol=1e-10)
         assert np.allclose(state.sigma_y_given_z, cov, atol=1e-10)
 
     def test_nested_noise_free_collapse(self):
@@ -155,7 +156,7 @@ class TestEStep:
         params = _some_params()
         state = e_step(_ar_marginal(data, lf_model, params, constant_basis(), constant_basis()))
         assert np.max(np.abs(state.sigma_y_given_z)) < 1e-7
-        assert np.max(np.abs(state.mu_y_given_z - z_lf[: len(x_hf)])) < 1e-5
+        assert np.max(np.abs(state.h_matrix[:, 0] - z_lf[: len(x_hf)])) < 1e-5
 
     def test_joint_conditioning_oracle(self, rng):
         lf_model = _noisy_lf()
@@ -179,7 +180,7 @@ class TestEStep:
         mean_z = rho * m + f_beta
         mu_oracle = m + cov_yz @ np.linalg.solve(cov_zz, z_hf - mean_z)
         sig_oracle = v - cov_yz @ np.linalg.solve(cov_zz, cov_yz.T)
-        assert np.allclose(state.mu_y_given_z, mu_oracle, atol=1e-8)
+        assert np.allclose(state.h_matrix[:, 0], mu_oracle, atol=1e-8)
         assert np.allclose(state.sigma_y_given_z, sig_oracle, atol=1e-8)
 
     def test_h_matrix_structure(self, rng):
@@ -196,9 +197,11 @@ class TestEStep:
         )
         ar = _ar_marginal(data, lf_model, params, constant_basis(), lin)
         state = e_step(ar)
+        # H's first column is mu_{Y|Z}: G's first function is the constant.
+        mu = ar.hf.lf_mean + (ar.hf.lf_cov * ar.rho[None, :]) @ ar.residual_solve
         expected = np.hstack(
             [
-                ar.hf.g_matrix * state.mu_y_given_z[:, None],
+                ar.hf.g_matrix * mu[:, None],
                 ar.hf.f_matrix,
             ]
         )
@@ -223,7 +226,7 @@ def _synthetic_state(rng, n_h, mu=None, sigma_cond=None):
     mu = mu if mu is not None else rng.normal(size=n_h)
     sigma_cond = sigma_cond if sigma_cond is not None else np.zeros((n_h, n_h))
     h = np.hstack([g * mu[:, None], f])
-    state = EStepState(mu_y_given_z=mu, sigma_y_given_z=sigma_cond, h_matrix=h)
+    state = EStepState(sigma_y_given_z=sigma_cond, h_matrix=h)
     return state, x_hf
 
 
@@ -302,7 +305,6 @@ class TestMStep:
         x_hf = 100.0 * np.arange(float(n_h)).reshape(-1, 1)
         mu = np.array([1.0, -1.0, 1.0, -1.0, 2.0, -2.0, 0.0, 0.0])
         state = EStepState(
-            mu_y_given_z=mu,
             sigma_y_given_z=0.5 * np.eye(n_h),
             h_matrix=np.column_stack([mu, np.ones(n_h), np.ones(n_h)]),
         )
@@ -586,11 +588,11 @@ class TestEmFit:
     def test_lf_moments_once_per_fit(self, fitted_mf, monkeypatch):
         calls = []
 
-        def counting_predict_gp(*args, **kwargs):
-            calls.append(kwargs.get("cov"))
-            return predict_gp(*args, **kwargs)
+        def counting_kriging(model, x_star, cov, noise):
+            calls.append(cov)
+            return kriging(model, x_star, cov, noise)
 
-        monkeypatch.setattr(mfgp, "predict_gp", counting_predict_gp)
+        monkeypatch.setattr(mfgp, "kriging", counting_kriging)
         _, em_log = em_fit_hf(
             fitted_mf.hf_data, fitted_mf.lf_model, config=MultiStartConfig(n_starts=2, rng_seed=2)
         )
@@ -916,13 +918,20 @@ def test_models_assemble_their_own_caches(fitted_mf):
     assert GpHyper([1, 2], lf.hyper.kernel).beta.dtype == float
 
 
+def test_mf_data_refuses_inputs_of_different_widths():
+    lf = Dataset(np.linspace(0.0, 1.0, 6), np.zeros(6))
+    hf = Dataset(np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(DimensionMismatch, match="LF and HF inputs have different dimensions"):
+        MfData(lf, hf)
+
+
 @pytest.mark.parametrize("fit", [False, True], ids=["model", "em_fit_hf"])
 def test_hf_data_of_another_dimension_is_refused(fitted_mf, fit):
     # The LF training set lives only in the LF model, so the HF set is checked
     # against it: 2-D HF inputs beside a 1-D LF model.
     x_hf = np.column_stack([fitted_mf.hf_data.x[:, 0], fitted_mf.hf_data.x[:, 0]])
     hf = Dataset(x_hf, fitted_mf.hf_data.z)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="another dimension than the LF model's"):
         if fit:
             em_fit_hf(hf, fitted_mf.lf_model, config=MultiStartConfig(n_starts=1))
         else:

@@ -138,7 +138,7 @@ class TestMinimizeBox:
             return np.nan, np.zeros_like(x)
 
         ran = []
-        monkeypatch.setattr(optimize, "_scipy_minimize", lambda *a, **k: ran.append("minimize"))
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: ran.append("minimize"))
         if optimize._setulb is not None:
             monkeypatch.setattr(optimize, "_setulb", lambda *a: ran.append("setulb"))
         bounds = BoxBounds(np.array([0.0]), np.array([1.0]))
@@ -235,20 +235,21 @@ class TestMinimizeBox:
         # The memo keeps read-only copies of the objective's gradients.
         # scipy.optimize.minimize is handed those; the core, which writes through
         # raw buffers whatever the flags, is handed copies of them.
-        scipy_minimize, setulb = optimize._scipy_minimize, optimize._setulb
+        scipy_minimize, setulb = scipy.optimize.minimize, optimize._setulb
         handed = []
 
-        def minimize_spy(fun, x0, jac, **kwargs):
-            def gradient(x):
-                handed.append(jac(x))
-                return handed[-1]
-            return scipy_minimize(fun, x0, jac=gradient, **kwargs)
+        def minimize_spy(fun, x0, **kwargs):
+            def combined(x):
+                value, grad = fun(x)
+                handed.append(grad)
+                return value, grad
+            return scipy_minimize(combined, x0, **kwargs)
 
         def setulb_spy(m, x, lower, upper, nbd, f, g, *rest):
             handed.append(g)
             return setulb(m, x, lower, upper, nbd, f, g, *rest)
 
-        monkeypatch.setattr(optimize, "_scipy_minimize", minimize_spy)
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize_spy)
         if setulb is not None:
             monkeypatch.setattr(optimize, "_setulb", setulb_spy)
         bounds = BoxBounds(np.full(2, -1.0), np.full(2, 1.0))

@@ -543,3 +543,87 @@ def test_package_errors_are_not_control_flow():
                for use in caught_errors(p.read_text(), errors)]
     assert catches
     assert [c for c in catches if c.split(" (line ")[0] not in PACKAGE_ERROR_CATCHERS] == []
+
+
+def dataclass_fields(source: str) -> list[str]:
+    """Every field of every class decorated with `dataclass` or `dataclasses.dataclass`,
+    bare or called, as "<class>.<field> (line n)"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(t, "attr", getattr(t, "id", "")) == "dataclass" for t in targets):
+            continue
+        found.extend(f"{node.name}.{stmt.target.id} (line {stmt.lineno})" for stmt in node.body
+                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Every name `source` reads: an attribute load, or a string constant (as
+    `getattr(obj, "name")` reads a field), but not the name argument of a `setattr`
+    or `__setattr__` call, which writes one."""
+    tree = ast.parse(source)
+    written = {
+        id(node.args[1]) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and len(node.args) > 1
+        and getattr(node.func, "attr", getattr(node.func, "id", "")) in ("setattr", "__setattr__")
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in written:
+            names.add(node.value)
+    return names
+
+
+def unread_fields(sources: list[str]) -> list[str]:
+    """`dataclass_fields` of `sources` whose name none of them reads (`read_names`)."""
+    read = set().union(*(read_names(source) for source in sources))
+    return [f for source in sources for f in dataclass_fields(source)
+            if f.split(" (")[0].split(".")[1] not in read]
+
+
+def test_detector_finds_an_unread_field():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    by_name: int\n"
+        "    unread: int\n"
+        "    cached: int = field(init=False)\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'cached', self.read)\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    written: int\n"
+        "    LIMIT = 3\n"
+        "class C:\n"
+        "    plain: int\n"
+        "def f(a, b, which='by_name'):\n"
+        "    b.written = a.unread_too\n"
+        "    return getattr(a, which)\n"
+    )
+    assert unread_fields([source]) == [
+        "A.unread (line 7)", "A.cached (line 8)", "B.written (line 13)"
+    ]
+
+
+# The fields no package code reads: observability hooks, each for its reader.
+OBSERVABILITY_FIELDS = {
+    # The record of each start of a search (ROADMAP item 2's start record).
+    "StartResult.start", "StartResult.converged", "StartResult.merged_into",
+    # perfbench's jitter-escalation counter.
+    "SpdFactorization.jitter_used",
+}
+
+
+def test_every_dataclass_field_is_read():
+    """Every field the package declares is read by the package, or is an observability
+    hook: a field, wrapper or recorder that only a test reads is dead weight."""
+    unread = unread_fields([p.read_text() for p in sorted(SRC.glob("*.py"))])
+    assert sorted(f.split(" (")[0] for f in unread) == sorted(OBSERVABILITY_FIELDS)
