@@ -409,7 +409,7 @@ def kriging(
     r = kernels.corr_matrix(x_star, model.data.x, model.hyper.kernel.theta)
     mean = model.basis.design_matrix(x_star) @ model.hyper.beta + r @ model.residual_solve
     if cov == FULL:
-        spread = posterior_cross_cov(model, x_star, x_star)
+        spread = posterior_cross_cov(model, x_star)
     else:
         u = numerics.whiten(model.factorization, r.T)
         spread = model.hyper.kernel.sigma2 * (1.0 - np.einsum("ij,ij->j", u, u))
@@ -481,14 +481,14 @@ def predict_gp(
     return in_blocks(lambda x: kriging(model, x, cov, noise)[0], x_star, cov)
 
 
-def posterior_cross_cov(model: TrainedGp, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Posterior covariance sigma2 (R(xa, xb) - r_a R~^-1 r_b^T) between two point sets,
-    r = R(., X), by one solve (Rasmussen & Williams 2006, Alg. 2.1), accurate where a
-    whitened product U_a^T U_b is not: the covariance of a full-covariance `kriging`
-    step. `mfgp.predict_mf` builds its LF cross covariance with X_H from the model's
-    cached LF solve, and the E-step and a full HF covariance solve with the AR factor."""
+def posterior_cross_cov(model: TrainedGp, x_star: np.ndarray) -> np.ndarray:
+    """Latent posterior covariance sigma2 (R(x*, x*) - r R~^-1 r^T) among the points
+    x_star, r = R(x*, X), by one solve (Rasmussen & Williams 2006, Alg. 2.1), accurate
+    where a whitened product U^T U is not: the covariance of a full-covariance
+    `kriging` step. `mfgp.predict_mf` builds its LF cross covariance with X_H from the
+    model's cached LF solve, and the E-step and a full HF covariance solve with the
+    AR factor."""
     k, x = model.hyper.kernel, model.data.x
-    ra = kernels.corr_matrix(xa, x, k.theta)
-    rb = ra if xb is xa else kernels.corr_matrix(xb, x, k.theta)
-    solve_b = numerics.solve_spd(model.factorization, rb.T)
-    return k.sigma2 * (kernels.corr_matrix(xa, xb, k.theta) - ra @ solve_b)
+    r = kernels.corr_matrix(x_star, x, k.theta)
+    solve = numerics.solve_spd(model.factorization, r.T)
+    return k.sigma2 * (kernels.corr_matrix(x_star, x_star, k.theta) - r @ solve)

@@ -20,7 +20,11 @@ class LengthScales:
     theta: np.ndarray
 
     def __post_init__(self):
-        theta = as_vector("length scales", self.theta)
+        theta = self.theta
+        # The fit hands over a 1-D float64 array on every evaluation; as_vector
+        # would return that same array, so only other inputs go through it.
+        if not (type(theta) is np.ndarray and theta.ndim == 1 and theta.dtype == np.float64):
+            theta = as_vector("length scales", theta)
         if theta.size == 0:
             raise DimensionMismatch("length scales must be a non-empty vector")
         # One pass over Python floats: the fit builds these on every evaluation.

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -35,16 +34,23 @@ class SpdFactorization:
     def n(self) -> int:
         return self.lower_factor.shape[0]
 
-    @cached_property
+    @property
     def upper_inverse(self) -> np.ndarray:
         """The one inverse factor U^-1 = (L^T)^-1: upper triangular, Fortran-ordered
         and read-only, from LAPACK dtrtri on first use. `inv_spd` (BLAS dsyrk) and
         `whiten` (NumPy's product with its transpose) read it, so a factorization
-        inverts its factor at most once."""
-        inv, info = lapack.dtrtri(self.lower_factor.T, lower=0)
-        if info != 0:
-            raise NotPositiveDefinite(f"dtrtri failed to invert the factor (info={info})")
-        inv.setflags(write=False)
+        inverts its factor at most once.
+
+        It is cached in the instance `__dict__` under its own name by hand: on
+        Python 3.11 `functools.cached_property` takes a lock on every first access,
+        and every likelihood evaluation makes one."""
+        inv = self.__dict__.get("upper_inverse")
+        if inv is None:
+            inv, info = lapack.dtrtri(self.lower_factor.T, lower=0)
+            if info != 0:
+                raise NotPositiveDefinite(f"dtrtri failed to invert the factor (info={info})")
+            inv.setflags(write=False)
+            self.__dict__["upper_inverse"] = inv
         return inv
 
 

@@ -284,13 +284,11 @@ def minimize_box(
             best_x, best_f = x.copy(), f
         return f, grad
 
-    indices = [i for i, end in enumerate(ends) if end is not None]
-    earlier = np.array([ends[i] for i in indices]).reshape(len(indices), start.size)
-
-    def merged_into(x) -> int | None:
-        """The lowest index of an earlier end within MERGE_RADIUS of x, or None."""
-        near = np.flatnonzero(np.abs(earlier - x).max(axis=1) <= MERGE_RADIUS)
-        return indices[near[0]] if near.size else None
+    # The distance filter reads the earlier ends as Python floats, converted once
+    # per start; with no unfailed earlier end it has nothing to test.
+    ends = [None if end is None else end.tolist() for end in ends]
+    if all(end is None for end in ends):
+        ends = []
 
     if _setulb is None:
         from scipy.optimize import Bounds, minimize  # only this path needs them
@@ -299,7 +297,8 @@ def minimize_box(
 
         def callback(intermediate_result):
             nonlocal merged
-            merged = merged_into(intermediate_result.x)
+            if ends:
+                merged = merged_into(intermediate_result.x.tolist(), ends)
             if merged is not None:
                 raise StopIteration
 
@@ -320,7 +319,7 @@ def minimize_box(
         )
         x, f, success = res.x, res.fun, res.success
     else:
-        x, f, success, merged = _run_setulb(evaluate, merged_into, bounds, start, config)
+        x, f, success, merged = _run_setulb(evaluate, ends, bounds, start, config)
     x, f = bounds.clip(x), float(f)
     if best_f < f:
         x, f = bounds.clip(best_x), best_f
@@ -333,9 +332,29 @@ def minimize_box(
     return x, f, converged, False, merged
 
 
+def merged_into(x: list[float], ends: Sequence[list[float] | None]) -> int | None:
+    """The distance filter's decision: the lowest index of an end within
+    MERGE_RADIUS of x by the max norm (a coordinate exactly MERGE_RADIUS away is
+    within), or None. x and the ends are lists of Python floats; a None end (a
+    failed start) is skipped, and a NaN coordinate is never within. An end is
+    left at its first coordinate beyond the radius. This is the rule
+    `np.abs(earlier - x).max(axis=1) <= MERGE_RADIUS` for the stacked ends,
+    first hit, without NumPy's per-call cost on a few dozen numbers.
+    """
+    radius = MERGE_RADIUS
+    for i, end in enumerate(ends):
+        if end is not None:
+            for a, b in zip(x, end):
+                if not abs(a - b) <= radius:
+                    break
+            else:
+                return i
+    return None
+
+
 def _run_setulb(
     evaluate: Objective,
-    merged_into: Callable[[np.ndarray], int | None],
+    ends: Sequence[list[float] | None],
     bounds: BoxBounds,
     start: np.ndarray,
     config: MultiStartConfig,
@@ -346,7 +365,8 @@ def _run_setulb(
 
     As in scipy, the start is evaluated before the core's first call, and an
     evaluation counts toward `_MAXFUN` unless it repeats the last point. At each
-    new iterate, `merged_into` takes the place of scipy's callback: an index stops
+    new iterate, `merged_into` against `ends` (earlier ends as lists, empty when
+    there is none to test) takes the place of scipy's callback: an index stops
     the search there, as a callback's halt would, before the caps are tested.
     """
     n = start.size
@@ -363,25 +383,28 @@ def _run_setulb(
     isave = np.zeros(44, dtype=np.int32)
     dsave = np.zeros(29)
 
-    last_x = start.copy()
-    last = evaluate(last_x)
+    last_x = start.tolist()
+    last = evaluate(start.copy())
     n_evaluations, n_iterations, merged = 1, 0, None
     while True:
-        # The core reads and writes its arrays as raw buffers, whatever their
-        # flags: it gets a float64 copy of the memo's read-only gradient.
-        g = g.astype(np.float64)
         _setulb(m, x, bounds.lower, bounds.upper, nbd, f, g, factr,
                 config.gradient_tolerance, wa, iwa, task, lsave, isave, dsave,
                 _MAXLS, ln_task)
         if task[0] == _FG:
-            if not (x == last_x).all():  # np.array_equal, as scipy tests a repeat
-                last_x = x.copy()
-                last = evaluate(last_x)
+            # Lists of floats compare as np.array_equal does (0.0 equals -0.0),
+            # which is how scipy tests a repeat.
+            x_list = x.tolist()
+            if x_list != last_x:
+                last_x = x_list
+                last = evaluate(x.copy())
                 n_evaluations += 1
-            f, g = last
+            # The core reads and writes its arrays as raw buffers, whatever their
+            # flags: it gets a copy of the memo's read-only gradient.
+            f, g = last[0], last[1].copy()
         elif task[0] == _NEW_X:
             n_iterations += 1
-            merged = merged_into(x)
+            if ends:
+                merged = merged_into(x.tolist(), ends)
             if merged is not None:
                 task[:] = _STOP, _STOP_CALLBACK
             if n_iterations >= config.max_iterations:

@@ -424,13 +424,13 @@ class TestPredictGp:
             predict_gp(model, np.array([[0.2, 0.3]]), **option)
 
     def test_cross_cov_matches_dense_oracle(self, model, rng):
-        # sigma2 (R(a, b) - r_a^T (R + eta I)^-1 r_b) by explicit dense inversion.
-        xa, xb = rng.uniform(size=(4, 2)), rng.uniform(size=(3, 2))
+        # sigma2 (R(a, a) - r_a^T (R + eta I)^-1 r_a) by explicit dense inversion.
+        xa = rng.uniform(size=(4, 2))
         k = model.hyper.kernel
         x = model.data.x
         corr = lambda p, q: kernels.corr_matrix(p, q, k.theta)
         rt_inv = np.linalg.inv(corr(x, x) + k.eta * np.eye(len(x)))
-        ref = k.sigma2 * (corr(xa, xb) - corr(xa, x) @ rt_inv @ corr(x, xb))
-        assert np.allclose(posterior_cross_cov(model, xa, xb), ref, atol=1e-10)
+        ref = k.sigma2 * (corr(xa, xa) - corr(xa, x) @ rt_inv @ corr(x, xa))
+        assert np.allclose(posterior_cross_cov(model, xa), ref, atol=1e-10)
         full = predict_gp(model, xa, cov="full").covariance
-        assert np.allclose(posterior_cross_cov(model, xa, xa), full, atol=1e-12)
+        assert np.allclose(posterior_cross_cov(model, xa), full, atol=1e-12)

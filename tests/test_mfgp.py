@@ -973,7 +973,7 @@ class TestArCovariance:
         assert np.allclose(cov, params.sigma2_h * (r_h + params.eta_h * np.eye(n_h)), atol=1e-7)
         # The LF posterior covariance vanishes at nested noise-free inputs, so
         # the HF cross-covariance reduces to sigma2_H R_H there.
-        v_cross = posterior_cross_cov(lf_model, x_hf, x_hf)
+        v_cross = posterior_cross_cov(lf_model, x_hf)
         assert np.allclose(1.5**2 * v_cross, 0.0, atol=1e-7)
 
     def test_elementwise_oracle(self, fitted_mf, rng):

@@ -337,6 +337,77 @@ class TestMinimizeBox:
         assert np.all(x >= bounds.lower) and np.all(x <= bounds.upper)
 
 
+def array_merge_rule(x, ends):
+    """Oracle: the distance filter's rule on stacked arrays, first hit."""
+    indices = [i for i, end in enumerate(ends) if end is not None]
+    earlier = np.array([ends[i] for i in indices], dtype=float).reshape(len(indices), len(x))
+    near = np.flatnonzero(np.abs(earlier - np.asarray(x)).max(axis=1) <= optimize.MERGE_RADIUS)
+    return indices[near[0]] if near.size else None
+
+
+class TestMergedInto:
+    """`optimize.merged_into` decides as the array rule it replaced."""
+
+    @staticmethod
+    def decide(x, ends):
+        lists = [None if end is None else list(map(float, end)) for end in ends]
+        got = optimize.merged_into(list(map(float, x)), lists)
+        assert got == array_merge_rule(x, ends)
+        return got
+
+    def test_random_cases_match_the_array_rule(self, rng):
+        r = optimize.MERGE_RADIUS
+        edges = [r, -r, np.nextafter(r, 1.0), -np.nextafter(r, 1.0), 0.0, -0.0]
+        merged = 0
+        for _ in range(2000):
+            d = int(rng.integers(1, 6))
+            x = rng.uniform(-3.0, 3.0, size=d).round(1)
+            ends = []
+            for _ in range(int(rng.integers(0, 11))):
+                if rng.uniform() < 0.1:
+                    ends.append(None)
+                    continue
+                offset = rng.uniform(-2.5 * r, 2.5 * r, size=d)
+                use_edge = rng.uniform(size=d) < 0.3
+                offset[use_edge] = rng.choice(edges, size=int(use_edge.sum()))
+                ends.append(x + offset)
+            merged += self.decide(x, ends) is not None
+        assert 0 < merged < 2000
+
+    def test_exactly_the_radius_merges_and_the_next_float_does_not(self):
+        r = optimize.MERGE_RADIUS
+        beyond = np.nextafter(r, 1.0)
+        assert self.decide([0.0, 1.0], [np.array([r, 1.0])]) == 0
+        assert self.decide([0.0, 1.0], [np.array([-r, 1.0])]) == 0
+        assert self.decide([1.0, r], [np.array([1.0, 0.0])]) == 0
+        assert self.decide([0.0, 1.0], [np.array([beyond, 1.0])]) is None
+        assert self.decide([1.0, 0.0], [np.array([1.0, -beyond])]) is None
+
+    def test_nan_never_merges(self):
+        assert self.decide([np.nan, 0.0], [np.array([np.nan, 0.0])]) is None
+        assert self.decide([0.0, 0.0], [np.array([0.0, np.nan]), np.zeros(2)]) == 1
+        assert self.decide([0.0, np.nan], [np.zeros(2)]) is None
+
+    def test_failed_ends_are_skipped_and_keep_their_index(self):
+        assert self.decide([0.5], [None, np.array([0.5]), None]) == 1
+        assert self.decide([0.5], [None, None]) is None
+
+    def test_lowest_index_wins(self):
+        ends = [np.array([1.0, 1.0]), np.array([0.04, 0.0]), np.array([0.0, 0.0])]
+        assert self.decide([0.0, 0.0], ends) == 1
+
+    def test_no_ends(self):
+        assert self.decide([0.0], []) is None
+
+    def test_radius_is_read_at_call_time(self, monkeypatch):
+        ends = [np.array([0.3])]
+        assert self.decide([0.0], ends) is None
+        monkeypatch.setattr(optimize, "MERGE_RADIUS", 0.3)
+        assert self.decide([0.0], ends) == 0
+        monkeypatch.setattr(optimize, "MERGE_RADIUS", -1.0)
+        assert self.decide([0.0], [np.array([0.0])]) is None
+
+
 class TestMultiStart:
     def test_convex_all_agree(self):
         # Unmerged starts agree on the minimum; a merged start ends, unconverged,
